@@ -20,7 +20,7 @@ from .diagrams import branch_restrict, dimension, partitions_of, transpose
 from .characters import class_eigenvalue, hook_value_on_ncycle, max_ratio_diagram, mn_character
 from .yor import full_spectrum_via_irreps, hplus_block_spectrum, standard_tableaux, yor_generator, yor_image
 from .graphs import CayleyGraph, build, dense_spectrum, natural_module_spectrum
-from .eigen import SpectrumReport, jacobi_eigenvalues
+from .eigen import SpectrumReport
 from .equitable import is_equitable, partition_P1, partition_P2, quotient_B1, quotient_B2
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "hook_value_on_ncycle",
     "hplus_block_spectrum",
     "is_equitable",
-    "jacobi_eigenvalues",
     "max_ratio_diagram",
     "mn_character",
     "natural_module_spectrum",

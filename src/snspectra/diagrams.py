@@ -103,13 +103,3 @@ def branch_restrict(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             child = rows[:i] + ((part - 1,) if part > 1 else ()) + rows[i + 1:]
             children.append(child)
     return tuple(children)
-
-
-def removable_corners(rows: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(row, col) 0-based positions of removable boxes."""
-    out = []
-    for i, part in enumerate(rows):
-        below = rows[i + 1] if i + 1 < len(rows) else 0
-        if part > below:
-            out.append((i, part - 1))
-    return out

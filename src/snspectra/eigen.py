@@ -1,7 +1,7 @@
 """
-Eigenvalue machinery: a cyclic Jacobi solver for small symmetric matrices,
-exact integer characteristic polynomials with integer root extraction, and
-multiplicity clustering with integer snapping.
+Eigenvalue machinery: multiplicity clustering with integer snapping, exact
+integer characteristic polynomials with integer root extraction, and the
+Weyl inequality check.
 """
 
 from __future__ import annotations
@@ -10,69 +10,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 CLUSTER_TOL = 1e-6
-JACOBI_OFFDIAG_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 class NonIntegerSpectrumError(ArithmeticError):
     """An exact spectrum was expected to be integral but is not."""
-
-
-class ConvergenceError(RuntimeError):
-    pass
-
-
-def jacobi_eigenvalues(
-    matrix: np.ndarray,
-    tol: float = JACOBI_OFFDIAG_TOL,
-    max_sweeps: int = JACOBI_MAX_SWEEPS,
-) -> np.ndarray:
-    """Eigenvalues of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps row by row until the off-diagonal Frobenius norm falls below
-    ``tol`` relative to the matrix norm.  Deterministic sweep order, so the
-    result is reproducible.  Returns eigenvalues sorted descending.
-    """
-    a = np.array(matrix, dtype=float)
-    m = a.shape[0]
-    if a.shape != (m, m):
-        raise ValueError(f"not square: {a.shape}")
-    if m == 0:
-        return np.empty(0)
-    if m == 1:
-        return a[0].copy()
-    scale = max(np.linalg.norm(a), 1.0)
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(np.diag(a)))
-        if off <= tol * scale:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if abs(theta) > 1e150:  # avoid overflow in theta**2
-                    t = 0.5 / theta
-                else:
-                    t = np.sign(theta) if theta != 0 else 1.0
-                    t = t / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    else:
-        raise ConvergenceError(f"Jacobi did not converge in {max_sweeps} sweeps")
-    return np.sort(np.diag(a))[::-1]
 
 
 def snap_to_integer(value: float, tol: float = CLUSTER_TOL) -> float:
@@ -81,26 +23,32 @@ def snap_to_integer(value: float, tol: float = CLUSTER_TOL) -> float:
 
 
 def cluster_eigenvalues(
-    values: Sequence[float], tol: float = CLUSTER_TOL
+    pairs: Sequence[tuple[float, int]], tol: float = CLUSTER_TOL
 ) -> list[tuple[float, int]]:
-    """Merge numerically equal eigenvalues into (value, multiplicity) pairs.
+    """Merge numerically equal eigenvalues of (value, multiplicity) pairs.
 
-    Values within ``tol`` of each other are merged (mean representative) and
-    the representative is snapped to the nearest integer when within ``tol``.
-    Sorted descending.
+    Raw solver output passes multiplicity 1 per value.  Sorted values chain
+    into one cluster while each is within ``tol`` of the previous one; the
+    representative is the multiplicity-weighted mean, snapped to the nearest
+    integer when within ``tol``.  Sorted descending.
+
+    The mean is taken as an offset from the cluster's first value, so a
+    cluster of equal values keeps that value exactly however large the
+    multiplicities are.
     """
-    ordered = sorted(values, reverse=True)
     clusters: list[tuple[float, int]] = []
-    if not ordered:
-        return clusters
-    run = [ordered[0]]
-    for v in ordered[1:]:
-        if abs(v - run[-1]) <= tol:
-            run.append(v)
-        else:
-            clusters.append((snap_to_integer(sum(run) / len(run), tol), len(run)))
-            run = [v]
-    clusters.append((snap_to_integer(sum(run) / len(run), tol), len(run)))
+    base, offset, weight, prev = 0.0, 0.0, 0, 0.0
+    for value, mult in sorted(pairs, key=lambda p: -p[0]):
+        if weight and prev - value > tol:
+            clusters.append((snap_to_integer(base + offset / weight, tol), weight))
+            weight = 0
+        if not weight:
+            base, offset = value, 0.0
+        offset += (value - base) * mult
+        weight += mult
+        prev = value
+    if weight:
+        clusters.append((snap_to_integer(base + offset / weight, tol), weight))
     return clusters
 
 
@@ -109,9 +57,7 @@ class SpectrumReport:
     """Sorted eigenvalue multiset with provenance.
 
     ``eigenvalues`` is descending (value, multiplicity); ``lambda1`` and
-    ``lambda2`` are the largest and second largest *distinct* values.  For
-    method "irrep" over an alternating-group connecting set only the distinct
-    value set is contractually meaningful.
+    ``lambda2`` are the largest and second largest *distinct* values.
     """
 
     eigenvalues: list[tuple[float, int]]
@@ -139,10 +85,6 @@ class SpectrumReport:
 
     def trace(self) -> float:
         return sum(v * m for v, m in self.eigenvalues)
-
-    @staticmethod
-    def from_values(values: Sequence[float], method: str) -> "SpectrumReport":
-        return SpectrumReport(cluster_eigenvalues(values), method)
 
 
 # ---------------------------------------------------------------------------

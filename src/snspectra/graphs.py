@@ -177,8 +177,8 @@ def dense_spectrum(
         raise DenseCapExceededError(
             f"{graph.size} vertices exceeds dense cap {limit}"
         )
-    values = np.linalg.eigvalsh(graph.adjacency_matrix().astype(float))[::-1]
-    return SpectrumReport(cluster_eigenvalues(values), "dense")
+    values = np.linalg.eigvalsh(graph.adjacency_matrix().astype(float)).tolist()
+    return SpectrumReport(cluster_eigenvalues([(x, 1) for x in values]), "dense")
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +245,8 @@ def interlacing_check(
     """Verify lambda1 >= lambda1' >= lambda2 >= lambda2' and the sqrt(d)
     bound on the shifts, for edge deletion at one vertex."""
     before = dense_spectrum(graph, allow_large=True)
-    after_vals = np.linalg.eigvalsh(delete_vertex_edges(graph, v))[::-1]
-    after = SpectrumReport(cluster_eigenvalues(after_vals), "dense")
+    after_vals = np.linalg.eigvalsh(delete_vertex_edges(graph, v)).tolist()
+    after = SpectrumReport(cluster_eigenvalues([(x, 1) for x in after_vals]), "dense")
     l1, l2 = before.lambda1, before.lambda2
     l1p, l2p = after.lambda1, after.lambda2
     d = graph.degree

@@ -110,10 +110,6 @@ def compose(g: Permutation, h: Permutation) -> Permutation:
     return Permutation(tuple(g.images[x - 1] for x in h.images))
 
 
-def inverse(g: Permutation) -> Permutation:
-    return g.inverse()
-
-
 def conjugate(g: Permutation, x: Permutation) -> Permutation:
     """x g x^{-1}; relabels the cycles of g by x, preserving cycle type."""
     return compose(compose(x, g), x.inverse())

@@ -64,7 +64,10 @@ def _group_order(n: int, kind: str) -> int:
 
 def _spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
     if method == "auto":
-        method = "dense" if _group_order(spec.n, kind) <= DENSE_AUTO_LIMIT else "irrep"
+        if spec.family == "full":
+            method = "char"
+        else:
+            method = "dense" if _group_order(spec.n, kind) <= DENSE_AUTO_LIMIT else "irrep"
     if method == "dense":
         return dense_spectrum(build(kind, spec), allow_large=True)
     if method == "irrep":
@@ -74,7 +77,7 @@ def _spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport
         if spec.family != "full":
             raise ValueError("char method needs a conjugacy-class connecting set")
         ctype = (spec.k,) + (1,) * (spec.n - spec.k)
-        return yor.char_spectrum(spec.n, ctype)
+        return yor.char_spectrum(spec.n, ctype, kind)
     if method == "natural":
         connecting = enumerate_connecting_set(spec)
         return graphs.natural_module_spectrum(spec.n, connecting)

@@ -3,9 +3,10 @@ Young's orthogonal representation and per-block spectra of connecting sets.
 
 Each irreducible of Sym(1..n) is realized by real orthogonal matrices indexed
 by standard tableaux.  The image of an inverse-closed connecting set summed
-over the block is symmetric, so its spectrum is computed with the symmetric
-Jacobi solver; the union of these block spectra over all diagrams is the
-Cayley graph spectrum.
+over the block is symmetric, so its spectrum is computed with LAPACK
+``eigvalsh``; the union of these block spectra over all diagrams, each value
+repeated dim times, is the Cayley graph spectrum.  Spectra stay (value,
+multiplicity) pairs throughout and are never expanded to |G| floats.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import characters
 from .diagrams import dimension, partitions_of, validate_diagram
-from .eigen import SpectrumReport, cluster_eigenvalues, jacobi_eigenvalues
+from .eigen import SpectrumReport, cluster_eigenvalues
 from .permutations import Permutation
 
 SYMMETRY_TOL = 1e-9
@@ -217,9 +218,6 @@ def _inverse_representatives(
     return involutions, reps
 
 
-_BLOCK_CACHE: dict[tuple[tuple[int, ...], tuple[Permutation, ...]], tuple[tuple[float, int], ...]] = {}
-
-
 def hplus_matrix(shape: Sequence[int], connecting_set: Sequence[Permutation]) -> np.ndarray:
     """Sum of the representation matrices over the connecting set.
 
@@ -259,19 +257,31 @@ def hplus_block_spectrum(
     shape: Sequence[int], connecting_set: Sequence[Permutation]
 ) -> list[tuple[float, int]]:
     """Clustered eigenvalues of the connecting-set sum on one block."""
-    shape = validate_diagram(shape)
-    key = (shape, tuple(connecting_set))
-    cached = _BLOCK_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
-    matrix = hplus_matrix(shape, connecting_set)
-    if matrix.shape[0] > 150:
-        values = np.linalg.eigvalsh(matrix)[::-1]
-    else:
-        values = jacobi_eigenvalues(matrix)
-    clustered = cluster_eigenvalues(values)
-    _BLOCK_CACHE[key] = tuple(clustered)
-    return clustered
+    values = np.linalg.eigvalsh(hplus_matrix(shape, connecting_set))
+    return cluster_eigenvalues([(v, 1) for v in values.tolist()])
+
+
+def _check_group(group_kind: str, inside_alt: bool) -> None:
+    if group_kind not in ("symmetric", "alternating"):
+        raise ValueError(f"unknown group kind {group_kind!r}")
+    if group_kind == "alternating" and not inside_alt:
+        raise ValueError("connecting set contains odd permutations, not inside Alt")
+
+
+def _group_report(
+    pairs: list[tuple[float, int]], method: str, group_kind: str
+) -> SpectrumReport:
+    """Cluster Sym(1..n) spectrum pairs; for the alternating group halve them.
+
+    With H inside Alt, Cay(Sym, H) is two copies of Cay(Alt, H) (one per
+    coset), so every Sym multiplicity is even and half of it is exact.
+    """
+    clustered = cluster_eigenvalues(pairs)
+    if group_kind == "alternating":
+        if any(m % 2 for _, m in clustered):
+            raise ArithmeticError(f"odd Sym multiplicity in {clustered} for H inside Alt")
+        clustered = [(v, m // 2) for v, m in clustered]
+    return SpectrumReport(clustered, method)
 
 
 def full_spectrum_via_irreps(
@@ -279,29 +289,32 @@ def full_spectrum_via_irreps(
 ) -> SpectrumReport:
     """Cayley spectrum as the union of block spectra over all diagrams of n.
 
-    Multiplicities are dim(shape) per block occurrence, matching the regular
-    representation of Sym(1..n).  For ``group_kind`` "alternating" only the
-    distinct-value set is meaningful (the connecting set generates the
-    alternating group and the graph on all of Sym is a disjoint union).
+    Each block value counts dim(shape) times, matching the regular
+    representation of Sym(1..n); for ``group_kind`` "alternating" the
+    multiplicities are halved to those of Cay(Alt, H).
     """
-    if group_kind not in ("symmetric", "alternating"):
-        raise ValueError(f"unknown group kind {group_kind!r}")
     connecting_set = tuple(connecting_set)
+    _check_group(group_kind, all(h.is_even() for h in connecting_set))
     if any(h.is_identity() for h in connecting_set):
         raise ValueError("connecting set may not contain the identity")
-    values: list[float] = []
-    for shape in partitions_of(n):
-        dim = dimension(shape)
-        for value, mult in hplus_block_spectrum(shape, connecting_set):
-            values.extend([value] * (mult * dim))
-    return SpectrumReport(cluster_eigenvalues(values), "irrep")
+    pairs = [
+        (value, mult * dimension(shape))
+        for shape in partitions_of(n)
+        for value, mult in hplus_block_spectrum(shape, connecting_set)
+    ]
+    return _group_report(pairs, "irrep", group_kind)
 
 
-def char_spectrum(n: int, ctype: Sequence[int]) -> SpectrumReport:
+def char_spectrum(
+    n: int, ctype: Sequence[int], group_kind: str = "symmetric"
+) -> SpectrumReport:
     """Spectrum of a full-conjugacy-class connecting set from exact character
-    scalars: the block of each diagram is the scalar |H| chi(h)/chi(1)."""
-    values: list[float] = []
-    for shape in partitions_of(n):
-        dim = dimension(shape)
-        values.extend([float(characters.class_eigenvalue(shape, ctype))] * dim * dim)
-    return SpectrumReport(cluster_eigenvalues(values), "char")
+    scalars: the block of each diagram is the scalar |H| chi(h)/chi(1), with
+    multiplicity dim^2 in the regular representation."""
+    # A permutation is even iff n minus its number of cycles is even.
+    _check_group(group_kind, (n - len(ctype)) % 2 == 0)
+    pairs = [
+        (float(characters.class_eigenvalue(shape, ctype)), dimension(shape) ** 2)
+        for shape in partitions_of(n)
+    ]
+    return _group_report(pairs, "char", group_kind)

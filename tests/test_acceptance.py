@@ -2,8 +2,7 @@
 
 Tolerances are pinned here: 1e-6 for spectra (before integer snapping),
 1e-10 for representation relation residuals, 1e-8 for trace-vs-character
-agreement.  Criterion 3 runs before criterion 8 so the per-block spectra it
-computes are reused from the block cache.
+agreement.
 """
 
 import random
@@ -205,12 +204,19 @@ def test_criterion_07_property_suites(capfd):
             for ctype, g in reps.items():
                 trace = float(np.trace(yor_image(shape, g)))
                 assert abs(trace - mn_character(shape, ctype)) < TRACE_TOL
-        # dense vs irrep agreement
-        for spec_text in ("C(5,4)", "C(5,3;2)", "C(4,4)"):
+        # dense vs irrep agreement, multiplicities included, on both groups
+        for kind, spec_text in (
+            ("symmetric", "C(5,4)"),
+            ("symmetric", "C(5,3;2)"),
+            ("symmetric", "C(4,4)"),
+            ("alternating", "C(5,5)"),
+            ("alternating", "C(6,3;2)"),
+            ("alternating", "C(6,5)"),
+        ):
             spec = parse_spec(spec_text)
             connecting = enumerate_connecting_set(spec)
-            dense = dense_spectrum(build("symmetric", spec))
-            irrep = full_spectrum_via_irreps(spec.n, connecting)
+            dense = dense_spectrum(build(kind, spec))
+            irrep = full_spectrum_via_irreps(spec.n, connecting, kind)
             assert len(dense.eigenvalues) == len(irrep.eigenvalues)
             for (dv, dm), (iv, im) in zip(dense.eigenvalues, irrep.eigenvalues):
                 assert abs(dv - iv) <= SPECTRUM_TOL and dm == im

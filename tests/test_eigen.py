@@ -9,33 +9,9 @@ from snspectra.eigen import (
     exact_integer_eigenvalues,
     integer_roots,
     is_exact_root,
-    jacobi_eigenvalues,
     snap_to_integer,
     weyl_upper_bounds_hold,
 )
-
-
-class TestJacobi:
-    def test_diagonal_matrix(self):
-        values = jacobi_eigenvalues(np.diag([3.0, -1.0, 7.0]))
-        assert values.tolist() == [7.0, 3.0, -1.0]
-
-    def test_two_by_two(self):
-        values = jacobi_eigenvalues(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(values, [1.0, -1.0])
-
-    @pytest.mark.parametrize("size", [2, 5, 20, 60])
-    def test_against_lapack_oracle(self, size):
-        rng = np.random.default_rng(size)
-        a = rng.normal(size=(size, size))
-        a = a + a.T
-        ours = jacobi_eigenvalues(a)
-        reference = np.linalg.eigvalsh(a)[::-1]
-        assert np.allclose(ours, reference, atol=1e-8)
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            jacobi_eigenvalues(np.zeros((2, 3)))
 
 
 class TestClustering:
@@ -44,12 +20,20 @@ class TestClustering:
         assert snap_to_integer(3.9) == 3.9
 
     def test_cluster_merges_and_sorts(self):
-        clustered = cluster_eigenvalues([2.0, -1.0 + 2e-7, 2.0 + 3e-7, -1.0])
+        clustered = cluster_eigenvalues([(2.0, 1), (-1.0 + 2e-7, 1), (2.0 + 3e-7, 1), (-1.0, 1)])
         assert clustered == [(2.0, 2), (-1.0, 2)]
 
     def test_distinct_values_survive(self):
-        clustered = cluster_eigenvalues([1.0, 0.5, 0.0])
+        clustered = cluster_eigenvalues([(1.0, 1), (0.5, 1), (0.0, 1)])
         assert clustered == [(1.0, 1), (0.5, 1), (0.0, 1)]
+
+    def test_weighted_pairs(self):
+        # Multiplicities add up and weight the cluster representative.
+        clustered = cluster_eigenvalues([(0.25, 3), (-1.0, 10**18), (0.25 + 4e-7, 1)])
+        assert clustered == [(pytest.approx(0.25 + 1e-7, abs=1e-12), 4), (-1.0, 10**18)]
+
+    def test_empty(self):
+        assert cluster_eigenvalues([]) == []
 
 
 class TestSpectrumReport:

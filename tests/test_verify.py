@@ -18,6 +18,7 @@ from snspectra.formulas import (
     printed_mu2_variant,
     printed_third_eigenvalue_variant,
 )
+from snspectra.permutations import parse_spec
 
 
 class TestFormulas:
@@ -56,12 +57,46 @@ class TestFormulas:
         assert almost_full_cycle_lambda2(7) == 60  # 2(n-2)(n-4)!
 
 
+@pytest.mark.parametrize("method", ["dense", "irrep", "char"])
+@pytest.mark.parametrize(
+    "kind, spec_text",
+    [
+        ("symmetric", "C(5,4)"),
+        ("symmetric", "C(5,3)"),
+        ("alternating", "C(5,5)"),
+        ("alternating", "C(6,3)"),
+    ],
+)
+def test_spectrum_invariants(kind, spec_text, method):
+    """Sum m = |G|, sum v m = 0, sum v^2 m = |G||H| and lambda1 = |H| on
+    every route and both groups."""
+    spec = parse_spec(spec_text)
+    order = factorial(spec.n) // (1 if kind == "symmetric" else 2)
+    degree = spec.cardinality()
+    report = verify._spectrum(spec, kind, method)
+    assert report.method == method
+    assert report.size == order
+    assert abs(report.trace()) <= 1e-6
+    assert sum(v * v * m for v, m in report.eigenvalues) == pytest.approx(order * degree)
+    assert report.lambda1 == degree
+
+
 class TestTheoremRunners:
     def test_T1A_small(self):
         out = verify.verify_T1A(5)
         assert out.outcome == "match"
         assert out.computed == {"lambda1": 24.0, "lambda2": 4.0}
         assert out.ok
+
+    @pytest.mark.parametrize("runner, n", [(verify.verify_T1A, 20), (verify.verify_T1B, 24)])
+    def test_char_route_at_large_n(self, runner, n):
+        # Multiplicities near n! must not move a cluster's value by an ulp.
+        assert runner(n, "char").outcome == "match"
+
+    def test_auto_takes_char_for_a_class(self):
+        assert verify.verify_T1A(8).method == "char"
+        assert verify.verify_T1B(7).method == "char"
+        assert verify.verify_T13(6, 2).method == "dense"
 
     def test_T1A_skips_tiny(self):
         assert verify.verify_T1A(4).outcome == "skipped"

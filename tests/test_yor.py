@@ -163,3 +163,28 @@ class TestFullSpectra:
     def test_rejects_identity_in_set(self):
         with pytest.raises(ValueError):
             full_spectrum_via_irreps(4, [Permutation.identity(4)])
+
+    def test_alternating_rejects_odd_set(self):
+        connecting = enumerate_connecting_set(full_cycles(6, 4))
+        with pytest.raises(ValueError, match="odd permutations"):
+            full_spectrum_via_irreps(6, connecting, "alternating")
+        with pytest.raises(ValueError, match="odd permutations"):
+            char_spectrum(6, (4, 1, 1), "alternating")
+
+    def test_rejects_unknown_group_kind(self):
+        with pytest.raises(ValueError):
+            char_spectrum(5, (5,), "cyclic")
+
+
+class TestCharSpectrum:
+    def test_weighted_pairs_at_n20(self):
+        # 20! eigenvalues held as at most p(20) = 627 (value, multiplicity) pairs.
+        report = char_spectrum(20, (20,))
+        assert report.size == factorial(20)
+        assert len(report.eigenvalues) <= len(partitions_of(20)) == 627
+        assert report.lambda1 == factorial(19)
+
+    def test_alternating_halves_sym_multiplicities(self):
+        sym = char_spectrum(7, (7,))
+        alt = char_spectrum(7, (7,), "alternating")
+        assert alt.eigenvalues == [(v, m // 2) for v, m in sym.eigenvalues]
