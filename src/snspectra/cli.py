@@ -19,15 +19,18 @@ import sys
 
 from . import characters, equitable, graphs, verify, yor
 from .diagrams import diagram_string, parse_diagram, partitions_of
-from .permutations import cycle_string, enumerate_connecting_set, parse_spec
+from .permutations import cycle_string, enumerate_connecting_set, group_order, parse_spec
 
 
 def _parse_range(text: str) -> list[int]:
     """'7' -> [7]; '5-8' -> [5, 6, 7, 8]."""
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
+    try:
+        if "-" in text:
+            lo, hi = text.split("-", 1)
+            return list(range(int(lo), int(hi) + 1))
+        return [int(text)]
+    except ValueError:
+        raise ValueError(f"bad range {text!r}: expected N or LO-HI") from None
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -51,6 +54,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     spec = parse_spec(args.set)
     kind = "symmetric" if args.group == "S" else "alternating"
     if args.method == "dense":
+        graphs.check_dense_cap(group_order(kind, spec.n), allow_large=True)
         report = graphs.dense_spectrum(graphs.build(kind, spec), allow_large=True)
     else:
         connecting = enumerate_connecting_set(spec)
@@ -148,8 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; exit code 1 for a failed verification, 2 for bad input."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, graphs.DenseCapExceededError) as exc:
+        print(f"snspectra {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ from __future__ import annotations
 from math import factorial
 from typing import Sequence
 
+import numpy as np
+
 from .eigen import exact_integer_eigenvalues
 from .formulas import binom
 from .graphs import CayleyGraph
@@ -20,6 +22,7 @@ from .permutations import (
     Permutation,
     conjugate,
     enumerate_connecting_set,
+    image_array,
     prefix_moving_cycles,
 )
 
@@ -50,23 +53,19 @@ def is_equitable(
     Every vertex of every block is examined, not just one representative.
     """
     _check_partition(graph, blocks)
-    block_of = [0] * graph.size
+    block_of = np.empty(graph.size, dtype=np.intp)
     for b, block in enumerate(blocks):
-        for v in block:
-            block_of[v] = b
+        block_of[block] = b
+    # counts[v, b] = number of neighbours of vertex v in block b
+    keys = np.arange(graph.size)[:, None] * len(blocks) + block_of[graph.neighbor_table()]
+    counts = np.bincount(keys.ravel(), minlength=graph.size * len(blocks))
+    counts = counts.reshape(graph.size, len(blocks))
     quotient: list[list[int]] = []
     for block in blocks:
-        row: list[int] | None = None
-        for v in block:
-            counts = [0] * len(blocks)
-            for u in graph.neighbors(v):
-                counts[block_of[u]] += 1
-            if row is None:
-                row = counts
-            elif counts != row:
-                return False, None
-        assert row is not None
-        quotient.append(row)
+        rows = counts[block]
+        if (rows != rows[0]).any():
+            return False, None
+        quotient.append(rows[0].tolist())
     return True, quotient
 
 
@@ -99,9 +98,13 @@ def orbit_partition(
             x = parent[x]
         return x
 
-    for i, v in enumerate(graph.vertices):
-        for finv, g in actions:
-            j = graph.index_of(finv * v * g)
+    for finv, g in actions:
+        finv_images, g_images = image_array([finv, g], graph.n)
+        # (f^-1 v g)(x) = f^-1(v(g(x))), for every vertex v at once
+        targets = graph.ranks(finv_images[graph.vertex_images[:, g_images]])
+        if (targets < 0).any():
+            raise ValueError(f"right translation by {g} leaves the vertex set")
+        for i, j in enumerate(targets.tolist()):
             ri, rj = find(i), find(j)
             if ri != rj:
                 parent[rj] = ri
@@ -115,16 +118,10 @@ def orbit_partition(
 
 
 def _three_blocks(graph: CayleyGraph, point: int, r: int) -> VertexPartition:
-    fixed, low, high = [], [], []
-    for i, v in enumerate(graph.vertices):
-        image = v(point)
-        if image == point:
-            fixed.append(i)
-        elif image <= r:
-            low.append(i)
-        else:
-            high.append(i)
-    return [fixed, low, high]
+    image = graph.vertex_images[:, point - 1] + 1
+    fixed = image == point
+    masks = (fixed, ~fixed & (image <= r), ~fixed & (image > r))
+    return [np.flatnonzero(mask).tolist() for mask in masks]
 
 
 def partition_P1(graph: CayleyGraph, r: int) -> VertexPartition:
@@ -203,26 +200,20 @@ def counted_quotient(
         ranges = [(n, n), (1, r), (r + 1, n - 1)]
     else:
         ranges = [(1, 1), (2, r), (r + 1, n)]
-
-    def block_of(image: int) -> int:
-        for b, (lo, hi) in enumerate(ranges):
-            if lo <= image <= hi:
-                return b
-        raise AssertionError(image)
-
-    counts_by_point: dict[int, list[int]] = {}
-    for p in range(1, n + 1):
-        counts = [0] * 3
-        for h in connecting:
-            counts[block_of(h(p))] += 1
-        counts_by_point[p] = counts
+    block_of = np.full(n, -1, dtype=np.intp)
+    for b, (lo, hi) in enumerate(ranges):
+        block_of[lo - 1 : hi] = b
+    assert (block_of >= 0).all()
+    # counts[p, b] = #{h in H : h(p) in block b}, for every point p at once
+    keys = np.arange(n) * 3 + block_of[image_array(connecting, n)]
+    counts = np.bincount(keys.ravel(), minlength=3 * n).reshape(n, 3)
     quotient: list[list[int]] = []
     equitable = True
     for lo, hi in ranges:
-        rows = [counts_by_point[p] for p in range(lo, hi + 1)]
-        if any(row != rows[0] for row in rows[1:]):
+        rows = counts[lo - 1 : hi]
+        if (rows != rows[0]).any():
             equitable = False
-        quotient.append(rows[0])
+        quotient.append(rows[0].tolist())
     return equitable, quotient
 
 

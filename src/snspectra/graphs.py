@@ -22,9 +22,11 @@ from .eigen import (
 from .permutations import (
     ConnectingSetSpec,
     Permutation,
-    alternating_group,
+    as_permutations,
     enumerate_connecting_set,
-    symmetric_group,
+    even_rows,
+    group_images,
+    image_array,
 )
 from . import yor
 
@@ -36,7 +38,7 @@ class DenseCapExceededError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(eq=False)
 class CayleyGraph:
     """Cay(G, H) with u ~ v iff u * v^-1 in H.
 
@@ -44,67 +46,93 @@ class CayleyGraph:
     adjacency matrices are reproducible across runs.  If H generates a proper
     subgroup the graph is a disjoint union of copies of the Cayley graph of
     that subgroup; this is allowed and flagged via ``connected``.
+
+    ``vertex_images`` and ``connecting_images`` hold G and H as 0-based image
+    arrays, one row per element, the vertex rows in lexicographic order.
     """
 
     group_kind: str
     n: int
-    vertices: tuple[Permutation, ...]
+    vertex_images: np.ndarray
     connecting_set: tuple[Permutation, ...]
-    _index: dict[Permutation, int] = field(repr=False, default_factory=dict)
-    _neighbors: list[np.ndarray] | None = field(repr=False, default=None)
+    connecting_images: np.ndarray = field(init=False, repr=False)
+    _codes: np.ndarray = field(init=False, repr=False)
+    _neighbors: np.ndarray | None = field(init=False, repr=False, default=None)
+
+    def __post_init__(self) -> None:
+        self.connecting_images = image_array(self.connecting_set, self.n)
+        self._codes = self._code(self.vertex_images)
+
+    def _code(self, images: np.ndarray) -> np.ndarray:
+        # Base-n reading of each row: increasing in lexicographic order, and
+        # exact in int64 up to n = 15, far beyond any enumerable group.
+        radix = self.n ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
+        return images @ radix
+
+    def ranks(self, images: np.ndarray) -> np.ndarray:
+        """Vertex index of each row of ``images``, or -1 for a non-vertex."""
+        codes = self._code(images)
+        ranks = np.searchsorted(self._codes, codes).clip(max=self.size - 1)
+        return np.where(self._codes[ranks] == codes, ranks, -1)
 
     @property
     def size(self) -> int:
-        return len(self.vertices)
+        return len(self.vertex_images)
 
     @property
     def degree(self) -> int:
         return len(self.connecting_set)
 
+    @property
+    def vertices(self) -> tuple[Permutation, ...]:
+        return as_permutations(self.vertex_images)
+
     def index_of(self, v: Permutation) -> int:
-        if not self._index:
-            self._index.update({u: i for i, u in enumerate(self.vertices)})
-        return self._index[v]
+        if v.degree == self.n:
+            rank = int(self.ranks(image_array([v], self.n))[0])
+            if rank >= 0:
+                return rank
+        raise KeyError(v)
+
+    def neighbor_table(self) -> np.ndarray:
+        """(size, degree) array; row i lists the neighbours of vertex i in
+        increasing order."""
+        if self._neighbors is None:
+            table = np.empty((self.size, self.degree), dtype=np.int32)
+            for j, h in enumerate(self.connecting_images):
+                table[:, j] = self.ranks(h[self.vertex_images])
+            if (table < 0).any():
+                raise ValueError(f"the connecting set is not inside the {self.group_kind} group")
+            table.sort(axis=1)
+            self._neighbors = table
+        return self._neighbors
 
     def neighbors(self, i: int) -> np.ndarray:
-        if self._neighbors is None:
-            self._neighbors = [
-                np.array(
-                    sorted(self.index_of(h * v) for h in self.connecting_set),
-                    dtype=np.intp,
-                )
-                for v in self.vertices
-            ]
-        return self._neighbors[i]
+        return self.neighbor_table()[i]
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.size, self.size), dtype=np.uint8)
-        for i in range(self.size):
-            a[i, self.neighbors(i)] = 1
+        a[np.arange(self.size)[:, None], self.neighbor_table()] = 1
         return a
 
     def edges(self) -> Iterable[tuple[int, int]]:
-        for i in range(self.size):
-            for j in self.neighbors(i):
-                if i < j:
-                    yield (i, int(j))
+        table = self.neighbor_table()
+        rows, cols = np.nonzero(table > np.arange(self.size)[:, None])
+        return zip(rows.tolist(), table[rows, cols].tolist())
+
+
+def _vertex_images(group_kind: str, n: int, connecting: np.ndarray, label: str) -> np.ndarray:
+    # For the alternating group every element of H must be even, otherwise
+    # the connecting set does not live inside the vertex group at all.
+    if group_kind == "alternating" and not even_rows(connecting).all():
+        raise ValueError(f"{label} contains odd permutations, not inside Alt")
+    return group_images(group_kind, n)
 
 
 def build(group_kind: str, spec: ConnectingSetSpec) -> CayleyGraph:
-    """Construct the Cayley graph for a connecting-set spec.
-
-    For the alternating group every element of H must be even, otherwise the
-    connecting set does not live inside the vertex group at all.
-    """
+    """Construct the Cayley graph for a connecting-set spec."""
     connecting = enumerate_connecting_set(spec)
-    if group_kind == "symmetric":
-        vertices = symmetric_group(spec.n)
-    elif group_kind == "alternating":
-        if any(not h.is_even() for h in connecting):
-            raise ValueError(f"{spec} contains odd permutations, not inside Alt")
-        vertices = alternating_group(spec.n)
-    else:
-        raise ValueError(f"unknown group kind {group_kind!r}")
+    vertices = _vertex_images(group_kind, spec.n, image_array(connecting, spec.n), str(spec))
     return CayleyGraph(group_kind, spec.n, vertices, connecting)
 
 
@@ -116,7 +144,8 @@ def from_explicit_set(
         raise ValueError("connecting set contains the identity")
     if set(connecting) != {h.inverse() for h in connecting}:
         raise ValueError("connecting set is not inverse-closed")
-    vertices = symmetric_group(n) if group_kind == "symmetric" else alternating_group(n)
+    label = "{" + ", ".join(map(str, connecting)) + "}"
+    vertices = _vertex_images(group_kind, n, image_array(connecting, n), label)
     return CayleyGraph(group_kind, n, vertices, connecting)
 
 
@@ -168,15 +197,20 @@ def is_bipartite(graph: CayleyGraph) -> bool:
     return True
 
 
+def check_dense_cap(
+    size: int, cap: int = DENSE_DEFAULT_CAP, allow_large: bool = False
+) -> None:
+    """Refuse a dense spectrum of ``size`` vertices above the cap."""
+    limit = DENSE_HARD_CAP if allow_large else cap
+    if size > limit:
+        raise DenseCapExceededError(f"{size} vertices exceeds dense cap {limit}")
+
+
 def dense_spectrum(
     graph: CayleyGraph, cap: int = DENSE_DEFAULT_CAP, allow_large: bool = False
 ) -> SpectrumReport:
     """Full spectrum of the 0/1 adjacency matrix (the brute-force oracle)."""
-    limit = DENSE_HARD_CAP if allow_large else cap
-    if graph.size > limit:
-        raise DenseCapExceededError(
-            f"{graph.size} vertices exceeds dense cap {limit}"
-        )
+    check_dense_cap(graph.size, cap, allow_large)
     values = np.linalg.eigvalsh(graph.adjacency_matrix().astype(float)).tolist()
     return SpectrumReport(cluster_eigenvalues([(x, 1) for x in values]), "dense")
 
@@ -187,11 +221,10 @@ def dense_spectrum(
 
 def natural_module_matrix(n: int, connecting: Sequence[Permutation]) -> list[list[int]]:
     """The n x n integer operator N[i][j] = #{h in H : h(j) = i}."""
-    matrix = [[0] * n for _ in range(n)]
-    for h in connecting:
-        for j in range(1, n + 1):
-            matrix[h(j) - 1][j - 1] += 1
-    return matrix
+    matrix = np.zeros((n, n), dtype=np.int64)
+    images = image_array(connecting, n)
+    np.add.at(matrix, (images, np.arange(n)), 1)
+    return matrix.tolist()
 
 
 def natural_module_spectrum(n: int, connecting: Sequence[Permutation]) -> SpectrumReport:

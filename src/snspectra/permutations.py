@@ -7,6 +7,10 @@ The composition convention is fixed repo-wide as ``(g * h)(x) = g(h(x))``,
 i.e. ``h`` acts first.  Cayley adjacency elsewhere uses ``u ~ v`` iff
 ``u * v.inverse()`` is in the connecting set.
 
+Internally, groups and connecting sets are ``(N, n)`` small-int arrays of
+0-based images, one row per element; ``Permutation`` objects are made from
+them only at the public boundary.
+
 Connecting sets:
 
 - ``full_cycles(n, k)``: all k-cycles in Sym(1..n), size ``(k-1)! * C(n, k)``.
@@ -20,7 +24,9 @@ import itertools
 import re
 from dataclasses import dataclass
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class DegreeMismatchError(ValueError):
@@ -37,6 +43,13 @@ class Permutation:
         n = len(self.images)
         if sorted(self.images) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection of 1..{n}: {self.images}")
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        # For images already known to be a bijection of 1..n; skips the check.
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -107,7 +120,7 @@ def compose(g: Permutation, h: Permutation) -> Permutation:
     """Product g*h with h applied first: (g*h)(x) = g(h(x))."""
     if g.degree != h.degree:
         raise DegreeMismatchError(f"degrees {g.degree} != {h.degree}")
-    return Permutation(tuple(g.images[x - 1] for x in h.images))
+    return Permutation._trusted(tuple(g.images[x - 1] for x in h.images))
 
 
 def conjugate(g: Permutation, x: Permutation) -> Permutation:
@@ -233,12 +246,29 @@ def parse_spec(text: str) -> ConnectingSetSpec:
     return prefix_moving_cycles(n, k, int(r))
 
 
-def _cycles_on_support(support: tuple[int, ...], n: int) -> Iterator[Permutation]:
-    # All (k-1)! distinct k-cycles on a fixed support, anchored at its least
-    # point so each cycle is produced exactly once.
-    anchor, rest = support[0], support[1:]
-    for arrangement in itertools.permutations(rest):
-        yield Permutation.from_cycles([(anchor,) + arrangement], n)
+def _lex_permutations(n: int) -> np.ndarray:
+    """All permutations of range(n), one row of images each, in lexicographic order."""
+    dtype = np.min_scalar_type(n)
+    images = np.zeros((1, 0), dtype=dtype)
+    for m in range(1, n + 1):
+        # The rows starting with f: f, then the other points of range(m)
+        # arranged by each permutation of range(m - 1) in turn.
+        points = np.arange(m, dtype=dtype)
+        images = np.concatenate([
+            np.hstack([np.full((len(images), 1), f, dtype=dtype), np.delete(points, f)[images]])
+            for f in range(m)
+        ])
+    return images
+
+
+def image_array(perms: Sequence[Permutation], n: int) -> np.ndarray:
+    """The ``(len(perms), n)`` array of 0-based images of degree-n permutations."""
+    return np.array([p.images for p in perms], dtype=np.min_scalar_type(n)).reshape(-1, n) - 1
+
+
+def as_permutations(images: np.ndarray) -> tuple[Permutation, ...]:
+    """One ``Permutation`` per row of an array of 0-based images of bijections."""
+    return tuple(Permutation._trusted(tuple(row)) for row in (images + 1).tolist())
 
 
 def enumerate_connecting_set(spec: ConnectingSetSpec) -> tuple[Permutation, ...]:
@@ -248,17 +278,22 @@ def enumerate_connecting_set(spec: ConnectingSetSpec) -> tuple[Permutation, ...]
     element is a single k-cycle.
     """
     n, k = spec.n, spec.k
-    elements: list[Permutation] = []
     if spec.family == "full":
-        supports = itertools.combinations(range(1, n + 1), k)
+        supports = list(itertools.combinations(range(n), k))
     else:
-        tail = itertools.combinations(range(spec.r + 1, n + 1), k - spec.r)
-        supports = (tuple(range(1, spec.r + 1)) + extra for extra in tail)
-    for support in supports:
-        elements.extend(_cycles_on_support(tuple(sorted(support)), n))
-    elements.sort()
-    assert len(elements) == spec.cardinality()
-    return tuple(elements)
+        supports = [
+            tuple(range(spec.r)) + extra
+            for extra in itertools.combinations(range(spec.r, n), k - spec.r)
+        ]
+    # All (k-1)! distinct k-cycles on each support, anchored at its least
+    # point so each cycle is produced exactly once: cycle[i] -> cycle[i+1].
+    order = np.insert(_lex_permutations(k - 1) + 1, 0, 0, axis=1)
+    cycles = np.array(supports, dtype=np.intp)[:, order].reshape(-1, k)
+    images = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (len(cycles), 1))
+    images[np.arange(len(cycles))[:, None], cycles] = np.roll(cycles, -1, axis=1)
+    images = images[np.lexsort(images.T[::-1])]
+    assert len(images) == spec.cardinality()
+    return as_permutations(images)
 
 
 def generated_subgroup_kind(spec: ConnectingSetSpec) -> str:
@@ -268,29 +303,30 @@ def generated_subgroup_kind(spec: ConnectingSetSpec) -> str:
     return "symmetric" if spec.k % 2 == 0 else "alternating"
 
 
-def closure(generators: Iterable[Permutation]) -> frozenset[Permutation]:
-    """BFS closure under multiplication; desk-scale oracle, no Schreier-Sims."""
-    gens = list(generators)
-    if not gens:
-        raise ValueError("need at least one generator")
-    seen = {Permutation.identity(gens[0].degree)}
-    frontier = list(seen)
-    while frontier:
-        next_frontier = []
-        for g in frontier:
-            for h in gens:
-                p = g * h
-                if p not in seen:
-                    seen.add(p)
-                    next_frontier.append(p)
-        frontier = next_frontier
-    return frozenset(seen)
+def even_rows(images: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows of an image array that are even permutations."""
+    odd = np.zeros(len(images), dtype=bool)
+    for i, j in itertools.combinations(range(images.shape[1]), 2):
+        odd ^= images[:, i] > images[:, j]  # one inversion flips the parity
+    return ~odd
+
+
+def group_images(kind: str, n: int) -> np.ndarray:
+    """Sym(1..n) or Alt(1..n) as 0-based images, rows in lexicographic order."""
+    if kind not in ("symmetric", "alternating"):
+        raise ValueError(f"unknown group kind {kind!r}")
+    images = _lex_permutations(n)
+    return images if kind == "symmetric" else images[even_rows(images)]
+
+
+def group_order(kind: str, n: int) -> int:
+    return factorial(n) if kind == "symmetric" else factorial(n) // 2
 
 
 def symmetric_group(n: int) -> tuple[Permutation, ...]:
     """All of Sym(1..n) in lexicographic image order."""
-    return tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
+    return as_permutations(group_images("symmetric", n))
 
 
 def alternating_group(n: int) -> tuple[Permutation, ...]:
-    return tuple(p for p in symmetric_group(n) if p.is_even())
+    return as_permutations(group_images("alternating", n))

@@ -14,7 +14,6 @@ import json
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from math import factorial
 from typing import Callable, Sequence
 
 from . import formulas, graphs, yor
@@ -22,11 +21,12 @@ from .characters import max_ratio_diagram
 from .diagrams import dimension, partitions_of
 from .eigen import CLUSTER_TOL, SpectrumReport
 from .equitable import counted_quotient, quotient_B1, quotient_B2, quotient_eigenvalues
-from .graphs import DenseCapExceededError, build, dense_spectrum
+from .graphs import DenseCapExceededError, build, check_dense_cap, dense_spectrum
 from .permutations import (
     ConnectingSetSpec,
     enumerate_connecting_set,
     full_cycles,
+    group_order,
     prefix_moving_cycles,
 )
 
@@ -58,17 +58,14 @@ def _timed(fn: Callable[[], Outcome]) -> Outcome:
     return out
 
 
-def _group_order(n: int, kind: str) -> int:
-    return factorial(n) if kind == "symmetric" else factorial(n) // 2
-
-
 def _spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
     if method == "auto":
         if spec.family == "full":
             method = "char"
         else:
-            method = "dense" if _group_order(spec.n, kind) <= DENSE_AUTO_LIMIT else "irrep"
+            method = "dense" if group_order(kind, spec.n) <= DENSE_AUTO_LIMIT else "irrep"
     if method == "dense":
+        check_dense_cap(group_order(kind, spec.n), allow_large=True)
         return dense_spectrum(build(kind, spec), allow_large=True)
     if method == "irrep":
         connecting = enumerate_connecting_set(spec)
@@ -189,6 +186,7 @@ def verify_T52(n: int, k: int, r: int) -> Outcome:
 def verify_L61(n: int, r: int) -> list[Outcome]:
     """Multiplicity table on the natural module for k = r + 1, plus the
     documented discrepancy of the published third eigenvalue."""
+    table: list[tuple[int, int]] = []  # built by run_table, read by run_variant
 
     def run_table() -> Outcome:
         params = {"n": n, "r": r}
@@ -197,7 +195,7 @@ def verify_L61(n: int, r: int) -> list[Outcome]:
         expected = sorted(
             ((v, m) for v, m in zip(mus, mults) if m > 0), key=lambda p: -p[0]
         )
-        table = graphs.multiplicity_table(n, r)
+        table.extend(graphs.multiplicity_table(n, r))
         trace_ok = sum(v * m for v, m in table) == formulas.natural_trace(n, r)
         outcome = "match" if table == expected and trace_ok else "mismatch"
         return Outcome("61", params, expected, table, "natural", outcome)
@@ -206,7 +204,6 @@ def verify_L61(n: int, r: int) -> list[Outcome]:
         params = {"n": n, "r": r}
         printed = formulas.printed_third_eigenvalue_variant(n, r)
         mu3 = formulas.mu3_closed_form(n, r)
-        table = graphs.multiplicity_table(n, r)
         values = [v for v, _ in table]
         if printed == mu3:
             return Outcome(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from snspectra import verify
 from snspectra.cli import main
 
 
@@ -39,6 +40,33 @@ class TestVerifyCommand:
     def test_rejects_unknown_theorem(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--theorem", "9", "--n", "5"])
+
+
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--theorem", "1A", "--n", "5-"),
+            ("spectrum", "--group", "A", "--n", "6", "--set", "C(6,4)"),
+            ("spectrum", "--group", "A", "--n", "6", "--set", "C(6,4)", "--method", "irrep"),
+            ("spectrum", "--group", "S", "--n", "8", "--set", "C(8,8)"),
+            ("enumerate", "--set", "C(5,6)"),
+        ],
+    )
+    def test_one_line_error_and_exit_code_2(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"snspectra {argv[0]}: error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_failed_verification_exits_1(self, capsys, monkeypatch):
+        bad = verify.Outcome("1A", {"n": 5}, 1, 2, "dense", "mismatch")
+        monkeypatch.setattr(verify, "run_cases", lambda *args: [bad])
+        code, out = run_cli(capsys, "verify", "--theorem", "1A", "--n", "5")
+        assert code == 1
+        assert "mismatch" in out
 
 
 class TestSpectrumCommand:

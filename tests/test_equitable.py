@@ -84,6 +84,12 @@ class TestOrbitPartitions:
         assert sum(len(b) for b in blocks) == graph.size
         assert len(blocks) > 1
 
+    def test_rejects_translation_out_of_the_group(self):
+        graph = build("alternating", full_cycles(5, 5))
+        ident = Permutation.identity(5)
+        with pytest.raises(ValueError):
+            orbit_partition(graph, [(ident, parse_cycles("(1,2)", 5))])
+
     def test_rejects_non_preserving_conjugation(self):
         graph = build("symmetric", prefix_moving_cycles(5, 3, 2))
         bad = parse_cycles("(2,5)", 5)  # moves the prefix out of {1, 2}
@@ -118,6 +124,17 @@ class TestClosedFormQuotients:
                     closed = quotient_B1(n, k, r) if which == "B1" else quotient_B2(n, k, r)
                     assert equitable
                     assert counted == closed
+
+    @pytest.mark.parametrize(
+        "n,k,r", [(n, k, r) for n in range(4, 7) for k in range(3, n) for r in range(2, k)]
+    )
+    def test_counted_oracle_agrees_with_explicit_graph(self, n, k, r):
+        # The point-image count against the per-vertex count on the graph itself.
+        kinds = ("symmetric", "alternating") if k % 2 else ("symmetric",)
+        for kind in kinds:
+            graph = build(kind, prefix_moving_cycles(n, k, r))
+            for which, partition in (("B1", partition_P1), ("B2", partition_P2)):
+                assert counted_quotient(n, k, r, which) == is_equitable(graph, partition(graph, r))
 
     @pytest.mark.parametrize("n,k,r", [(6, 3, 2), (7, 4, 2), (7, 4, 3), (8, 5, 4)])
     def test_eigenvalues_are_mu_values(self, n, k, r):

@@ -1,3 +1,4 @@
+import itertools
 from math import factorial
 
 import numpy as np
@@ -24,10 +25,13 @@ from snspectra.graphs import (
     weyl_check,
 )
 from snspectra.permutations import (
+    Permutation,
     compose,
     enumerate_connecting_set,
     full_cycles,
+    parity,
     parse_cycles,
+    parse_spec,
     prefix_moving_cycles,
     symmetric_group,
 )
@@ -42,6 +46,12 @@ def adjacency_oracle(vertices, connecting):
         for j, v in enumerate(vertices):
             a[i, j] = compose(u, v.inverse()) in hset
     return a
+
+
+def group_oracle(kind, n):
+    """The group in lexicographic order, from itertools and the cycle-based parity."""
+    group = [Permutation(p) for p in itertools.permutations(range(1, n + 1))]
+    return [g for g in group if kind == "symmetric" or parity(g) == "even"]
 
 
 class TestConstruction:
@@ -75,9 +85,37 @@ class TestConstruction:
         expected = adjacency_oracle(g.vertices, connecting)
         assert (g.adjacency_matrix() == expected).all()
 
+    @pytest.mark.parametrize(
+        "kind, spec_text",
+        [
+            ("symmetric", "C(4,2)"),
+            ("symmetric", "C(4,4)"),
+            ("alternating", "C(4,3)"),
+            ("symmetric", "C(5,2)"),
+            ("symmetric", "C(5,4;2)"),
+            ("alternating", "C(5,3;2)"),
+            ("alternating", "C(5,5)"),
+            ("symmetric", "C(5,3;2)"),
+        ],
+    )
+    def test_build_matches_double_loop_oracle(self, kind, spec_text):
+        spec = parse_spec(spec_text)
+        g = build(kind, spec)
+        vertices = group_oracle(kind, spec.n)
+        assert list(g.vertices) == vertices
+        expected = adjacency_oracle(vertices, enumerate_connecting_set(spec))
+        assert (g.adjacency_matrix() == expected).all()
+        assert list(g.edges()) == [
+            (i, j) for i, j in zip(*np.nonzero(expected)) if i < j
+        ]
+
     def test_explicit_set_validation(self):
         with pytest.raises(ValueError):
             from_explicit_set("symmetric", 3, [parse_cycles("(1,2,3)", 3)])
+
+    def test_explicit_odd_set_rejected_on_alternating(self):
+        with pytest.raises(ValueError, match="odd permutations"):
+            from_explicit_set("alternating", 4, [parse_cycles("(1,2)", 4)])
 
 
 class TestConnectivity:
@@ -126,6 +164,16 @@ class TestNaturalModule:
         assert all(m[j][j] == 0 for j in range(2))  # moved points
         assert all(m[j][j] == 6 for j in range(2, 6))  # (k-1)! C(n-r-1, k-r)
         assert sum(m[i][1] for i in range(6)) == len(connecting)
+
+    @pytest.mark.parametrize("spec_text", ["C(5,2)", "C(6,3;2)", "C(7,5;3)", "C(8,8)"])
+    def test_matrix_matches_per_element_loop(self, spec_text):
+        spec = parse_spec(spec_text)
+        connecting = enumerate_connecting_set(spec)
+        expected = [[0] * spec.n for _ in range(spec.n)]
+        for h in connecting:
+            for j in range(1, spec.n + 1):
+                expected[h(j) - 1][j - 1] += 1
+        assert natural_module_matrix(spec.n, connecting) == expected
 
     def test_spectrum_example(self):
         connecting = enumerate_connecting_set(prefix_moving_cycles(6, 3, 2))

@@ -30,7 +30,7 @@ def apply_pointwise(g: Permutation, h: Permutation, x: int) -> int:
 
 
 def bfs_closure(generators):
-    # Independent closure oracle, kept separate from the library helper.
+    # Independent closure oracle.
     n = generators[0].degree
     seen = {Permutation.identity(n)}
     frontier = list(seen)
@@ -42,6 +42,19 @@ def bfs_closure(generators):
             if (p := compose(g, h)) not in seen and not seen.add(p)
         ]
     return seen
+
+
+def reference_connecting_set(spec):
+    # Every k-cycle on every allowed support, anchored at the support's least
+    # point, built one at a time and sorted by image sequence.
+    fixed = () if spec.family == "full" else tuple(range(1, spec.r + 1))
+    rest = range(len(fixed) + 1, spec.n + 1)
+    elements = []
+    for extra in itertools.combinations(rest, spec.k - len(fixed)):
+        support = fixed + extra
+        for arrangement in itertools.permutations(support[1:]):
+            elements.append(Permutation.from_cycles([support[:1] + arrangement], spec.n))
+    return tuple(sorted(elements))
 
 
 perm_strategy = st.integers(3, 7).flatmap(
@@ -174,6 +187,13 @@ class TestSpecs:
             assert cycle_type(h) == (4, 1, 1)
             assert all(h(p) != p for p in (1, 2))
 
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_enumeration_matches_itertools_reference(self, n):
+        specs = [full_cycles(n, k) for k in range(2, n + 1)]
+        specs += [prefix_moving_cycles(n, k, r) for k in range(2, n) for r in range(1, k)]
+        for spec in specs:
+            assert enumerate_connecting_set(spec) == reference_connecting_set(spec)
+
     def test_enumeration_deterministic(self):
         spec = prefix_moving_cycles(6, 3, 2)
         assert enumerate_connecting_set(spec) == enumerate_connecting_set(spec)
@@ -230,3 +250,10 @@ def test_group_enumerations():
     assert len(symmetric_group(4)) == 24
     assert len(alternating_group(4)) == 12
     assert symmetric_group(3) == tuple(sorted(symmetric_group(3)))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_group_enumerations_match_itertools(n):
+    group = tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
+    assert symmetric_group(n) == group
+    assert alternating_group(n) == tuple(g for g in group if parity(g) == "even")

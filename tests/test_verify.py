@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from snspectra import verify
+from snspectra import graphs, verify
 from snspectra.formulas import (
     almost_full_cycle_lambda2,
     almost_full_cycle_lambda2_abstract_variant,
@@ -101,6 +101,15 @@ class TestTheoremRunners:
     def test_T1A_skips_tiny(self):
         assert verify.verify_T1A(4).outcome == "skipped"
 
+    def test_dense_refused_before_building(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr(verify, "build", build)
+        out = verify.verify_T1A(9, "dense")
+        assert out.outcome == "skipped"
+        assert out.detail == "181440 vertices exceeds dense cap 5040"
+
     def test_T1B_small(self):
         out = verify.verify_T1B(5)
         assert out.outcome == "match"
@@ -125,6 +134,20 @@ class TestTheoremRunners:
     def test_L61_reports_discrepancy(self):
         table, variant = verify.verify_L61(7, 2)
         assert table.outcome == "match"
+        assert variant.outcome == "documented-discrepancy"
+
+    def test_L61_computes_the_table_once(self, monkeypatch):
+        calls = []
+
+        def multiplicity_table(n, r):
+            calls.append((n, r))
+            return real(n, r)
+
+        real = graphs.multiplicity_table
+        monkeypatch.setattr(graphs, "multiplicity_table", multiplicity_table)
+        table, variant = verify.verify_L61(7, 2)
+        assert calls == [(7, 2)]
+        assert table.computed == real(7, 2)
         assert variant.outcome == "documented-discrepancy"
 
     def test_L42_L43(self):
