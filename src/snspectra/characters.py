@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -189,13 +190,27 @@ def _key_string(shape: tuple[int, ...], parts: tuple[int, ...]) -> str:
     return ",".join(map(str, shape)) + "|" + ",".join(map(str, parts))
 
 
-def _parse_key(key: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    left, right = key.split("|")
-    to_tuple = lambda s: tuple(int(x) for x in s.split(",")) if s else ()
-    return to_tuple(left), to_tuple(right)
+def _parse_key(key: str, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (diagram, cycle type) of a cache key; both must partition n."""
+    try:
+        shape, parts = (
+            validate_cycle_type([int(x) for x in side.split(",")], n)
+            for side in key.split("|")
+        )
+    except ValueError:
+        raise ValueError(
+            f"entry {key!r} is not (a partition of {n}, a cycle type of {n})"
+        ) from None
+    return shape, parts
 
 
 def save_character_cache(n: int) -> Path:
+    """Write the memoized values of degree n, replacing the file atomically.
+
+    The payload goes to a temporary file in the same directory first, so a
+    reader never sees a partly written cache.  There is no fsync: a file torn
+    by a crash is ignored by ``load_character_cache``.
+    """
     entries = {
         _key_string(shape, parts): value
         for (shape, parts), value in _MEMO.items()
@@ -204,20 +219,52 @@ def save_character_cache(n: int) -> Path:
     path = cache_path(n)
     path.parent.mkdir(parents=True, exist_ok=True)
     payload = {"schema_version": CACHE_SCHEMA_VERSION, "n": n, "values": entries}
-    path.write_text(json.dumps(payload))
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(json.dumps(payload), encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
+def _read_cache(path: Path, n: int) -> dict[tuple[tuple[int, ...], tuple[int, ...]], int]:
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:
+        raise ValueError("not JSON") from None
+    if not isinstance(payload, dict) or not isinstance(payload.get("values"), dict):
+        raise ValueError("not a cache object")
+    if payload.get("schema_version") != CACHE_SCHEMA_VERSION:
+        raise ValueError(
+            f"schema_version {payload.get('schema_version')!r}, expected {CACHE_SCHEMA_VERSION}"
+        )
+    if payload.get("n") != n:
+        raise ValueError(f"n {payload.get('n')!r}, expected {n}")
+    entries = {}
+    for key, value in payload["values"].items():
+        if type(value) is not int:
+            raise ValueError(f"entry {key!r} has the non-integer value {value!r}")
+        entries[_parse_key(key, n)] = value
+    return entries
+
+
 def load_character_cache(n: int) -> int:
-    """Merge cached values into the memo; returns the number loaded."""
+    """Merge cached values into the memo; returns the number loaded.
+
+    A file that is not JSON, has another schema version or degree, or holds
+    an entry that is not (partition of n, cycle type of n) -> int is ignored
+    whole, with a one-line warning on stderr.
+    """
     path = cache_path(n)
     if not path.exists():
         return 0
-    payload = json.loads(path.read_text())
-    if payload.get("schema_version") != CACHE_SCHEMA_VERSION:
+    try:
+        entries = _read_cache(path, n)
+    except ValueError as exc:
+        print(f"snspectra: warning: ignoring character cache {path}: {exc}", file=sys.stderr)
         return 0
-    loaded = 0
-    for key, value in payload["values"].items():
-        _MEMO.setdefault(_parse_key(key), value)
-        loaded += 1
-    return loaded
+    for key, value in entries.items():
+        _MEMO.setdefault(key, value)
+    return len(entries)

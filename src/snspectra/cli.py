@@ -52,6 +52,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     spec = parse_spec(args.set)
+    if args.n != spec.n:
+        raise ValueError(f"--n {args.n} disagrees with {spec}, a set of degree {spec.n}")
     kind = "symmetric" if args.group == "S" else "alternating"
     if args.method == "dense":
         graphs.check_dense_cap(group_order(kind, spec.n), allow_large=True)

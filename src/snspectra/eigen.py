@@ -52,6 +52,44 @@ def cluster_eigenvalues(
     return clusters
 
 
+INVARIANT_RTOL = 1e-9
+
+
+def check_cayley_invariants(
+    pairs: Sequence[tuple[float, int]], order: int, degree: int
+) -> None:
+    """Raise ArithmeticError unless the (value, multiplicity) pairs of
+    Cay(G, H), with |G| = ``order`` and |H| = ``degree``, satisfy
+    sum m = |G|, sum v m = 0, sum v^2 m = |G||H| and lambda1 = |H|.
+
+    The check is exact in integers when every value is an integer no larger
+    in magnitude than 2**53 (beyond that a float need not be the integer it
+    rounds); otherwise sums agree to the relative tolerance INVARIANT_RTOL.
+    """
+    exact = all(float(v).is_integer() and abs(v) <= 2**53 for v, _ in pairs)
+    if exact:
+        pairs = [(int(v), m) for v, m in pairs]
+
+    def holds(value: float, target: int, scale: float) -> bool:
+        return value == target if exact else abs(value - target) <= INVARIANT_RTOL * scale
+
+    failures = []
+    size = sum(m for _, m in pairs)
+    if size != order:
+        failures.append(f"sum m = {size} != |G| = {order}")
+    trace = sum(v * m for v, m in pairs)
+    if not holds(trace, 0, sum(abs(v) * m for v, m in pairs)):
+        failures.append(f"sum v m = {trace} != 0")
+    square = sum(v * v * m for v, m in pairs)
+    if not holds(square, order * degree, order * degree):
+        failures.append(f"sum v^2 m = {square} != |G||H| = {order * degree}")
+    top = max((v for v, _ in pairs), default=0)
+    if not holds(top, degree, degree):
+        failures.append(f"lambda1 = {top} != |H| = {degree}")
+    if failures:
+        raise ArithmeticError("Cayley spectrum invariants fail: " + "; ".join(failures))
+
+
 @dataclass
 class SpectrumReport:
     """Sorted eigenvalue multiset with provenance.

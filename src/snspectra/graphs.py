@@ -15,6 +15,7 @@ import numpy as np
 from .eigen import (
     CLUSTER_TOL,
     SpectrumReport,
+    check_cayley_invariants,
     cluster_eigenvalues,
     exact_integer_eigenvalues,
     weyl_upper_bounds_hold,
@@ -212,7 +213,9 @@ def dense_spectrum(
     """Full spectrum of the 0/1 adjacency matrix (the brute-force oracle)."""
     check_dense_cap(graph.size, cap, allow_large)
     values = np.linalg.eigvalsh(graph.adjacency_matrix().astype(float)).tolist()
-    return SpectrumReport(cluster_eigenvalues([(x, 1) for x in values]), "dense")
+    pairs = cluster_eigenvalues([(x, 1) for x in values])
+    check_cayley_invariants(pairs, graph.size, graph.degree)
+    return SpectrumReport(pairs, "dense")
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ from .permutations import (
 THEOREMS = ("1A", "1B", "13", "52", "61", "42", "43")
 METHODS = ("auto", "dense", "irrep", "natural", "quotient", "char", "all")
 DENSE_AUTO_LIMIT = 720
+# The one method that checks each of these theorems; run_cases refuses any other.
+FIXED_METHODS = {"52": "natural", "61": "natural", "42": "char", "43": "char"}
 
 
 @dataclass
@@ -328,6 +330,9 @@ def run_cases(
 ) -> list[Outcome]:
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")
+    fixed = FIXED_METHODS.get(theorem)
+    if fixed is not None and method not in ("auto", fixed):
+        raise ValueError(f"theorem {theorem} is checked by method {fixed!r} only, not {method!r}")
     methods = ["dense", "irrep"] if method == "all" else [method]
     outcomes: list[Outcome] = []
     for n in n_values:

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import comb, factorial
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import characters
 from .diagrams import dimension, partitions_of, validate_diagram
-from .eigen import SpectrumReport, cluster_eigenvalues
-from .permutations import Permutation
+from .eigen import SpectrumReport, check_cayley_invariants, cluster_eigenvalues
+from .permutations import Permutation, group_order
 
 SYMMETRY_TOL = 1e-9
 CONSTRUCTION_TOL = 1e-10
@@ -218,14 +219,11 @@ def _inverse_representatives(
     return involutions, reps
 
 
-def hplus_matrix(shape: Sequence[int], connecting_set: Sequence[Permutation]) -> np.ndarray:
-    """Sum of the representation matrices over the connecting set.
+def _word_walk_matrix(shape: tuple[int, ...], connecting_set: Sequence[Permutation]) -> np.ndarray:
+    """Sum of the images of an inverse-closed set, one adjacent word per element.
 
-    Requires H = H^-1; the result must then be symmetric, and asymmetry
-    beyond tolerance signals a factorization bug.  Words sharing a prefix
-    reuse partial products.
+    Words sharing a prefix reuse partial products.
     """
-    shape = validate_diagram(shape)
     dim = dimension(shape)
     involutions, reps = _inverse_representatives(connecting_set)
     total = np.zeros((dim, dim))
@@ -247,7 +245,92 @@ def hplus_matrix(shape: Sequence[int], connecting_set: Sequence[Permutation]) ->
         prev = word
         mat = stack[len(word)]
         total += mat + mat.T if paired else mat
-    asym = np.abs(total - total.T).max() if dim else 0.0
+    return total
+
+
+def _class_sum_parameters(
+    n: int, connecting_set: Sequence[Permutation]
+) -> tuple[int, int] | None:
+    """(k, r) when the set is exactly C(n,k;r), every k-cycle of Sym(1..n)
+    moving all of {1..r}; r = 0 for C(n,k) with k < n, and r = n for C(n,n).
+
+    Every element being one k-cycle, the points they all move being exactly
+    {1..r}, the elements being distinct and their number being
+    (k-1)! C(n-r, k-r) together force the set to be C(n,k;r).  Returns None
+    for any other set.
+    """
+    rows = [h.images for h in connecting_set]
+    if not rows or any(len(row) != n for row in rows):
+        return None
+    images = np.array(rows, dtype=np.min_scalar_type(n)) - 1
+    moved = images != np.arange(n)
+    k = int(moved[0].sum())
+    if k < 2 or not (moved.sum(axis=1) == k).all():
+        return None
+    common = moved.all(axis=0)
+    r = int(common.sum())
+    if not common[:r].all():
+        return None
+    if len(rows) != factorial(k - 1) * comb(n - r, k - r):
+        return None
+    # A row moving exactly k points is one k-cycle iff the orbit of its first
+    # moved point does not close within k - 1 steps.
+    each = np.arange(len(images))
+    start = moved.argmax(axis=1)
+    point = start
+    for _ in range(k - 1):
+        point = images[each, point]
+        if (point == start).any():
+            return None
+    if len(set(rows)) != len(rows):
+        return None
+    return k, r
+
+
+def _class_sum_matrix(shape: tuple[int, ...], k: int, r: int) -> np.ndarray:
+    """H+ of C(n,k;r) built from the class sum of the k-cycles on {1..k}.
+
+    That class sum is central in Sym(1..k), so in this Gelfand-Tsetlin basis
+    it is diagonal: on tableau T it is the class eigenvalue of the shape that
+    1..k fill in T.  Let Y_i be the sum over the supports inside {1..i} that
+    contain {1..r}; it is Sym({r+1..i})-invariant.  Conjugating by the i - r
+    chains s_j ... s_{i-1} (j = r+1..i) reaches every support inside {1..i}
+    exactly i - k times, so Y_i is that sum of conjugates of Y_{i-1} divided
+    by i - k, and H+ = Y_n.
+    """
+    eigenvalue: dict[tuple[int, ...], int] = {}
+    diag = []
+    for tab in standard_tableaux(shape):
+        nu = tuple(c for c in (sum(v <= k for v in row) for row in tab) if c)
+        if nu not in eigenvalue:
+            eigenvalue[nu] = characters.class_eigenvalue(nu, (k,))
+        diag.append(eigenvalue[nu])
+    y = np.diag(np.array(diag, dtype=float))
+    for i in range(k + 1, sum(shape) + 1):
+        w, acc = y, y.copy()
+        for j in range(i - 1, r, -1):
+            g = _generator(shape, j)
+            w = g.apply_left(g.apply_right(w))
+            acc += w
+        y = acc / (i - k)
+    return y
+
+
+def hplus_matrix(shape: Sequence[int], connecting_set: Sequence[Permutation]) -> np.ndarray:
+    """Sum of the representation matrices over the connecting set.
+
+    Requires H = H^-1; the result must then be symmetric, and asymmetry
+    beyond tolerance signals an assembly bug.  When H is exactly C(n,k) or
+    C(n,k;r) the block is built from one diagonal class sum by adjacent
+    conjugations; any other set is summed word by word.
+    """
+    shape = validate_diagram(shape)
+    params = _class_sum_parameters(sum(shape), connecting_set)
+    if params is None:
+        total = _word_walk_matrix(shape, connecting_set)
+    else:
+        total = _class_sum_matrix(shape, *params)
+    asym = np.abs(total - total.T).max() if total.size else 0.0
     if asym > SYMMETRY_TOL:
         raise ArithmeticError(f"H+ block for {shape} asymmetric by {asym:.3e}")
     return total
@@ -269,18 +352,20 @@ def _check_group(group_kind: str, inside_alt: bool) -> None:
 
 
 def _group_report(
-    pairs: list[tuple[float, int]], method: str, group_kind: str
+    pairs: list[tuple[float, int]], method: str, group_kind: str, n: int, degree: int
 ) -> SpectrumReport:
     """Cluster Sym(1..n) spectrum pairs; for the alternating group halve them.
 
     With H inside Alt, Cay(Sym, H) is two copies of Cay(Alt, H) (one per
-    coset), so every Sym multiplicity is even and half of it is exact.
+    coset), so every Sym multiplicity is even and half of it is exact.  The
+    result must pass the Cayley invariants for |H| = ``degree``.
     """
     clustered = cluster_eigenvalues(pairs)
     if group_kind == "alternating":
         if any(m % 2 for _, m in clustered):
             raise ArithmeticError(f"odd Sym multiplicity in {clustered} for H inside Alt")
         clustered = [(v, m // 2) for v, m in clustered]
+    check_cayley_invariants(clustered, group_order(group_kind, n), degree)
     return SpectrumReport(clustered, method)
 
 
@@ -302,7 +387,7 @@ def full_spectrum_via_irreps(
         for shape in partitions_of(n)
         for value, mult in hplus_block_spectrum(shape, connecting_set)
     ]
-    return _group_report(pairs, "irrep", group_kind)
+    return _group_report(pairs, "irrep", group_kind, n, len(set(connecting_set)))
 
 
 def char_spectrum(
@@ -317,4 +402,4 @@ def char_spectrum(
         (float(characters.class_eigenvalue(shape, ctype)), dimension(shape) ** 2)
         for shape in partitions_of(n)
     ]
-    return _group_report(pairs, "char", group_kind)
+    return _group_report(pairs, "char", group_kind, n, characters.class_size(ctype))

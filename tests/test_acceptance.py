@@ -247,7 +247,7 @@ def test_criterion_07_property_suites(capfd):
 
 def test_criterion_08_large_block_bound(capfd):
     def check():
-        for n in range(5, 9):
+        for n in range(5, 10):
             for r in range(2, n - 1):
                 bound = prefix_lambda2(n, r)
                 for shape, dim, top in verify.theorem_65_max_block_eigenvalues(n, r):
@@ -257,6 +257,6 @@ def test_criterion_08_large_block_bound(capfd):
     criterion(
         capfd, 8,
         "max eigenvalue of every block of dimension > n-1 is at most "
-        "r!(n-r-1) for C(n,r+1;r), n <= 8",
+        "r!(n-r-1) for C(n,r+1;r), n <= 9",
         check,
     )

@@ -1,10 +1,13 @@
 import itertools
+import json
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from snspectra import characters
 from snspectra.characters import (
+    cache_path,
     class_eigenvalue,
     class_sign,
     class_size,
@@ -197,6 +200,45 @@ class TestCache:
         path = save_character_cache(5)
         assert path.exists()
         assert load_character_cache(5) > 0
+
+    def test_save_replaces_the_file_atomically(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
+        mn_character((3, 2), (5,))
+        path = save_character_cache(5)
+        before = path.read_text()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(characters.os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_character_cache(5)
+        assert path.read_text() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{not json",
+            "[1, 2]",
+            json.dumps({"schema_version": 2, "n": 5, "values": {"5|5": 1}}),
+            json.dumps({"schema_version": 1, "n": 6, "values": {"5|5": 1}}),
+            json.dumps({"schema_version": 1, "n": 5, "values": {"5|5": 1, "3,3|5": 1}}),
+            json.dumps({"schema_version": 1, "n": 5, "values": {"5|5": 1, "3,2|2,3": 1}}),
+            json.dumps({"schema_version": 1, "n": 5, "values": {"5|5": 1, "3,2": 1}}),
+            json.dumps({"schema_version": 1, "n": 5, "values": {"5|5": 1, "3,2|5": 0.5}}),
+            json.dumps({"schema_version": 1, "n": 5, "values": {"5|5": 1, "3,2|5": True}}),
+        ],
+    )
+    def test_bad_file_is_ignored_whole_with_a_warning(self, text, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(characters, "_MEMO", {})
+        cache_path(5).write_text(text)
+        assert load_character_cache(5) == 0
+        assert characters._MEMO == {}
+        err = capsys.readouterr().err
+        assert err.startswith(f"snspectra: warning: ignoring character cache {cache_path(5)}: ")
+        assert err.count("\n") == 1
 
     def test_csv_export(self, tmp_path):
         out = tmp_path / "table.csv"

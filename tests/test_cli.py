@@ -51,15 +51,27 @@ class TestBadInput:
             ("spectrum", "--group", "A", "--n", "6", "--set", "C(6,4)", "--method", "irrep"),
             ("spectrum", "--group", "S", "--n", "8", "--set", "C(8,8)"),
             ("enumerate", "--set", "C(5,6)"),
+            ("spectrum", "--group", "S", "--n", "9", "--set", "C(5,3)"),
+            ("verify", "--theorem", "52", "--n", "6", "--method", "dense"),
+            ("verify", "--theorem", "61", "--n", "6", "--method", "irrep"),
+            ("verify", "--theorem", "42", "--n", "6", "--method", "natural"),
+            ("verify", "--theorem", "43", "--n", "6", "--method", "all"),
         ],
     )
-    def test_one_line_error_and_exit_code_2(self, capsys, argv):
+    def test_one_line_error_and_exit_code_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
         code = main(list(argv))
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith(f"snspectra {argv[0]}: error: ")
         assert captured.err.count("\n") == 1
+
+    def test_fixed_method_theorems_accept_their_own_method(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
+        for theorem, method in (("52", "natural"), ("42", "char"), ("43", "auto")):
+            code, out = run_cli(capsys, "verify", "--theorem", theorem, "--n", "6", "--method", method)
+            assert code == 0 and "match" in out
 
     def test_failed_verification_exits_1(self, capsys, monkeypatch):
         bad = verify.Outcome("1A", {"n": 5}, 1, 2, "dense", "mismatch")
@@ -124,6 +136,18 @@ class TestCharacterCommand:
         code, out = run_cli(capsys, "character", "--n", "4")
         assert code == 0
         assert len(out.strip().splitlines()) == 6
+
+    def test_bad_cache_file_warns_and_is_replaced(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
+        path = tmp_path / "characters-v1-n6.json"
+        path.write_text("{not json")
+        code = main(["character", "--n", "6", "--diagram", "[4,1,1]", "--class", "[6]"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["value"] == 1
+        assert captured.err.startswith("snspectra: warning: ignoring character cache")
+        assert captured.err.count("\n") == 1
+        assert json.loads(path.read_text())["n"] == 6
 
     def test_cache_file_written(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))

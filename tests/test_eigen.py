@@ -5,6 +5,7 @@ from snspectra.eigen import (
     NonIntegerSpectrumError,
     SpectrumReport,
     charpoly_int,
+    check_cayley_invariants,
     cluster_eigenvalues,
     exact_integer_eigenvalues,
     integer_roots,
@@ -55,6 +56,35 @@ class TestSpectrumReport:
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             SpectrumReport([(1.0, 1)], "magic")
+
+
+class TestCayleyInvariants:
+    # Cay(Alt(5), C(5,5)): |G| = 60, |H| = 24, an integral spectrum.
+    ALT5 = [(24.0, 1), (4.0, 18), (0.0, 25), (-6.0, 16)]
+    # The 5-cycle, Cay(Z/5, {1, -1}): 2 and 2cos(2 pi j / 5), each twice.
+    CYCLE5 = [(2.0, 1), (2 * np.cos(2 * np.pi / 5), 2), (2 * np.cos(4 * np.pi / 5), 2)]
+
+    def test_true_spectra_pass(self):
+        check_cayley_invariants(self.ALT5, 60, 24)
+        check_cayley_invariants(self.CYCLE5, 5, 2)
+
+    @pytest.mark.parametrize(
+        "pairs, order, degree",
+        [
+            ([(24.0, 1), (4.0, 17), (0.0, 26), (-6.0, 16)], 60, 24),  # sum v m
+            ([(24.0, 1), (4.0, 18), (0.0, 25), (-6.0, 16)], 120, 24),  # sum m
+            ([(25.0, 1), (4.0, 18), (0.0, 25), (-6.0, 16)], 60, 24),  # lambda1
+            ([(24.0, 1), (6.0, 12), (0.0, 31), (-6.0, 16)], 60, 24),  # sum v^2 m
+            ([(2.0, 1), (0.618034, 2), (-1.618034, 2)], 5, 2),  # 6 decimals: sum v^2 m
+        ],
+    )
+    def test_tampered_pairs_raise(self, pairs, order, degree):
+        with pytest.raises(ArithmeticError, match="invariants fail"):
+            check_cayley_invariants(pairs, order, degree)
+
+    def test_float_rounding_within_relative_tolerance(self):
+        pairs = [(v * (1 + 1e-13), m) for v, m in self.CYCLE5]
+        check_cayley_invariants(pairs, 5, 2)
 
 
 class TestCharpoly:

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from snspectra import graphs, verify
+from snspectra import graphs, verify, yor
 from snspectra.formulas import (
     almost_full_cycle_lambda2,
     almost_full_cycle_lambda2_abstract_variant,
@@ -79,6 +79,22 @@ def test_spectrum_invariants(kind, spec_text, method):
     assert abs(report.trace()) <= 1e-6
     assert sum(v * v * m for v, m in report.eigenvalues) == pytest.approx(order * degree)
     assert report.lambda1 == degree
+
+
+@pytest.mark.parametrize("method, module", [("dense", graphs), ("irrep", yor), ("char", yor)])
+@pytest.mark.parametrize("kind, spec_text", [("symmetric", "C(5,4)"), ("alternating", "C(5,5)")])
+def test_tampered_spectrum_raises(kind, spec_text, method, module, monkeypatch):
+    """Every route checks its clustered pairs: lowering one value breaks sum v m = 0."""
+    real = module.cluster_eigenvalues
+
+    def tampered(pairs):
+        clustered = real(pairs)
+        value, mult = clustered[-1]
+        return clustered[:-1] + [(value - 1.0, mult)]
+
+    monkeypatch.setattr(module, "cluster_eigenvalues", tampered)
+    with pytest.raises(ArithmeticError, match="invariants"):
+        verify._spectrum(parse_spec(spec_text), kind, method)
 
 
 class TestTheoremRunners:
@@ -162,7 +178,7 @@ class TestTheoremRunners:
         assert [o.theorem for o in outcomes] == ["53", "54"]
 
     def test_theorem_65_bound(self):
-        for n, r in [(6, 2), (6, 3), (7, 2)]:
+        for n, r in [(6, 2), (6, 3), (7, 2), (8, 5)]:
             bound = prefix_lambda2(n, r)
             rows = verify.theorem_65_max_block_eigenvalues(n, r)
             assert rows  # at least one large block at these sizes

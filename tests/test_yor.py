@@ -5,6 +5,7 @@ import pytest
 
 from snspectra.characters import class_eigenvalue, mn_character
 from snspectra.diagrams import dimension, partitions_of
+from snspectra.graphs import dense_spectrum, from_explicit_set, split_by_last_point
 from snspectra.permutations import (
     Permutation,
     compose,
@@ -15,7 +16,10 @@ from snspectra.permutations import (
     prefix_moving_cycles,
     symmetric_group,
 )
+from snspectra import yor
 from snspectra.yor import (
+    _class_sum_parameters,
+    _word_walk_matrix,
     adjacent_word,
     full_spectrum_via_irreps,
     char_spectrum,
@@ -188,3 +192,90 @@ class TestCharSpectrum:
         sym = char_spectrum(7, (7,))
         alt = char_spectrum(7, (7,), "alternating")
         assert alt.eigenvalues == [(v, m // 2) for v, m in sym.eigenvalues]
+
+
+def every_spec(max_n):
+    """Every full and prefix connecting-set spec with n <= max_n."""
+    for n in range(2, max_n + 1):
+        yield from (full_cycles(n, k) for k in range(2, n + 1))
+        yield from (prefix_moving_cycles(n, k, r) for k in range(2, n) for r in range(1, k))
+
+
+def subset_of_prefix_set():
+    # C(6,3;2) without the inverse pair (1,2,3), (1,3,2).
+    drop = {parse_cycles("(1,2,3)", 6), parse_cycles("(1,3,2)", 6)}
+    return [h for h in enumerate_connecting_set(prefix_moving_cycles(6, 3, 2)) if h not in drop]
+
+
+def prefix_set_with_repeat():
+    connecting = list(enumerate_connecting_set(prefix_moving_cycles(6, 3, 2)))
+    return connecting + connecting[:1]
+
+
+def transpositions_with_repeat():
+    # Right length, but the last transposition is replaced by a copy of the first.
+    connecting = list(enumerate_connecting_set(full_cycles(5, 2)))
+    return connecting[:-1] + connecting[:1]
+
+
+def cycles_moving_2_and_3():
+    return [
+        h for h in enumerate_connecting_set(full_cycles(6, 3)) if h(2) != 2 and h(3) != 3
+    ]
+
+
+def union_of_two_classes():
+    return list(enumerate_connecting_set(full_cycles(6, 3))) + list(
+        enumerate_connecting_set(full_cycles(6, 4))
+    )
+
+
+class TestClassSumAssembly:
+    def test_matches_word_walk_on_every_small_spec(self):
+        blocks = 0
+        for spec in every_spec(7):
+            connecting = enumerate_connecting_set(spec)
+            if spec.family == "prefix":
+                r = spec.r
+            else:
+                r = spec.n if spec.k == spec.n else 0
+            assert _class_sum_parameters(spec.n, connecting) == (spec.k, r)
+            for shape in partitions_of(spec.n):
+                walked = _word_walk_matrix(shape, connecting)
+                assert np.abs(hplus_matrix(shape, connecting) - walked).max() < 1e-10, (spec, shape)
+                blocks += 1
+        assert blocks == 591
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            subset_of_prefix_set,
+            prefix_set_with_repeat,
+            transpositions_with_repeat,
+            cycles_moving_2_and_3,
+            union_of_two_classes,
+        ],
+    )
+    def test_other_sets_fall_through_to_the_word_walk(self, make, monkeypatch):
+        connecting = make()
+        n = connecting[0].degree
+        assert _class_sum_parameters(n, connecting) is None
+        for shape in partitions_of(n):
+            assert np.array_equal(hplus_matrix(shape, connecting), _word_walk_matrix(shape, connecting))
+
+        def refuse(*args):
+            raise AssertionError("class-sum path taken")
+
+        monkeypatch.setattr(yor, "_class_sum_matrix", refuse)
+        irrep = full_spectrum_via_irreps(n, connecting)
+        dense = dense_spectrum(from_explicit_set("symmetric", n, connecting))
+        assert irrep.eigenvalues == [(pytest.approx(v, abs=1e-8), m) for v, m in dense.eigenvalues]
+
+    def test_split_parts_fall_through_and_add_up(self):
+        connecting = enumerate_connecting_set(prefix_moving_cycles(7, 3, 2))
+        fixing, moving = split_by_last_point(connecting)
+        assert _class_sum_parameters(7, fixing) is None
+        assert _class_sum_parameters(7, moving) is None
+        for shape in partitions_of(7):
+            parts = hplus_matrix(shape, fixing) + hplus_matrix(shape, moving)
+            assert np.abs(parts - hplus_matrix(shape, connecting)).max() < 1e-10
