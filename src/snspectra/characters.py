@@ -33,10 +33,6 @@ CACHE_SCHEMA_VERSION = 1
 _MEMO: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
 
 
-class SizeMismatchError(ValueError):
-    pass
-
-
 def class_size(ctype: Sequence[int]) -> int:
     """Number of permutations with the given cycle type."""
     n = sum(ctype)
@@ -104,8 +100,6 @@ def mn_character(shape: Sequence[int], ctype: Sequence[int]) -> int:
     shape = validate_diagram(shape)
     n = sum(shape)
     ctype = validate_cycle_type(ctype, n)
-    if sum(ctype) != n:
-        raise SizeMismatchError(f"|{shape}| != |{ctype}|")
     return _mn(shape, ctype)
 
 

@@ -17,9 +17,9 @@ import argparse
 import json
 import sys
 
-from . import characters, equitable, graphs, verify, yor
+from . import characters, equitable, graphs, verify
 from .diagrams import diagram_string, parse_diagram, partitions_of
-from .permutations import cycle_string, enumerate_connecting_set, group_order, parse_spec
+from .permutations import cycle_string, enumerate_connecting_set, parse_spec
 
 
 def _parse_range(text: str) -> list[int]:
@@ -55,12 +55,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     if args.n != spec.n:
         raise ValueError(f"--n {args.n} disagrees with {spec}, a set of degree {spec.n}")
     kind = "symmetric" if args.group == "S" else "alternating"
-    if args.method == "dense":
-        graphs.check_dense_cap(group_order(kind, spec.n), allow_large=True)
-        report = graphs.dense_spectrum(graphs.build(kind, spec), allow_large=True)
-    else:
-        connecting = enumerate_connecting_set(spec)
-        report = yor.full_spectrum_via_irreps(spec.n, connecting, kind)
+    report = verify.spectrum(spec, kind, args.method)
     payload = {
         "group": args.group,
         "n": spec.n,

@@ -28,12 +28,6 @@ def _as_int(value: Fraction) -> int:
     return int(value)
 
 
-def connecting_set_size(n: int, k: int, r: int | None = None) -> int:
-    if r is None:
-        return factorial(k - 1) * comb(n, k)
-    return factorial(k - 1) * binom(n - r, k - r)
-
-
 def mu_values(n: int, k: int, r: int) -> tuple[int, int, int, int]:
     """The four natural-module eigenvalues for the prefix-moving set
     C(n, k; r), 2 <= r < k < n.  All four are exact integers.
@@ -124,8 +118,9 @@ def almost_full_cycle_lambda2(n: int) -> int:
 
 def almost_full_cycle_lambda2_abstract_variant(n: int) -> int:
     """2(n-2)(n-5)! — the odd-n value as printed in the source abstract; the
-    theorem and its computation give 2(n-2)(n-4)! instead.  Kept so the
-    verifier can record the discrepancy."""
+    theorem and its computation give 2(n-2)(n-4)! instead.  It documents the
+    abstract's misprint only: verify checks 1B against almost_full_cycle_lambda2
+    and never records this value."""
     return 2 * (n - 2) * factorial(n - 5)
 
 

@@ -26,15 +26,24 @@ from .permutations import (
     ConnectingSetSpec,
     enumerate_connecting_set,
     full_cycles,
+    generated_subgroup_kind,
     group_order,
     prefix_moving_cycles,
 )
 
-THEOREMS = ("1A", "1B", "13", "52", "61", "42", "43")
-METHODS = ("auto", "dense", "irrep", "natural", "quotient", "char", "all")
+# The one table of what verify checks: for each theorem, the methods that
+# check it and whether it takes r. run_cases refuses anything else.
+THEOREMS = {
+    "1A": (("auto", "dense", "irrep", "char", "all"), False),
+    "1B": (("auto", "dense", "irrep", "char", "all"), False),
+    "13": (("auto", "dense", "irrep", "all"), True),
+    "52": (("auto", "natural"), True),
+    "61": (("auto", "natural"), True),
+    "42": (("auto", "char"), False),
+    "43": (("auto", "char"), False),
+}
+METHODS = ("auto", "dense", "irrep", "natural", "char", "all")
 DENSE_AUTO_LIMIT = 720
-# The one method that checks each of these theorems; run_cases refuses any other.
-FIXED_METHODS = {"52": "natural", "61": "natural", "42": "char", "43": "char"}
 
 
 @dataclass
@@ -60,7 +69,10 @@ def _timed(fn: Callable[[], Outcome]) -> Outcome:
     return out
 
 
-def _spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
+def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
+    """Spectrum of Cay(G, H) for the group of this kind and H = spec, by the
+    dense oracle, the irrep blocks or the characters; "auto" takes char for a
+    conjugacy class, else dense up to DENSE_AUTO_LIMIT vertices, else irrep."""
     if method == "auto":
         if spec.family == "full":
             method = "char"
@@ -77,23 +89,24 @@ def _spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport
             raise ValueError("char method needs a conjugacy-class connecting set")
         ctype = (spec.k,) + (1,) * (spec.n - spec.k)
         return yor.char_spectrum(spec.n, ctype, kind)
-    if method == "natural":
-        connecting = enumerate_connecting_set(spec)
-        return graphs.natural_module_spectrum(spec.n, connecting)
     raise ValueError(f"method {method!r} not applicable here")
 
 
 def _lambda_outcome(
     theorem: str,
     spec: ConnectingSetSpec,
-    kind: str,
     method: str,
-    expected: dict[str, int],
+    lambda1: int,
+    lambda2: int,
     params: dict,
 ) -> Outcome:
+    """Compare lambda1 and lambda2 of Cay(G, H), G the group H generates,
+    with the closed forms."""
+    expected = {"lambda1": lambda1, "lambda2": lambda2}
+
     def run() -> Outcome:
         try:
-            report = _spectrum(spec, kind, method)
+            report = spectrum(spec, generated_subgroup_kind(spec), method)
         except DenseCapExceededError as exc:
             return Outcome(theorem, params, expected, None, method, "skipped", detail=str(exc))
         computed = {"lambda1": report.lambda1, "lambda2": report.lambda2}
@@ -116,24 +129,20 @@ def verify_T1A(n: int, method: str = "auto") -> Outcome:
     """Full-cycle connecting set C(n, n)."""
     if n <= 4:
         return Outcome("1A", {"n": n}, None, None, method, "skipped", detail="n must be > 4")
-    kind = "symmetric" if n % 2 == 0 else "alternating"
-    expected = {
-        "lambda1": formulas.full_cycle_lambda1(n),
-        "lambda2": formulas.full_cycle_lambda2(n),
-    }
-    return _lambda_outcome("1A", full_cycles(n, n), kind, method, expected, {"n": n})
+    return _lambda_outcome(
+        "1A", full_cycles(n, n), method,
+        formulas.full_cycle_lambda1(n), formulas.full_cycle_lambda2(n), {"n": n},
+    )
 
 
 def verify_T1B(n: int, method: str = "auto") -> Outcome:
     """(n-1)-cycle connecting set C(n, n-1)."""
     if n <= 4:
         return Outcome("1B", {"n": n}, None, None, method, "skipped", detail="n must be > 4")
-    kind = "symmetric" if n % 2 == 1 else "alternating"
-    expected = {
-        "lambda1": formulas.almost_full_cycle_lambda1(n),
-        "lambda2": formulas.almost_full_cycle_lambda2(n),
-    }
-    return _lambda_outcome("1B", full_cycles(n, n - 1), kind, method, expected, {"n": n})
+    return _lambda_outcome(
+        "1B", full_cycles(n, n - 1), method,
+        formulas.almost_full_cycle_lambda1(n), formulas.almost_full_cycle_lambda2(n), {"n": n},
+    )
 
 
 def verify_T13(n: int, r: int, method: str = "auto") -> Outcome:
@@ -143,13 +152,10 @@ def verify_T13(n: int, r: int, method: str = "auto") -> Outcome:
         return Outcome(
             "13", params, None, None, method, "skipped", detail="need n > 4, 2 <= r <= n-2"
         )
-    kind = "symmetric" if r % 2 == 1 else "alternating"
-    expected = {
-        "lambda1": formulas.prefix_lambda1(n, r),
-        "lambda2": formulas.prefix_lambda2(n, r),
-    }
-    spec = prefix_moving_cycles(n, r + 1, r)
-    return _lambda_outcome("13", spec, kind, method, expected, params)
+    return _lambda_outcome(
+        "13", prefix_moving_cycles(n, r + 1, r), method,
+        formulas.prefix_lambda1(n, r), formulas.prefix_lambda2(n, r), params,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -225,23 +231,18 @@ def verify_L61(n: int, r: int) -> list[Outcome]:
     return [_timed(run_table), _timed(run_variant)]
 
 
-def verify_L42(n: int) -> Outcome:
-    """Character-ratio maximization at the n-cycle class."""
+def _ratio_outcome(
+    theorem: str, n: int, ctype: tuple[int, ...], diagram: tuple[int, ...], ratio: Fraction
+) -> Outcome:
+    """Compare the diagrams maximizing the character ratio at a class with the
+    claimed diagram and ratio."""
 
     def run() -> Outcome:
-        params = {"n": n}
-        ctype = (n,)
-        if n % 2 == 1:
-            diagram = (n - 2, 1, 1)
-            ratio = Fraction(2, (n - 1) * (n - 2))
-        else:
-            diagram = (2,) + (1,) * (n - 2)
-            ratio = Fraction(1, n - 1)
         winners, best = max_ratio_diagram(n, ctype)
         ok = diagram in winners and best == ratio
         return Outcome(
-            "42",
-            params,
+            theorem,
+            {"n": n},
             {"diagram": diagram, "ratio": str(ratio)},
             {"diagrams": winners, "ratio": str(best)},
             "char",
@@ -249,32 +250,21 @@ def verify_L42(n: int) -> Outcome:
         )
 
     return _timed(run)
+
+
+def verify_L42(n: int) -> Outcome:
+    """Character-ratio maximization at the n-cycle class."""
+    if n % 2 == 1:
+        return _ratio_outcome("42", n, (n,), (n - 2, 1, 1), Fraction(2, (n - 1) * (n - 2)))
+    return _ratio_outcome("42", n, (n,), (2,) + (1,) * (n - 2), Fraction(1, n - 1))
 
 
 def verify_L43(n: int) -> Outcome:
     """Character-ratio maximization at the (n-1)-cycle class."""
-
-    def run() -> Outcome:
-        params = {"n": n}
-        ctype = (n - 1, 1)
-        if n % 2 == 0:
-            diagram = (n - 3, 2, 1)
-            ratio = Fraction(3, n * (n - 2) * (n - 4))
-        else:
-            diagram = (2, 2) + (1,) * (n - 4)
-            ratio = Fraction(2, n * (n - 3))
-        winners, best = max_ratio_diagram(n, ctype)
-        ok = diagram in winners and best == ratio
-        return Outcome(
-            "43",
-            params,
-            {"diagram": diagram, "ratio": str(ratio)},
-            {"diagrams": winners, "ratio": str(best)},
-            "char",
-            "match" if ok else "mismatch",
-        )
-
-    return _timed(run)
+    ctype = (n - 1, 1)
+    if n % 2 == 0:
+        return _ratio_outcome("43", n, ctype, (n - 3, 2, 1), Fraction(3, n * (n - 2) * (n - 4)))
+    return _ratio_outcome("43", n, ctype, (2, 2) + (1,) * (n - 4), Fraction(2, n * (n - 3)))
 
 
 def verify_quotients(n: int, k: int, r: int) -> list[Outcome]:
@@ -330,12 +320,15 @@ def run_cases(
 ) -> list[Outcome]:
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")
-    fixed = FIXED_METHODS.get(theorem)
-    if fixed is not None and method not in ("auto", fixed):
-        raise ValueError(f"theorem {theorem} is checked by method {fixed!r} only, not {method!r}")
+    accepted, takes_r = THEOREMS[theorem]
+    if method not in accepted:
+        raise ValueError(f"theorem {theorem} takes method {'|'.join(accepted)}, not {method!r}")
+    if r_values is not None and not takes_r:
+        raise ValueError(f"theorem {theorem} takes no r")
     methods = ["dense", "irrep"] if method == "all" else [method]
     outcomes: list[Outcome] = []
     for n in n_values:
+        rs = r_values if r_values is not None else range(2, n - 1)
         if theorem == "1A":
             outcomes.extend(verify_T1A(n, m) for m in methods)
         elif theorem == "1B":
@@ -345,18 +338,12 @@ def run_cases(
         elif theorem == "43":
             outcomes.append(verify_L43(n))
         elif theorem == "13":
-            rs = r_values if r_values is not None else range(2, n - 1)
-            for r in rs:
-                outcomes.extend(verify_T13(n, r, m) for m in methods)
+            outcomes.extend(verify_T13(n, r, m) for r in rs for m in methods)
         elif theorem == "61":
-            rs = r_values if r_values is not None else range(2, n - 1)
             for r in rs:
                 outcomes.extend(verify_L61(n, r))
-        elif theorem == "52":
-            rs = r_values if r_values is not None else range(2, n - 1)
-            for r in rs:
-                for k in range(r + 1, n):
-                    outcomes.append(verify_T52(n, k, r))
+        else:  # 52
+            outcomes.extend(verify_T52(n, k, r) for r in rs for k in range(r + 1, n))
     return outcomes
 
 

@@ -24,7 +24,6 @@ from .eigen import SpectrumReport, check_cayley_invariants, cluster_eigenvalues
 from .permutations import Permutation, group_order
 
 SYMMETRY_TOL = 1e-9
-CONSTRUCTION_TOL = 1e-10
 
 # Tableau = tuple of row tuples, e.g. ((1, 2), (3,)) for shape [2, 1].
 Tableau = tuple[tuple[int, ...], ...]

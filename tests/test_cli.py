@@ -56,6 +56,13 @@ class TestBadInput:
             ("verify", "--theorem", "61", "--n", "6", "--method", "irrep"),
             ("verify", "--theorem", "42", "--n", "6", "--method", "natural"),
             ("verify", "--theorem", "43", "--n", "6", "--method", "all"),
+            ("verify", "--theorem", "1A", "--n", "6", "--method", "natural"),
+            ("verify", "--theorem", "1B", "--n", "6", "--method", "natural"),
+            ("verify", "--theorem", "13", "--n", "6", "--r", "2", "--method", "natural"),
+            ("verify", "--theorem", "1A", "--n", "5", "--r", "3"),
+            ("verify", "--theorem", "1B", "--n", "5", "--r", "3"),
+            ("verify", "--theorem", "42", "--n", "6", "--r", "3"),
+            ("verify", "--theorem", "43", "--n", "6", "--r", "3"),
         ],
     )
     def test_one_line_error_and_exit_code_2(self, capsys, tmp_path, monkeypatch, argv):

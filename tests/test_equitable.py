@@ -15,7 +15,7 @@ from snspectra.equitable import (
     quotient_eigenvalues,
     singleton_partition,
 )
-from snspectra.formulas import connecting_set_size, mu_values
+from snspectra.formulas import mu_values
 from snspectra.graphs import build, dense_spectrum
 from snspectra.permutations import (
     Permutation,
@@ -111,7 +111,7 @@ class TestClosedFormQuotients:
 
     @pytest.mark.parametrize("n,k,r", [(6, 3, 2), (6, 4, 2), (7, 4, 3), (7, 5, 2), (8, 5, 3)])
     def test_row_sums_are_degree(self, n, k, r):
-        degree = connecting_set_size(n, k, r)
+        degree = prefix_moving_cycles(n, k, r).cardinality()
         for matrix in (quotient_B1(n, k, r), quotient_B2(n, k, r)):
             assert all(sum(row) == degree for row in matrix)
 

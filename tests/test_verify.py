@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from math import factorial
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,6 @@ from snspectra import graphs, verify, yor
 from snspectra.formulas import (
     almost_full_cycle_lambda2,
     almost_full_cycle_lambda2_abstract_variant,
-    connecting_set_size,
     full_cycle_lambda2,
     mu3_closed_form,
     mu_values,
@@ -18,14 +18,14 @@ from snspectra.formulas import (
     printed_mu2_variant,
     printed_third_eigenvalue_variant,
 )
-from snspectra.permutations import parse_spec
+from snspectra.permutations import full_cycles, parse_spec, prefix_moving_cycles
 
 
 class TestFormulas:
     def test_connecting_set_sizes(self):
-        assert connecting_set_size(5, 5) == 24
-        assert connecting_set_size(5, 3, 2) == 6
-        assert connecting_set_size(6, 4, 2) == factorial(3) * 6
+        assert full_cycles(5, 5).cardinality() == 24
+        assert prefix_moving_cycles(5, 3, 2).cardinality() == 6
+        assert prefix_moving_cycles(6, 4, 2).cardinality() == factorial(3) * 6
 
     def test_headline_values(self):
         assert full_cycle_lambda2(6) == 24
@@ -73,7 +73,7 @@ def test_spectrum_invariants(kind, spec_text, method):
     spec = parse_spec(spec_text)
     order = factorial(spec.n) // (1 if kind == "symmetric" else 2)
     degree = spec.cardinality()
-    report = verify._spectrum(spec, kind, method)
+    report = verify.spectrum(spec, kind, method)
     assert report.method == method
     assert report.size == order
     assert abs(report.trace()) <= 1e-6
@@ -94,7 +94,7 @@ def test_tampered_spectrum_raises(kind, spec_text, method, module, monkeypatch):
 
     monkeypatch.setattr(module, "cluster_eigenvalues", tampered)
     with pytest.raises(ArithmeticError, match="invariants"):
-        verify._spectrum(parse_spec(spec_text), kind, method)
+        verify.spectrum(parse_spec(spec_text), kind, method)
 
 
 class TestTheoremRunners:
@@ -192,6 +192,26 @@ class TestOrchestration:
         with pytest.raises(ValueError):
             verify.run_cases("99", [6])
 
+    @pytest.mark.parametrize("theorem", list(verify.THEOREMS))
+    def test_every_method_of_a_row_checks_its_theorem(self, theorem):
+        methods, _ = verify.THEOREMS[theorem]
+        for method in methods:
+            outcomes = verify.run_cases(theorem, [6], None, method)
+            assert outcomes
+            assert all(o.outcome != "mismatch" for o in outcomes)
+
+    @pytest.mark.parametrize("theorem", list(verify.THEOREMS))
+    def test_methods_and_r_outside_a_row_are_refused(self, theorem):
+        methods, takes_r = verify.THEOREMS[theorem]
+        for method in set(verify.METHODS) - set(methods):
+            with pytest.raises(ValueError, match=f"theorem {theorem} takes method"):
+                verify.run_cases(theorem, [6], None, method)
+        if takes_r:
+            assert verify.run_cases(theorem, [6], [2])
+        else:
+            with pytest.raises(ValueError, match="takes no r"):
+                verify.run_cases(theorem, [6], [2])
+
     def test_run_cases_and_exit_code(self):
         outcomes = verify.run_cases("42", [5, 6])
         assert len(outcomes) == 2
@@ -218,3 +238,32 @@ class TestOrchestration:
         assert csv_text.splitlines()[0].startswith("theorem,")
         assert len(csv_text.splitlines()) == 2
         assert "match" in verify.to_text(outcomes)
+
+
+# tests/data/verify_golden.json holds the outputs of this grid as computed
+# before run_cases took its methods from one table; a refactor of verify that
+# changes any outcome, value, route or detail text fails here.
+GOLDEN_GRID = (
+    [(t, range(5, 7), m) for t in ("1A", "1B") for m in ("auto", "dense", "irrep", "char", "all")]
+    + [("13", range(5, 7), m) for m in ("auto", "dense", "irrep", "all")]
+    + [("52", range(5, 8), "auto"), ("61", range(5, 8), "auto")]
+    + [("42", range(5, 10), "auto"), ("43", range(5, 10), "auto")]
+)
+GOLDEN_FILE = Path(__file__).parent / "data" / "verify_golden.json"
+
+
+def golden_outputs() -> dict[str, list[dict]]:
+    """verify.to_json of every grid entry, runtime_ms removed."""
+    outputs = {}
+    for theorem, ns, method in GOLDEN_GRID:
+        payload = json.loads(verify.to_json(verify.run_cases(theorem, list(ns), None, method)))
+        for outcome in payload:
+            del outcome["runtime_ms"]
+        outputs[f"{theorem} n={ns.start}-{ns.stop - 1} {method}"] = payload
+    return outputs
+
+
+def test_outputs_match_golden_file():
+    golden = json.loads(GOLDEN_FILE.read_text())
+    assert sum(len(outcomes) for outcomes in golden.values()) == 96
+    assert golden_outputs() == golden
