@@ -7,7 +7,6 @@ Weyl inequality check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 CLUSTER_TOL = 1e-6
@@ -106,7 +105,7 @@ class SpectrumReport:
     def __post_init__(self) -> None:
         if not self.eigenvalues:
             raise ValueError("empty spectrum")
-        if self.method not in ("dense", "irrep", "natural", "quotient", "char"):
+        if self.method not in ("dense", "irrep", "natural", "char"):
             raise ValueError(f"unknown method {self.method!r}")
         values = [v for v, _ in self.eigenvalues]
         if values != sorted(values, reverse=True):
@@ -221,16 +220,6 @@ def exact_integer_eigenvalues(matrix: Sequence[Sequence[int]]) -> list[tuple[int
     bound = max((sum(abs(v) for v in row) for row in rows), default=0)
     roots = integer_roots(charpoly_int(rows), bound)
     return sorted(roots.items(), key=lambda kv: -kv[0])
-
-
-def is_exact_root(matrix: Sequence[Sequence[int]], value: Fraction | int) -> bool:
-    """Whether ``value`` is a root of the exact characteristic polynomial."""
-    coeffs = charpoly_int(matrix)
-    value = Fraction(value)
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * value + c
-    return acc == 0
 
 
 # ---------------------------------------------------------------------------

@@ -116,14 +116,6 @@ def almost_full_cycle_lambda2(n: int) -> int:
     return 2 * (n - 2) * factorial(n - 4)
 
 
-def almost_full_cycle_lambda2_abstract_variant(n: int) -> int:
-    """2(n-2)(n-5)! — the odd-n value as printed in the source abstract; the
-    theorem and its computation give 2(n-2)(n-4)! instead.  It documents the
-    abstract's misprint only: verify checks 1B against almost_full_cycle_lambda2
-    and never records this value."""
-    return 2 * (n - 2) * factorial(n - 5)
-
-
 def prefix_lambda1(n: int, r: int) -> int:
     return factorial(r) * (n - r)
 

@@ -6,7 +6,6 @@ numeric checks.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -31,8 +30,7 @@ from .permutations import (
 )
 from . import yor
 
-DENSE_DEFAULT_CAP = 1000
-DENSE_HARD_CAP = 5040
+DENSE_CAP = 5040
 
 
 class DenseCapExceededError(RuntimeError):
@@ -46,7 +44,7 @@ class CayleyGraph:
     Vertices are indexed by lexicographic rank of the image sequence so
     adjacency matrices are reproducible across runs.  If H generates a proper
     subgroup the graph is a disjoint union of copies of the Cayley graph of
-    that subgroup; this is allowed and flagged via ``connected``.
+    that subgroup; this is allowed.
 
     ``vertex_images`` and ``connecting_images`` hold G and H as 0-based image
     arrays, one row per element, the vertex rows in lexicographic order.
@@ -150,68 +148,15 @@ def from_explicit_set(
     return CayleyGraph(group_kind, n, vertices, connecting)
 
 
-def connected_components(graph: CayleyGraph) -> list[list[int]]:
-    seen = [False] * graph.size
-    components = []
-    for start in range(graph.size):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in graph.neighbors(i):
-                    if not seen[j]:
-                        seen[j] = True
-                        comp.append(int(j))
-                        nxt.append(int(j))
-            frontier = nxt
-        components.append(comp)
-    return components
+def check_dense_cap(size: int) -> None:
+    """Refuse a dense spectrum of ``size`` vertices above DENSE_CAP."""
+    if size > DENSE_CAP:
+        raise DenseCapExceededError(f"{size} vertices exceeds dense cap {DENSE_CAP}")
 
 
-def is_connected(graph: CayleyGraph) -> bool:
-    return len(connected_components(graph)) == 1
-
-
-def is_bipartite(graph: CayleyGraph) -> bool:
-    """BFS 2-coloring; for Cayley graphs over Sym this is equivalent to the
-    connecting set consisting of odd permutations."""
-    color = [-1] * graph.size
-    for start in range(graph.size):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for j in graph.neighbors(i):
-                    if color[j] == -1:
-                        color[j] = 1 - color[i]
-                        nxt.append(int(j))
-                    elif color[j] == color[i]:
-                        return False
-            frontier = nxt
-    return True
-
-
-def check_dense_cap(
-    size: int, cap: int = DENSE_DEFAULT_CAP, allow_large: bool = False
-) -> None:
-    """Refuse a dense spectrum of ``size`` vertices above the cap."""
-    limit = DENSE_HARD_CAP if allow_large else cap
-    if size > limit:
-        raise DenseCapExceededError(f"{size} vertices exceeds dense cap {limit}")
-
-
-def dense_spectrum(
-    graph: CayleyGraph, cap: int = DENSE_DEFAULT_CAP, allow_large: bool = False
-) -> SpectrumReport:
+def dense_spectrum(graph: CayleyGraph) -> SpectrumReport:
     """Full spectrum of the 0/1 adjacency matrix (the brute-force oracle)."""
-    check_dense_cap(graph.size, cap, allow_large)
+    check_dense_cap(graph.size)
     values = np.linalg.eigvalsh(graph.adjacency_matrix().astype(float)).tolist()
     pairs = cluster_eigenvalues([(x, 1) for x in values])
     check_cayley_invariants(pairs, graph.size, graph.degree)
@@ -280,7 +225,7 @@ def interlacing_check(
 ) -> InterlacingReport:
     """Verify lambda1 >= lambda1' >= lambda2 >= lambda2' and the sqrt(d)
     bound on the shifts, for edge deletion at one vertex."""
-    before = dense_spectrum(graph, allow_large=True)
+    before = dense_spectrum(graph)
     after_vals = np.linalg.eigvalsh(delete_vertex_edges(graph, v)).tolist()
     after = SpectrumReport(cluster_eigenvalues([(x, 1) for x in after_vals]), "dense")
     l1, l2 = before.lambda1, before.lambda2
@@ -289,12 +234,6 @@ def interlacing_check(
     chain = l1 + tol >= l1p >= l2 - tol and l2 + tol >= l2p
     bound = abs(l1 - l1p) <= d**0.5 + tol and abs(l2 - l2p) <= d**0.5 + tol
     return InterlacingReport(v, l1, l2, l1p, l2p, d, chain, bound)
-
-
-def star_spectrum(d: int, isolated: int = 0) -> list[tuple[float, int]]:
-    """Spectrum of the d-ray star plus isolated vertices: {sqrt(d), 0.., -sqrt(d)}."""
-    zeros = d - 1 + isolated
-    return [(d**0.5, 1)] + ([(0.0, zeros)] if zeros else []) + [(-(d**0.5), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -355,19 +294,3 @@ def split_by_last_point(
     fixing = tuple(h for h in connecting if h(h.degree) == h.degree)
     moving = tuple(h for h in connecting if h(h.degree) != h.degree)
     return fixing, moving
-
-
-# ---------------------------------------------------------------------------
-# Exports
-
-
-def export_edge_list(graph: CayleyGraph, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, j in graph.edges():
-            fh.write(f"{i} {j}\n")
-
-
-def export_adjacency_matrix(graph: CayleyGraph, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in graph.adjacency_matrix():
-            fh.write("".join(str(int(x)) for x in row) + "\n")

@@ -38,11 +38,14 @@ THEOREMS = {
     "1B": (("auto", "dense", "irrep", "char", "all"), False),
     "13": (("auto", "dense", "irrep", "all"), True),
     "52": (("auto", "natural"), True),
+    "53": (("auto", "quotient"), True),
+    "54": (("auto", "quotient"), True),
     "61": (("auto", "natural"), True),
+    "65": (("auto", "irrep"), True),
     "42": (("auto", "char"), False),
     "43": (("auto", "char"), False),
 }
-METHODS = ("auto", "dense", "irrep", "natural", "char", "all")
+METHODS = ("auto", "dense", "irrep", "natural", "char", "quotient", "all")
 DENSE_AUTO_LIMIT = 720
 
 
@@ -79,8 +82,8 @@ def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
         else:
             method = "dense" if group_order(kind, spec.n) <= DENSE_AUTO_LIMIT else "irrep"
     if method == "dense":
-        check_dense_cap(group_order(kind, spec.n), allow_large=True)
-        return dense_spectrum(build(kind, spec), allow_large=True)
+        check_dense_cap(group_order(kind, spec.n))
+        return dense_spectrum(build(kind, spec))
     if method == "irrep":
         connecting = enumerate_connecting_set(spec)
         return yor.full_spectrum_via_irreps(spec.n, connecting, kind)
@@ -232,10 +235,18 @@ def verify_L61(n: int, r: int) -> list[Outcome]:
 
 
 def _ratio_outcome(
-    theorem: str, n: int, ctype: tuple[int, ...], diagram: tuple[int, ...], ratio: Fraction
+    theorem: str,
+    n: int,
+    ctype: tuple[int, ...],
+    diagram: tuple[int, ...],
+    numerator: int,
+    denominator: int,
 ) -> Outcome:
     """Compare the diagrams maximizing the character ratio at a class with the
-    claimed diagram and ratio."""
+    claimed diagram and ratio numerator/denominator."""
+    if n <= 4:
+        raise ValueError(f"theorem {theorem} needs n > 4, got n={n}")
+    ratio = Fraction(numerator, denominator)
 
     def run() -> Outcome:
         winners, best = max_ratio_diagram(n, ctype)
@@ -255,41 +266,42 @@ def _ratio_outcome(
 def verify_L42(n: int) -> Outcome:
     """Character-ratio maximization at the n-cycle class."""
     if n % 2 == 1:
-        return _ratio_outcome("42", n, (n,), (n - 2, 1, 1), Fraction(2, (n - 1) * (n - 2)))
-    return _ratio_outcome("42", n, (n,), (2,) + (1,) * (n - 2), Fraction(1, n - 1))
+        return _ratio_outcome("42", n, (n,), (n - 2, 1, 1), 2, (n - 1) * (n - 2))
+    return _ratio_outcome("42", n, (n,), (2,) + (1,) * (n - 2), 1, n - 1)
 
 
 def verify_L43(n: int) -> Outcome:
     """Character-ratio maximization at the (n-1)-cycle class."""
     ctype = (n - 1, 1)
     if n % 2 == 0:
-        return _ratio_outcome("43", n, ctype, (n - 3, 2, 1), Fraction(3, n * (n - 2) * (n - 4)))
-    return _ratio_outcome("43", n, ctype, (2, 2) + (1,) * (n - 4), Fraction(2, n * (n - 3)))
+        return _ratio_outcome("43", n, ctype, (n - 3, 2, 1), 3, n * (n - 2) * (n - 4))
+    return _ratio_outcome("43", n, ctype, (2, 2) + (1,) * (n - 4), 2, n * (n - 3))
+
+
+def _quotient_outcome(theorem: str, n: int, k: int, r: int) -> Outcome:
+    """Lemma 53 (B1) or 54 (B2): the closed-form quotient matrix against the
+    neighbor-counted oracle, and its exact eigenvalue set against the
+    closed-form values."""
+
+    def run() -> Outcome:
+        mu1, mu2, mu3, mu4 = formulas.mu_values(n, k, r)
+        if theorem == "53":
+            which, closed, expected = "B1", quotient_B1(n, k, r), {mu1, mu2, mu3}
+        else:
+            which, closed, expected = "B2", quotient_B2(n, k, r), {mu1, mu3, mu4}
+        params = {"n": n, "k": k, "r": r, "which": which}
+        equitable, counted = counted_quotient(n, k, r, which)
+        ok = equitable and counted == closed and set(quotient_eigenvalues(closed)) == expected
+        return Outcome(
+            theorem, params, closed, counted, "quotient", "match" if ok else "mismatch"
+        )
+
+    return _timed(run)
 
 
 def verify_quotients(n: int, k: int, r: int) -> list[Outcome]:
-    """Closed-form quotient matrices against the neighbor-counted oracle, and
-    their exact eigenvalue sets against the closed-form values."""
-    outcomes = []
-    mus = formulas.mu_values(n, k, r)
-    expected_sets = {"B1": {mus[0], mus[1], mus[2]}, "B2": {mus[0], mus[2], mus[3]}}
-    for which, closed in (("B1", quotient_B1(n, k, r)), ("B2", quotient_B2(n, k, r))):
-        def run(which=which, closed=closed) -> Outcome:
-            params = {"n": n, "k": k, "r": r, "which": which}
-            equitable, counted = counted_quotient(n, k, r, which)
-            eigen_ok = set(quotient_eigenvalues(closed)) == expected_sets[which]
-            ok = equitable and counted == closed and eigen_ok
-            return Outcome(
-                "53" if which == "B1" else "54",
-                params,
-                closed,
-                counted,
-                "quotient",
-                "match" if ok else "mismatch",
-            )
-
-        outcomes.append(_timed(run))
-    return outcomes
+    """Lemmas 53 and 54 at one (n, k, r)."""
+    return [_quotient_outcome("53", n, k, r), _quotient_outcome("54", n, k, r)]
 
 
 def theorem_65_max_block_eigenvalues(
@@ -306,6 +318,24 @@ def theorem_65_max_block_eigenvalues(
         spectrum = yor.hplus_block_spectrum(shape, connecting)
         rows.append((shape, dim, spectrum[0][0]))
     return rows
+
+
+def verify_T65(n: int, r: int) -> Outcome:
+    """No block of dimension > n-1 of C(n, r+1; r) has an eigenvalue above
+    r!(n-r-1)."""
+    params = {"n": n, "r": r}
+    if n <= 4 or not 2 <= r <= n - 2:
+        return Outcome(
+            "65", params, None, None, "irrep", "skipped", detail="need n > 4, 2 <= r <= n-2"
+        )
+
+    def run() -> Outcome:
+        expected = formulas.prefix_lambda2(n, r)
+        computed = max(top for _, _, top in theorem_65_max_block_eigenvalues(n, r))
+        outcome = "match" if computed <= expected + CLUSTER_TOL else "mismatch"
+        return Outcome("65", params, expected, computed, "irrep", outcome)
+
+    return _timed(run)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +372,19 @@ def run_cases(
         elif theorem == "61":
             for r in rs:
                 outcomes.extend(verify_L61(n, r))
-        else:  # 52
+        elif theorem == "65":
+            outcomes.extend(verify_T65(n, r) for r in rs)
+        elif theorem == "52":
             outcomes.extend(verify_T52(n, k, r) for r in rs for k in range(r + 1, n))
+        else:  # 53, 54
+            outcomes.extend(
+                _quotient_outcome(theorem, n, k, r) for r in rs for k in range(r + 1, n)
+            )
+    if not outcomes:
+        where = f"n in {list(n_values)}"
+        if takes_r:
+            where += f", r in {list(r_values) if r_values is not None else '2..n-2'}"
+        raise ValueError(f"theorem {theorem} has no case at {where}")
     return outcomes
 
 

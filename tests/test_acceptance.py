@@ -63,7 +63,7 @@ def timed_lambda2(spec_text, kind, method, budget_s):
     spec = parse_spec(spec_text)
     start = time.perf_counter()
     if method == "dense":
-        report = dense_spectrum(build(kind, spec), allow_large=True)
+        report = dense_spectrum(build(kind, spec))
     else:
         report = full_spectrum_via_irreps(
             spec.n, enumerate_connecting_set(spec), kind

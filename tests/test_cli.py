@@ -63,6 +63,13 @@ class TestBadInput:
             ("verify", "--theorem", "1B", "--n", "5", "--r", "3"),
             ("verify", "--theorem", "42", "--n", "6", "--r", "3"),
             ("verify", "--theorem", "43", "--n", "6", "--r", "3"),
+            ("verify", "--theorem", "43", "--n", "4"),
+            ("verify", "--theorem", "43", "--n", "3"),
+            ("verify", "--theorem", "42", "--n", "1"),
+            ("verify", "--theorem", "52", "--n", "6", "--r", "5"),
+            ("verify", "--theorem", "52", "--n", "3"),
+            ("verify", "--theorem", "61", "--n", "3"),
+            ("verify", "--theorem", "13", "--n", "3"),
         ],
     )
     def test_one_line_error_and_exit_code_2(self, capsys, tmp_path, monkeypatch, argv):

@@ -9,7 +9,6 @@ from snspectra.eigen import (
     cluster_eigenvalues,
     exact_integer_eigenvalues,
     integer_roots,
-    is_exact_root,
     snap_to_integer,
     weyl_upper_bounds_hold,
 )
@@ -118,11 +117,6 @@ class TestIntegerRoots:
         # Quotient-style matrix with known integer spectrum {8, 6, 2}.
         pairs = exact_integer_eigenvalues([[6, 2, 0], [1, 4, 3], [0, 2, 6]])
         assert pairs == [(8, 1), (6, 1), (2, 1)]
-
-    def test_is_exact_root(self):
-        m = [[6, 2, 0], [1, 4, 3], [0, 2, 6]]
-        assert is_exact_root(m, 8)
-        assert not is_exact_root(m, 7)
 
 
 class TestWeyl:

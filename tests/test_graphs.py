@@ -1,27 +1,23 @@
 import itertools
-from math import factorial
 
 import numpy as np
 import pytest
 
+from snspectra import verify
+from snspectra.eigen import CLUSTER_TOL
 from snspectra.formulas import natural_trace, split_sizes
 from snspectra.graphs import (
     DenseCapExceededError,
     build,
-    connected_components,
+    check_dense_cap,
     delete_vertex_edges,
     dense_spectrum,
-    export_adjacency_matrix,
-    export_edge_list,
     from_explicit_set,
     interlacing_check,
-    is_bipartite,
-    is_connected,
     multiplicity_table,
     natural_module_matrix,
     natural_module_spectrum,
     split_by_last_point,
-    star_spectrum,
     weyl_check,
 )
 from snspectra.permutations import (
@@ -29,6 +25,7 @@ from snspectra.permutations import (
     compose,
     enumerate_connecting_set,
     full_cycles,
+    generated_subgroup_kind,
     parity,
     parse_cycles,
     parse_spec,
@@ -119,18 +116,30 @@ class TestConstruction:
 
 
 class TestConnectivity:
+    """Read off the dense spectrum: lambda1 = |H| has multiplicity the number
+    of components, and -|H| is an eigenvalue iff a component is bipartite."""
+
     def test_alternating_set_splits_symmetric_group(self):
-        g = build("symmetric", prefix_moving_cycles(5, 3, 2))
-        comps = connected_components(g)
-        assert sorted(len(c) for c in comps) == [60, 60]
+        spec = prefix_moving_cycles(5, 3, 2)
+        assert generated_subgroup_kind(spec) == "alternating"
+        report = dense_spectrum(build("symmetric", spec))
+        assert report.eigenvalues[0] == (spec.cardinality(), 2)
 
     def test_connected_on_its_own_group(self):
-        assert is_connected(build("alternating", prefix_moving_cycles(5, 3, 2)))
-        assert is_connected(build("symmetric", prefix_moving_cycles(5, 4, 3)))
+        for kind, spec in (
+            ("alternating", prefix_moving_cycles(5, 3, 2)),
+            ("symmetric", prefix_moving_cycles(5, 4, 3)),
+        ):
+            report = dense_spectrum(build(kind, spec))
+            assert report.eigenvalues[0] == (spec.cardinality(), 1)
 
     def test_bipartite_iff_odd_elements(self):
-        assert is_bipartite(build("symmetric", prefix_moving_cycles(5, 4, 3)))
-        assert not is_bipartite(build("alternating", full_cycles(5, 5)))
+        odd = build("symmetric", prefix_moving_cycles(5, 4, 3))
+        assert dense_spectrum(odd).eigenvalues[-1] == (-odd.degree, 1)
+        even = build("alternating", full_cycles(5, 5))
+        assert all(
+            abs(v + even.degree) > CLUSTER_TOL for v, _ in dense_spectrum(even).eigenvalues
+        )
 
 
 class TestDenseSpectrum:
@@ -152,9 +161,11 @@ class TestDenseSpectrum:
         assert values == sorted([(-v, m) for v, m in values], reverse=True)
 
     def test_cap(self):
-        g = build("symmetric", full_cycles(7, 7))
+        check_dense_cap(5040)
+        with pytest.raises(DenseCapExceededError, match="40320 vertices exceeds dense cap 5040"):
+            check_dense_cap(40320)
         with pytest.raises(DenseCapExceededError):
-            dense_spectrum(g)
+            verify.spectrum(full_cycles(8, 8), "symmetric", "dense")
 
 
 class TestNaturalModule:
@@ -194,10 +205,6 @@ class TestNaturalModule:
 
 
 class TestInterlacing:
-    def test_star_spectrum(self):
-        values = star_spectrum(4, isolated=2)
-        assert values == [(2.0, 1), (0.0, 5), (-2.0, 1)]
-
     def test_edge_deletion_interlaces(self):
         g = build("alternating", prefix_moving_cycles(5, 3, 2))
         report = interlacing_check(g, 0)
@@ -230,27 +237,6 @@ class TestWeylSplit:
         connecting = enumerate_connecting_set(prefix_moving_cycles(5, 3, 2))
         with pytest.raises(ValueError):
             weyl_check(5, connecting, connecting[:1])
-
-
-class TestExports:
-    def test_edge_list(self, tmp_path):
-        g = from_explicit_set(
-            "symmetric", 3, enumerate_connecting_set(full_cycles(3, 2))
-        )
-        path = tmp_path / "edges.txt"
-        export_edge_list(g, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == g.size * g.degree // 2
-
-    def test_adjacency_matrix(self, tmp_path):
-        g = from_explicit_set(
-            "symmetric", 3, enumerate_connecting_set(full_cycles(3, 2))
-        )
-        path = tmp_path / "adj.txt"
-        export_adjacency_matrix(g, path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 6
-        assert all(len(line) == 6 for line in lines)
 
 
 def test_vertex_order_is_lexicographic():

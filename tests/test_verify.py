@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 from math import factorial
 from pathlib import Path
 
@@ -8,7 +7,6 @@ import pytest
 from snspectra import graphs, verify, yor
 from snspectra.formulas import (
     almost_full_cycle_lambda2,
-    almost_full_cycle_lambda2_abstract_variant,
     full_cycle_lambda2,
     mu3_closed_form,
     mu_values,
@@ -51,10 +49,6 @@ class TestFormulas:
 
     def test_printed_third_eigenvalue_differs(self):
         assert printed_third_eigenvalue_variant(6, 2) != mu3_closed_form(6, 2)
-
-    def test_abstract_variant_differs_from_theorem(self):
-        assert almost_full_cycle_lambda2_abstract_variant(7) == 20  # 2(n-2)(n-5)!
-        assert almost_full_cycle_lambda2(7) == 60  # 2(n-2)(n-4)!
 
 
 @pytest.mark.parametrize("method", ["dense", "irrep", "char"])
@@ -177,6 +171,33 @@ class TestTheoremRunners:
         assert [o.outcome for o in outcomes] == ["match", "match"]
         assert [o.theorem for o in outcomes] == ["53", "54"]
 
+    @pytest.mark.parametrize("theorem, index", [("53", 0), ("54", 1)])
+    def test_quotient_rows_split_verify_quotients(self, theorem, index):
+        def fields(outcome):
+            return {**outcome.__dict__, "runtime_ms": 0.0}
+
+        outcomes = verify.run_cases(theorem, [6])
+        pairs = [(k, r) for r in range(2, 5) for k in range(r + 1, 6)]
+        expected = [verify.verify_quotients(6, k, r)[index] for k, r in pairs]
+        assert [fields(o) for o in outcomes] == [fields(o) for o in expected]
+        assert all(o.theorem == theorem and o.outcome == "match" for o in outcomes)
+
+    def test_T65_compares_the_largest_top_with_the_bound(self, monkeypatch):
+        out = verify.verify_T65(7, 2)
+        assert out.outcome == "match"
+        assert out.expected == prefix_lambda2(7, 2)
+        tops = [top for _, _, top in verify.theorem_65_max_block_eigenvalues(7, 2)]
+        assert out.computed == max(tops)
+        monkeypatch.setattr(
+            verify, "theorem_65_max_block_eigenvalues", lambda n, r: [((4, 3), 14, 10.5)]
+        )
+        out = verify.verify_T65(7, 2)
+        assert (out.computed, out.outcome) == (10.5, "mismatch")
+
+    def test_T65_skips_outside_the_theorem(self):
+        assert verify.verify_T65(4, 2).outcome == "skipped"
+        assert verify.verify_T65(7, 6).outcome == "skipped"
+
     def test_theorem_65_bound(self):
         for n, r in [(6, 2), (6, 3), (7, 2), (8, 5)]:
             bound = prefix_lambda2(n, r)
@@ -211,6 +232,14 @@ class TestOrchestration:
         else:
             with pytest.raises(ValueError, match="takes no r"):
                 verify.run_cases(theorem, [6], [2])
+
+    def test_refused_when_no_case_would_run(self):
+        with pytest.raises(ValueError, match=r"theorem 52 has no case at n in \[6\], r in \[5\]"):
+            verify.run_cases("52", [6], [5])
+        with pytest.raises(ValueError, match=r"theorem 61 has no case at n in \[3\], r in 2..n-2"):
+            verify.run_cases("61", [3])
+        with pytest.raises(ValueError, match="theorem 43 needs n > 4, got n=4"):
+            verify.verify_L43(4)
 
     def test_run_cases_and_exit_code(self):
         outcomes = verify.run_cases("42", [5, 6])
