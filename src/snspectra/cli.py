@@ -123,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, choices=("S", "A"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--set", required=True, help='connecting set, e.g. "C(6,3;2)"')
-    p.add_argument("--method", default="dense", choices=("dense", "irrep"))
+    p.add_argument("--method", default="dense", choices=("auto", "dense", "irrep", "char"))
     p.set_defaults(fn=_cmd_spectrum)
 
     p = sub.add_parser("quotient", help="closed-form quotient matrix")
@@ -153,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, graphs.DenseCapExceededError) as exc:
+    except (ValueError, graphs.CapExceededError) as exc:
         print(f"snspectra {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,13 +1,14 @@
 """
 Explicit Cayley graphs over symmetric/alternating groups, the dense spectrum
-oracle, the natural permutation-module operator, and the interlacing / Weyl
-numeric checks.
+oracle (block by block over the right cosets of a sign subgroup), the
+natural permutation-module operator, and the interlacing / Weyl numeric
+checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +34,11 @@ from . import yor
 DENSE_CAP = 5040
 
 
-class DenseCapExceededError(RuntimeError):
+class CapExceededError(RuntimeError):
+    """A size cap refused a computation before its large allocation."""
+
+
+class DenseCapExceededError(CapExceededError):
     pass
 
 
@@ -86,13 +91,6 @@ class CayleyGraph:
     def vertices(self) -> tuple[Permutation, ...]:
         return as_permutations(self.vertex_images)
 
-    def index_of(self, v: Permutation) -> int:
-        if v.degree == self.n:
-            rank = int(self.ranks(image_array([v], self.n))[0])
-            if rank >= 0:
-                return rank
-        raise KeyError(v)
-
     def neighbor_table(self) -> np.ndarray:
         """(size, degree) array; row i lists the neighbours of vertex i in
         increasing order."""
@@ -113,11 +111,6 @@ class CayleyGraph:
         a = np.zeros((self.size, self.size), dtype=np.uint8)
         a[np.arange(self.size)[:, None], self.neighbor_table()] = 1
         return a
-
-    def edges(self) -> Iterable[tuple[int, int]]:
-        table = self.neighbor_table()
-        rows, cols = np.nonzero(table > np.arange(self.size)[:, None])
-        return zip(rows.tolist(), table[rows, cols].tolist())
 
 
 def _vertex_images(group_kind: str, n: int, connecting: np.ndarray, label: str) -> np.ndarray:
@@ -154,10 +147,67 @@ def check_dense_cap(size: int) -> None:
         raise DenseCapExceededError(f"{size} vertices exceeds dense cap {DENSE_CAP}")
 
 
+def sign_subgroup(group_kind: str, n: int) -> np.ndarray:
+    """The elementary abelian 2-subgroup K of Sym(n) or Alt(n) that splits
+    the dense oracle, as a (2^d, n) array of 0-based images.
+
+    K is generated by the d commuting involutions (1 2), (3 4), ... in
+    Sym(n), and (1 2)(3 4), (1 2)(5 6), ... in Alt(n) (trivial for Alt(n)
+    with n <= 3).  Row b is the product of the generators at the set bits
+    of b.
+    """
+    swaps = [(2 * i, 2 * i + 1) for i in range(n // 2)]
+    if group_kind == "symmetric":
+        generators = [[s] for s in swaps]
+    else:
+        generators = [[swaps[0], s] for s in swaps[1:]]
+    elements = np.arange(n)[None, :]
+    for generator in generators:
+        t = np.arange(n)
+        for a, b in generator:
+            t[[a, b]] = b, a
+        elements = np.concatenate([elements, elements[:, t]])
+    return elements
+
+
+def sign_blocks(graph: CayleyGraph) -> Iterator[np.ndarray]:
+    """The adjacency operator's blocks in the sign basis of the right cosets
+    of K = sign_subgroup, one (N/2^d) x (N/2^d) real symmetric block per
+    character of K, made one at a time.
+
+    The neighbours of g are h g, so g -> g k is a graph automorphism for
+    every k in G, and the sign patterns v(rep_c k_b) = (-1)^popcount(e & b)
+    on the cosets rep_c K span, for each e, a subspace the operator keeps.
+    Block e has entry (i, c) = sum of those signs over the neighbours of
+    rep_i that lie in coset c.
+    """
+    k = sign_subgroup(graph.group_kind, graph.n)
+    # right[b, g] is the vertex g k_b; a coset's representative is its
+    # least vertex, and g = rep k_bits(g) since each k_b is an involution.
+    right = np.stack([graph.ranks(graph.vertex_images[:, kb]) for kb in k])
+    rep, bits = right.min(axis=0), right.argmin(axis=0)
+    reps = np.flatnonzero(bits == 0)
+    m = len(reps)
+    coset = np.empty(graph.size, dtype=np.intp)
+    coset[reps] = np.arange(m)
+    neighbors = graph.neighbor_table()[reps]
+    flat = (np.arange(m)[:, None] * m + coset[rep[neighbors]]).ravel()
+    neighbor_bits = bits[neighbors].ravel()
+    # Sylvester's table: signs[e, b] = (-1)^popcount(e & b).
+    signs = np.ones((1, 1))
+    while len(signs) < len(k):
+        signs = np.block([[signs, signs], [signs, -signs]])
+    for row in signs:
+        yield np.bincount(flat, weights=row[neighbor_bits], minlength=m * m).reshape(m, m)
+
+
 def dense_spectrum(graph: CayleyGraph) -> SpectrumReport:
-    """Full spectrum of the 0/1 adjacency matrix (the brute-force oracle)."""
+    """Full spectrum of the explicit adjacency operator (the brute-force
+    oracle), in the sign basis of the right cosets of K = sign_subgroup: the
+    union of the spectra of the 2^d blocks of sign_blocks, each diagonalized
+    on its own."""
     check_dense_cap(graph.size)
-    values = np.linalg.eigvalsh(graph.adjacency_matrix().astype(float)).tolist()
+    values = [x for block in sign_blocks(graph) for x in np.linalg.eigvalsh(block).tolist()]
     pairs = cluster_eigenvalues([(x, 1) for x in values])
     check_cayley_invariants(pairs, graph.size, graph.degree)
     return SpectrumReport(pairs, "dense")

@@ -21,7 +21,7 @@ from .characters import max_ratio_diagram
 from .diagrams import dimension, partitions_of
 from .eigen import CLUSTER_TOL, SpectrumReport
 from .equitable import counted_quotient, quotient_B1, quotient_B2, quotient_eigenvalues
-from .graphs import DenseCapExceededError, build, check_dense_cap, dense_spectrum
+from .graphs import CapExceededError, build, check_dense_cap, dense_spectrum
 from .permutations import (
     ConnectingSetSpec,
     enumerate_connecting_set,
@@ -47,6 +47,8 @@ THEOREMS = {
 }
 METHODS = ("auto", "dense", "irrep", "natural", "char", "quotient", "all")
 DENSE_AUTO_LIMIT = 720
+# The irrep route enumerates H first; above this many elements it refuses.
+IRREP_SET_CAP = 10**6
 
 
 @dataclass
@@ -75,7 +77,9 @@ def _timed(fn: Callable[[], Outcome]) -> Outcome:
 def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
     """Spectrum of Cay(G, H) for the group of this kind and H = spec, by the
     dense oracle, the irrep blocks or the characters; "auto" takes char for a
-    conjugacy class, else dense up to DENSE_AUTO_LIMIT vertices, else irrep."""
+    conjugacy class, else dense up to DENSE_AUTO_LIMIT vertices, else irrep.
+    Raises CapExceededError above the dense cap or, for irrep, when |H|
+    exceeds IRREP_SET_CAP."""
     if method == "auto":
         if spec.family == "full":
             method = "char"
@@ -85,6 +89,10 @@ def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
         check_dense_cap(group_order(kind, spec.n))
         return dense_spectrum(build(kind, spec))
     if method == "irrep":
+        if spec.cardinality() > IRREP_SET_CAP:
+            raise CapExceededError(
+                f"|H| = {spec.cardinality()} exceeds irrep cap {IRREP_SET_CAP}"
+            )
         connecting = enumerate_connecting_set(spec)
         return yor.full_spectrum_via_irreps(spec.n, connecting, kind)
     if method == "char":
@@ -110,7 +118,7 @@ def _lambda_outcome(
     def run() -> Outcome:
         try:
             report = spectrum(spec, generated_subgroup_kind(spec), method)
-        except DenseCapExceededError as exc:
+        except CapExceededError as exc:
             return Outcome(theorem, params, expected, None, method, "skipped", detail=str(exc))
         computed = {"lambda1": report.lambda1, "lambda2": report.lambda2}
         match = all(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from snspectra import verify
+from snspectra import formulas, verify
 from snspectra.cli import main
 
 
@@ -50,6 +50,7 @@ class TestBadInput:
             ("spectrum", "--group", "A", "--n", "6", "--set", "C(6,4)"),
             ("spectrum", "--group", "A", "--n", "6", "--set", "C(6,4)", "--method", "irrep"),
             ("spectrum", "--group", "S", "--n", "8", "--set", "C(8,8)"),
+            ("spectrum", "--group", "S", "--n", "6", "--set", "C(6,3;2)", "--method", "char"),
             ("enumerate", "--set", "C(5,6)"),
             ("spectrum", "--group", "S", "--n", "9", "--set", "C(5,3)"),
             ("verify", "--theorem", "52", "--n", "6", "--method", "dense"),
@@ -95,6 +96,40 @@ class TestBadInput:
         assert "mismatch" in out
 
 
+class TestIrrepCap:
+    """The irrep route refuses a huge H before enumerating it."""
+
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
+
+        def refuse(spec):
+            raise AssertionError(f"{spec} was enumerated")
+
+        monkeypatch.setattr(verify, "enumerate_connecting_set", refuse)
+
+    def test_verify_reports_skipped(self, capsys):
+        code, out = run_cli(
+            capsys, "verify", "--theorem", "1A", "--n", "13", "--method", "irrep",
+            "--format", "json",
+        )
+        assert code == 0
+        [outcome] = json.loads(out)
+        assert outcome["outcome"] == "skipped"
+        assert outcome["detail"] == "|H| = 479001600 exceeds irrep cap 1000000"
+
+    def test_spectrum_one_line_error_and_exit_code_2(self, capsys):
+        code = main(
+            ["spectrum", "--group", "S", "--n", "13", "--set", "C(13,13)", "--method", "irrep"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "snspectra spectrum: error: |H| = 479001600 exceeds irrep cap 1000000\n"
+        )
+
+
 class TestSpectrumCommand:
     def test_dense(self, capsys):
         code, out = run_cli(
@@ -114,6 +149,22 @@ class TestSpectrumCommand:
         payload = json.loads(out)
         assert payload["lambda1"] == 30.0
         assert payload["lambda2"] == 6.0
+
+    def test_char(self, capsys):
+        code, out = run_cli(
+            capsys, "spectrum", "--group", "S", "--n", "8", "--set", "C(8,8)", "--method", "char"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["method"] == "char"
+        assert payload["lambda1"] == formulas.full_cycle_lambda1(8)
+        assert payload["lambda2"] == formulas.full_cycle_lambda2(8)
+
+    def test_auto_equals_dense_below_the_auto_limit(self, capsys):
+        argv = ("spectrum", "--group", "S", "--n", "6", "--set", "C(6,3;2)")
+        dense = run_cli(capsys, *argv, "--method", "dense")
+        assert dense[0] == 0
+        assert run_cli(capsys, *argv, "--method", "auto") == dense
 
 
 class TestQuotientCommand:

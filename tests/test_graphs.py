@@ -2,9 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snspectra import verify
-from snspectra.eigen import CLUSTER_TOL
+from snspectra.eigen import CLUSTER_TOL, cluster_eigenvalues
 from snspectra.formulas import natural_trace, split_sizes
 from snspectra.graphs import (
     DenseCapExceededError,
@@ -17,15 +18,19 @@ from snspectra.graphs import (
     multiplicity_table,
     natural_module_matrix,
     natural_module_spectrum,
+    sign_blocks,
+    sign_subgroup,
     split_by_last_point,
     weyl_check,
 )
 from snspectra.permutations import (
     Permutation,
+    alternating_group,
     compose,
     enumerate_connecting_set,
     full_cycles,
     generated_subgroup_kind,
+    image_array,
     parity,
     parse_cycles,
     parse_spec,
@@ -102,9 +107,7 @@ class TestConstruction:
         assert list(g.vertices) == vertices
         expected = adjacency_oracle(vertices, enumerate_connecting_set(spec))
         assert (g.adjacency_matrix() == expected).all()
-        assert list(g.edges()) == [
-            (i, j) for i, j in zip(*np.nonzero(expected)) if i < j
-        ]
+        assert (g.neighbor_table() == np.nonzero(expected)[1].reshape(g.size, g.degree)).all()
 
     def test_explicit_set_validation(self):
         with pytest.raises(ValueError):
@@ -142,7 +145,69 @@ class TestConnectivity:
         )
 
 
+def reference_spectrum(graph):
+    """The whole-matrix spectrum, clustered as dense_spectrum clusters."""
+    values = np.linalg.eigvalsh(graph.adjacency_matrix().astype(float)).tolist()
+    return cluster_eigenvalues([(x, 1) for x in values])
+
+
+def assert_same_spectrum(got, expected):
+    assert [m for _, m in got] == [m for _, m in expected]
+    assert all(abs(a - b) <= CLUSTER_TOL for (a, _), (b, _) in zip(got, expected))
+
+
+def cycle_graphs(max_n):
+    """Every Sym/Alt Cayley graph of C(n,k) and C(n,k;r) with n <= max_n;
+    an even k gives odd cycles, which Alt does not contain."""
+    for n in range(2, max_n + 1):
+        specs = [full_cycles(n, k) for k in range(2, n + 1)] + [
+            prefix_moving_cycles(n, k, r) for k in range(2, n) for r in range(1, k)
+        ]
+        for spec in specs:
+            for kind in ("symmetric", "alternating")[: 1 + spec.k % 2]:
+                yield kind, spec
+
+
 class TestDenseSpectrum:
+    @pytest.mark.parametrize(
+        "kind, spec",
+        [*cycle_graphs(6), ("alternating", prefix_moving_cycles(7, 3, 2))],
+        ids=str,
+    )
+    def test_matches_whole_matrix_eigvalsh(self, kind, spec):
+        g = build(kind, spec)
+        assert_same_spectrum(dense_spectrum(g).eigenvalues, reference_spectrum(g))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_inverse_closed_sets(self, data):
+        kind = data.draw(st.sampled_from(("symmetric", "alternating")))
+        n = data.draw(st.integers(2, 5) if kind == "symmetric" else st.integers(3, 6))
+        group = symmetric_group(n) if kind == "symmetric" else alternating_group(n)
+        picks = data.draw(st.lists(st.integers(1, len(group) - 1), min_size=1, max_size=6))
+        connecting = {group[i] for i in picks}  # group[0] is the identity
+        connecting |= {h.inverse() for h in connecting}
+        g = from_explicit_set(kind, n, connecting)
+        assert_same_spectrum(dense_spectrum(g).eigenvalues, reference_spectrum(g))
+
+    @pytest.mark.parametrize(
+        "kind, n, d",
+        [("symmetric", 3, 1), ("alternating", 3, 0), ("symmetric", 6, 3),
+         ("alternating", 6, 2), ("symmetric", 7, 3), ("alternating", 7, 2)],
+    )
+    def test_block_sizes(self, kind, n, d):
+        k = sign_subgroup(kind, n)
+        assert len(k) == 2**d
+        assert len({tuple(row) for row in k.tolist()}) == len(k)
+        assert all((row[row] == np.arange(n)).all() for row in k)  # involutions
+        if kind == "alternating":
+            assert all(Permutation(tuple(row)).is_even() for row in (k + 1).tolist())
+        g = build(kind, full_cycles(n, 3))
+        shapes = [block.shape for block in sign_blocks(g)]
+        assert shapes == [(g.size // 2**d, g.size // 2**d)] * 2**d
+        assert sum(rows for rows, _ in shapes) == g.size
+        assert all((block == block.T).all() for block in sign_blocks(g))
+
     def test_transposition_graph_on_sym3(self):
         # All transpositions on three points give K_{3,3}: spectrum 3, 0^4, -3.
         connecting = enumerate_connecting_set(full_cycles(3, 2))
@@ -242,4 +307,5 @@ class TestWeylSplit:
 def test_vertex_order_is_lexicographic():
     g = build("symmetric", full_cycles(4, 4))
     assert list(g.vertices) == sorted(symmetric_group(4))
-    assert g.index_of(g.vertices[5]) == 5
+    assert (g.ranks(g.vertex_images) == np.arange(g.size)).all()
+    assert g.ranks(image_array([g.vertices[5]], 4)).tolist() == [5]
