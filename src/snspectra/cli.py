@@ -7,8 +7,6 @@ Subcommands:
 - ``quotient``: closed-form quotient matrix and its exact eigenvalues.
 - ``character``: exact character values / table export.
 - ``enumerate``: list a connecting set in cycle notation.
-
-The character cache directory is taken from SNSPECTRA_CACHE_DIR.
 """
 
 from __future__ import annotations
@@ -36,11 +34,7 @@ def _parse_range(text: str) -> list[int]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     n_values = _parse_range(args.n)
     r_values = _parse_range(args.r) if args.r else None
-    for n in n_values:
-        characters.load_character_cache(n)
     outcomes = verify.run_cases(args.theorem, n_values, r_values, args.method)
-    for n in n_values:
-        characters.save_character_cache(n)
     if args.format == "json":
         print(verify.to_json(outcomes))
     elif args.format == "csv":
@@ -82,7 +76,6 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def _cmd_character(args: argparse.Namespace) -> int:
-    characters.load_character_cache(args.n)
     if args.diagram and args.klass:
         shape = parse_diagram(args.diagram)
         ctype = parse_diagram(args.klass)
@@ -96,7 +89,6 @@ def _cmd_character(args: argparse.Namespace) -> int:
         print("diagram," + ",".join(diagram_string(c) for c in classes))
         for shape, row in zip(partitions_of(args.n), rows):
             print(diagram_string(shape) + "," + ",".join(map(str, row)))
-    characters.save_character_cache(args.n)
     return 0
 
 

@@ -207,7 +207,10 @@ def dense_spectrum(graph: CayleyGraph) -> SpectrumReport:
     union of the spectra of the 2^d blocks of sign_blocks, each diagonalized
     on its own."""
     check_dense_cap(graph.size)
-    values = [x for block in sign_blocks(graph) for x in np.linalg.eigvalsh(block).tolist()]
+    values: list[float] = []
+    for block in sign_blocks(graph):
+        values += np.linalg.eigvalsh(block).tolist()
+        del block  # free it before the generator makes the next one
     pairs = cluster_eigenvalues([(x, 1) for x in values])
     check_cayley_invariants(pairs, graph.size, graph.degree)
     return SpectrumReport(pairs, "dense")

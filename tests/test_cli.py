@@ -12,14 +12,12 @@ def run_cli(capsys, *argv):
 
 
 class TestVerifyCommand:
-    def test_text_output(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
+    def test_text_output(self, capsys):
         code, out = run_cli(capsys, "verify", "--theorem", "1A", "--n", "5", "--format", "text")
         assert code == 0
         assert "match" in out
 
-    def test_json_output_with_range(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
+    def test_json_output_with_range(self, capsys):
         code, out = run_cli(
             capsys, "verify", "--theorem", "42", "--n", "5-6", "--format", "json"
         )
@@ -28,14 +26,21 @@ class TestVerifyCommand:
         assert [o["params"]["n"] for o in payload] == [5, 6]
         assert all(o["outcome"] == "match" for o in payload)
 
-    def test_quotient_theorem_with_r(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
+    def test_quotient_theorem_with_r(self, capsys):
         code, out = run_cli(
             capsys, "verify", "--theorem", "13", "--n", "6", "--r", "2",
             "--method", "dense", "--format", "csv",
         )
         assert code == 0
         assert out.splitlines()[0].startswith("theorem,")
+
+    def test_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, "verify", "--theorem", "42", "--n", "5-6")[0] == 0
+        assert run_cli(capsys, "character", "--n", "5")[0] == 0
+        assert list(tmp_path.iterdir()) == []
 
     def test_rejects_unknown_theorem(self, capsys):
         with pytest.raises(SystemExit):
@@ -73,8 +78,7 @@ class TestBadInput:
             ("verify", "--theorem", "13", "--n", "3"),
         ],
     )
-    def test_one_line_error_and_exit_code_2(self, capsys, tmp_path, monkeypatch, argv):
-        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
+    def test_one_line_error_and_exit_code_2(self, capsys, argv):
         code = main(list(argv))
         captured = capsys.readouterr()
         assert code == 2
@@ -82,8 +86,7 @@ class TestBadInput:
         assert captured.err.startswith(f"snspectra {argv[0]}: error: ")
         assert captured.err.count("\n") == 1
 
-    def test_fixed_method_theorems_accept_their_own_method(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
+    def test_fixed_method_theorems_accept_their_own_method(self, capsys):
         for theorem, method in (("52", "natural"), ("42", "char"), ("43", "auto")):
             code, out = run_cli(capsys, "verify", "--theorem", theorem, "--n", "6", "--method", method)
             assert code == 0 and "match" in out
@@ -100,9 +103,7 @@ class TestIrrepCap:
     """The irrep route refuses a huge H before enumerating it."""
 
     @pytest.fixture(autouse=True)
-    def no_enumeration(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
-
+    def no_enumeration(self, monkeypatch):
         def refuse(spec):
             raise AssertionError(f"{spec} was enumerated")
 
@@ -188,36 +189,17 @@ class TestQuotientCommand:
 
 
 class TestCharacterCommand:
-    def test_single_value(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
+    def test_single_value(self, capsys):
         code, out = run_cli(
             capsys, "character", "--n", "6", "--diagram", "[4,1,1]", "--class", "[6]"
         )
         assert code == 0
         assert json.loads(out)["value"] == 1
 
-    def test_table_to_stdout(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
+    def test_table_to_stdout(self, capsys):
         code, out = run_cli(capsys, "character", "--n", "4")
         assert code == 0
         assert len(out.strip().splitlines()) == 6
-
-    def test_bad_cache_file_warns_and_is_replaced(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
-        path = tmp_path / "characters-v1-n6.json"
-        path.write_text("{not json")
-        code = main(["character", "--n", "6", "--diagram", "[4,1,1]", "--class", "[6]"])
-        captured = capsys.readouterr()
-        assert code == 0
-        assert json.loads(captured.out)["value"] == 1
-        assert captured.err.startswith("snspectra: warning: ignoring character cache")
-        assert captured.err.count("\n") == 1
-        assert json.loads(path.read_text())["n"] == 6
-
-    def test_cache_file_written(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SNSPECTRA_CACHE_DIR", str(tmp_path))
-        run_cli(capsys, "character", "--n", "5", "--diagram", "[3,2]", "--class", "[5]")
-        assert list(tmp_path.glob("*.json"))
 
 
 class TestEnumerateCommand:

@@ -1,4 +1,5 @@
 import json
+import time
 from math import factorial
 from pathlib import Path
 
@@ -197,6 +198,23 @@ class TestTheoremRunners:
     def test_T65_skips_outside_the_theorem(self):
         assert verify.verify_T65(4, 2).outcome == "skipped"
         assert verify.verify_T65(7, 6).outcome == "skipped"
+
+    def test_T65_refused_above_the_irrep_cap_before_enumerating(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError(f"{spec} was enumerated")
+
+        monkeypatch.setattr(verify, "enumerate_connecting_set", refuse)
+        start = time.perf_counter()
+        out = verify.verify_T65(13, 11)
+        assert time.perf_counter() - start < 1.0
+        assert out.outcome == "skipped"
+        assert out.detail == "|H| = 79833600 exceeds irrep cap 1000000"
+
+    @pytest.mark.parametrize("theorem", ["42", "43"])
+    def test_L42_L43_reach(self, theorem):
+        outcomes = verify.run_cases(theorem, range(27, 61))
+        assert [o.params["n"] for o in outcomes] == list(range(27, 61))
+        assert all(o.outcome == "match" for o in outcomes)
 
     def test_theorem_65_bound(self):
         for n, r in [(6, 2), (6, 3), (7, 2), (8, 5)]:

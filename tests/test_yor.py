@@ -106,12 +106,19 @@ class TestImages:
         q = yor_image((3, 2), g)
         assert np.abs(q.T @ q - np.eye(5)).max() < 1e-12
 
-    @pytest.mark.parametrize("shape", [(4, 2), (4, 1, 1), (3, 3), (2, 2, 1, 1)])
+    @pytest.mark.parametrize("shape", [s for n in range(1, 7) for s in partitions_of(n)])
     def test_trace_matches_character(self, shape):
-        for cycles in ["(1,2,3,4,5,6)", "(1,2)(3,4,5)", "(1,2,3)", "(1,6)"]:
-            g = parse_cycles(cycles, 6)
+        # One permutation per class: consecutive cycles of the class's lengths.
+        n = sum(shape)
+        for ctype in partitions_of(n):
+            images, start = [], 1
+            for length in ctype:
+                images += list(range(start + 1, start + length)) + [start]
+                start += length
+            g = Permutation(tuple(images))
+            assert cycle_type(g) == ctype
             trace = float(np.trace(yor_image(shape, g)))
-            assert trace == pytest.approx(mn_character(shape, cycle_type(g)), abs=1e-9)
+            assert trace == pytest.approx(mn_character(shape, ctype), abs=1e-9)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
