@@ -12,8 +12,7 @@ from __future__ import annotations
 from math import factorial
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .eigen import exact_integer_eigenvalues
 from .formulas import binom
 from .graphs import CayleyGraph

@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .eigen import (
     CLUSTER_TOL,
     SpectrumReport,
@@ -91,15 +90,24 @@ class CayleyGraph:
     def vertices(self) -> tuple[Permutation, ...]:
         return as_permutations(self.vertex_images)
 
+    def neighbors_of(self, rows: np.ndarray) -> np.ndarray:
+        """(len(rows), degree) array; row i lists the neighbours h g of
+        vertex g = rows[i], one column per element h of the connecting set.
+        A product outside the group can only come from an h outside it, so
+        any set of rows detects that."""
+        table = np.empty((len(rows), self.degree), dtype=np.int32)
+        vertices = self.vertex_images[rows]
+        for j, h in enumerate(self.connecting_images):
+            table[:, j] = self.ranks(h[vertices])
+        if (table < 0).any():
+            raise ValueError(f"the connecting set is not inside the {self.group_kind} group")
+        return table
+
     def neighbor_table(self) -> np.ndarray:
         """(size, degree) array; row i lists the neighbours of vertex i in
         increasing order."""
         if self._neighbors is None:
-            table = np.empty((self.size, self.degree), dtype=np.int32)
-            for j, h in enumerate(self.connecting_images):
-                table[:, j] = self.ranks(h[self.vertex_images])
-            if (table < 0).any():
-                raise ValueError(f"the connecting set is not inside the {self.group_kind} group")
+            table = self.neighbors_of(np.arange(self.size))
             table.sort(axis=1)
             self._neighbors = table
         return self._neighbors
@@ -190,7 +198,7 @@ def sign_blocks(graph: CayleyGraph) -> Iterator[np.ndarray]:
     m = len(reps)
     coset = np.empty(graph.size, dtype=np.intp)
     coset[reps] = np.arange(m)
-    neighbors = graph.neighbor_table()[reps]
+    neighbors = graph.neighbors_of(reps)
     flat = (np.arange(m)[:, None] * m + coset[rep[neighbors]]).ravel()
     neighbor_bits = bits[neighbors].ravel()
     # Sylvester's table: signs[e, b] = (-1)^popcount(e & b).

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-import numpy as np
+from ._numpy import np
 
 
 class DegreeMismatchError(ValueError):

@@ -323,12 +323,13 @@ def theorem_65_max_block_eigenvalues(
     prefix-moving set with k = r + 1.  Raises CapExceededError when the set
     has more than IRREP_SET_CAP elements."""
     connecting = _enumerate_capped(prefix_moving_cycles(n, r + 1, r))
+    params = yor._class_sum_parameters(n, connecting)
     rows = []
     for shape in partitions_of(n):
         dim = dimension(shape)
         if dim <= n - 1:
             continue
-        spectrum = yor.hplus_block_spectrum(shape, connecting)
+        spectrum = yor.hplus_block_spectrum(shape, connecting, params)
         rows.append((shape, dim, spectrum[0][0]))
     return rows
 

@@ -16,12 +16,11 @@ from functools import cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import characters
+from ._numpy import np
 from .diagrams import dimension, partitions_of, validate_diagram
 from .eigen import SpectrumReport, check_cayley_invariants, cluster_eigenvalues
-from .permutations import Permutation, group_order
+from .permutations import Permutation, even_rows, group_order, image_array
 
 SYMMETRY_TOL = 1e-9
 
@@ -315,16 +314,25 @@ def _class_sum_matrix(shape: tuple[int, ...], k: int, r: int) -> np.ndarray:
     return y
 
 
-def hplus_matrix(shape: Sequence[int], connecting_set: Sequence[Permutation]) -> np.ndarray:
+# Default of ``params``: recognize the set in hplus_matrix itself.
+_RECOGNIZE = object()
+
+
+def hplus_matrix(
+    shape: Sequence[int], connecting_set: Sequence[Permutation], params=_RECOGNIZE
+) -> np.ndarray:
     """Sum of the representation matrices over the connecting set.
 
     Requires H = H^-1; the result must then be symmetric, and asymmetry
     beyond tolerance signals an assembly bug.  When H is exactly C(n,k) or
     C(n,k;r) the block is built from one diagonal class sum by adjacent
-    conjugations; any other set is summed word by word.
+    conjugations; any other set is summed word by word.  A caller that
+    builds many blocks of one set passes ``params``, the result of
+    _class_sum_parameters for it, so that H is recognized only once.
     """
     shape = validate_diagram(shape)
-    params = _class_sum_parameters(sum(shape), connecting_set)
+    if params is _RECOGNIZE:
+        params = _class_sum_parameters(sum(shape), connecting_set)
     if params is None:
         total = _word_walk_matrix(shape, connecting_set)
     else:
@@ -336,10 +344,11 @@ def hplus_matrix(shape: Sequence[int], connecting_set: Sequence[Permutation]) ->
 
 
 def hplus_block_spectrum(
-    shape: Sequence[int], connecting_set: Sequence[Permutation]
+    shape: Sequence[int], connecting_set: Sequence[Permutation], params=_RECOGNIZE
 ) -> list[tuple[float, int]]:
-    """Clustered eigenvalues of the connecting-set sum on one block."""
-    values = np.linalg.eigvalsh(hplus_matrix(shape, connecting_set))
+    """Clustered eigenvalues of the connecting-set sum on one block;
+    ``params`` as for hplus_matrix."""
+    values = np.linalg.eigvalsh(hplus_matrix(shape, connecting_set, params))
     return cluster_eigenvalues([(v, 1) for v in values.tolist()])
 
 
@@ -378,13 +387,15 @@ def full_spectrum_via_irreps(
     multiplicities are halved to those of Cay(Alt, H).
     """
     connecting_set = tuple(connecting_set)
-    _check_group(group_kind, all(h.is_even() for h in connecting_set))
-    if any(h.is_identity() for h in connecting_set):
+    images = image_array(connecting_set, n)
+    _check_group(group_kind, bool(even_rows(images).all()))
+    if (images == np.arange(n)).all(axis=1).any():
         raise ValueError("connecting set may not contain the identity")
+    params = _class_sum_parameters(n, connecting_set)
     pairs = [
         (value, mult * dimension(shape))
         for shape in partitions_of(n)
-        for value, mult in hplus_block_spectrum(shape, connecting_set)
+        for value, mult in hplus_block_spectrum(shape, connecting_set, params)
     ]
     return _group_report(pairs, "irrep", group_kind, n, len(set(connecting_set)))
 

@@ -8,6 +8,7 @@ from snspectra import verify
 from snspectra.eigen import CLUSTER_TOL, cluster_eigenvalues
 from snspectra.formulas import natural_trace, split_sizes
 from snspectra.graphs import (
+    CayleyGraph,
     DenseCapExceededError,
     build,
     check_dense_cap,
@@ -30,6 +31,7 @@ from snspectra.permutations import (
     enumerate_connecting_set,
     full_cycles,
     generated_subgroup_kind,
+    group_images,
     image_array,
     parity,
     parse_cycles,
@@ -309,3 +311,49 @@ def test_vertex_order_is_lexicographic():
     assert list(g.vertices) == sorted(symmetric_group(4))
     assert (g.ranks(g.vertex_images) == np.arange(g.size)).all()
     assert g.ranks(image_array([g.vertices[5]], 4)).tolist() == [5]
+
+
+def every_spec(n):
+    yield from (full_cycles(n, k) for k in range(2, n + 1))
+    yield from (prefix_moving_cycles(n, k, r) for k in range(2, n) for r in range(1, k))
+
+
+def full_table_sign_blocks(graph):
+    """Block e of the sign basis from the whole adjacency matrix: the rows of
+    the coset representatives, times the sign pattern of e on every coset."""
+    k = sign_subgroup(graph.group_kind, graph.n)
+    right = np.stack([graph.ranks(graph.vertex_images[:, kb]) for kb in k])
+    reps = np.flatnonzero(right.argmin(axis=0) == 0)
+    patterns = np.zeros((len(k), graph.size, len(reps)))
+    for c, rep in enumerate(reps):
+        for b, v in enumerate(right[:, rep]):  # v = rep k_b
+            for e in range(len(k)):
+                patterns[e, v, c] = (-1) ** bin(e & b).count("1")
+    rows = graph.adjacency_matrix()[reps].astype(float)
+    return [rows @ pattern for pattern in patterns]
+
+
+class TestSignBlocksFromRepresentatives:
+    @pytest.mark.parametrize(
+        "kind, n, specs",
+        [("symmetric", 5, 10), ("alternating", 5, 4), ("symmetric", 6, 15), ("alternating", 6, 8)],
+    )
+    def test_same_blocks_as_the_full_table(self, kind, n, specs):
+        checked = 0
+        for spec in every_spec(n):
+            if kind == "alternating" and spec.k % 2 == 0:
+                continue
+            g = build(kind, spec)
+            blocks = list(sign_blocks(g))
+            reference = full_table_sign_blocks(g)
+            assert len(blocks) == len(reference)
+            for block, expected in zip(blocks, reference):
+                assert np.array_equal(block, expected), (kind, spec)
+            checked += 1
+        assert checked == specs
+
+    def test_set_outside_the_group_still_refused(self):
+        transpositions = enumerate_connecting_set(full_cycles(5, 2))
+        g = CayleyGraph("alternating", 5, group_images("alternating", 5), transpositions)
+        with pytest.raises(ValueError, match="not inside the alternating group"):
+            list(sign_blocks(g))

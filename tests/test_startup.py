@@ -1,0 +1,101 @@
+"""numpy is loaded only by the routes that compute with arrays.
+
+Each case runs ``cli.main`` in a fresh interpreter, since the test process
+itself has numpy loaded already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import snspectra
+
+SRC = str(Path(snspectra.__file__).resolve().parents[1])
+
+CHILD = """
+import contextlib, io, json, sys, types
+from snspectra import cli
+from snspectra._numpy import np
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+loaded = sorted(name for name in sys.modules if name.startswith("numpy."))
+np.zeros(1)  # the first attribute access loads numpy, if nothing did before
+import numpy
+print(json.dumps({
+    "codes": codes,
+    "loaded": loaded,
+    "real": type(np) is types.ModuleType and np is numpy and np.__name__ == "numpy",
+}))
+"""
+
+
+def run_child(*argvs, prelude=""):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", prelude + CHILD, json.dumps(argvs)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+CHAR_RUNS = [
+    ["verify", "--theorem", "42", "--n", "5-26"],
+    ["verify", "--theorem", "43", "--n", "5-26"],
+    ["verify", "--theorem", "1A", "--n", "5-10", "--method", "char"],
+    ["verify", "--theorem", "1B", "--n", "5-10", "--method", "char"],
+    ["character", "--n", "8"],
+]
+
+
+def test_char_routes_never_load_numpy():
+    result = run_child(*CHAR_RUNS)
+    assert result["codes"] == [0] * len(CHAR_RUNS)
+    assert result["loaded"] == []
+    assert result["real"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theorem", "1A", "--n", "5", "--method", "dense"],
+        ["verify", "--theorem", "13", "--n", "6", "--r", "2", "--method", "irrep"],
+        ["verify", "--theorem", "61", "--n", "6", "--r", "2"],
+        ["verify", "--theorem", "53", "--n", "6", "--r", "2"],
+    ],
+)
+def test_array_routes_load_numpy(argv):
+    result = run_child(argv)
+    assert result["codes"] == [0]
+    assert "numpy._core" in result["loaded"] or "numpy.core" in result["loaded"]
+    assert result["real"]
+
+
+def test_numpy_imported_first_is_used_as_it_is():
+    result = run_child(CHAR_RUNS[0], prelude="import numpy\n")
+    assert result["codes"] == [0]
+    assert result["real"]
+
+
+@pytest.mark.parametrize("hide", ["blocked", "not-on-path"])
+def test_missing_numpy_fails_at_import_naming_it(hide):
+    import numpy
+
+    site = str(Path(numpy.__file__).resolve().parents[1])
+    prelude = {
+        "blocked": "sys.modules['numpy'] = None",
+        "not-on-path": f"sys.path[:] = [p for p in sys.path if os.path.realpath(p) != {site!r}]",
+    }[hide]
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import os, sys; {prelude}; import snspectra"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.strip().splitlines()[-1].startswith("ModuleNotFoundError")
+    assert "numpy" in proc.stderr.strip().splitlines()[-1]

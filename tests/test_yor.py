@@ -16,7 +16,7 @@ from snspectra.permutations import (
     prefix_moving_cycles,
     symmetric_group,
 )
-from snspectra import yor
+from snspectra import verify, yor
 from snspectra.yor import (
     _class_sum_parameters,
     _word_walk_matrix,
@@ -286,3 +286,49 @@ class TestClassSumAssembly:
         for shape in partitions_of(7):
             parts = hplus_matrix(shape, fixing) + hplus_matrix(shape, moving)
             assert np.abs(parts - hplus_matrix(shape, connecting)).max() < 1e-10
+
+
+class TestRecognizeOnce:
+    """H is recognized once per spectrum, not once per diagram."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        recognize = yor._class_sum_parameters
+
+        def counted(n, connecting_set):
+            calls.append(n)
+            return recognize(n, connecting_set)
+
+        monkeypatch.setattr(yor, "_class_sum_parameters", counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "spec", [prefix_moving_cycles(7, 3, 2), full_cycles(6, 5), prefix_moving_cycles(6, 4, 1)]
+    )
+    def test_full_spectrum(self, calls, spec):
+        connecting = enumerate_connecting_set(spec)
+        report = full_spectrum_via_irreps(spec.n, connecting)
+        assert calls == [spec.n]
+        dense = dense_spectrum(from_explicit_set("symmetric", spec.n, connecting))
+        assert report.eigenvalues == [(pytest.approx(v, abs=1e-8), m) for v, m in dense.eigenvalues]
+
+    def test_word_walk_set(self, calls):
+        connecting = union_of_two_classes()
+        full_spectrum_via_irreps(6, connecting)
+        assert calls == [6]
+
+    def test_theorem_65(self, calls):
+        rows = verify.theorem_65_max_block_eigenvalues(7, 3)
+        assert calls == [7]
+        assert len(rows) == sum(dimension(shape) > 6 for shape in partitions_of(7))
+
+    def test_given_parameters_are_used_as_they_are(self, calls):
+        connecting = enumerate_connecting_set(prefix_moving_cycles(6, 3, 2))
+        for shape in partitions_of(6):
+            walked = _word_walk_matrix(shape, connecting)
+            assert np.abs(hplus_matrix(shape, connecting, (3, 2)) - walked).max() < 1e-10
+            assert np.array_equal(hplus_matrix(shape, connecting, None), walked)
+        assert calls == []
+        hplus_matrix((5, 1), connecting)
+        assert calls == [6]
