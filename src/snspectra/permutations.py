@@ -262,8 +262,13 @@ def _lex_permutations(n: int) -> np.ndarray:
 
 
 def image_array(perms: Sequence[Permutation], n: int) -> np.ndarray:
-    """The ``(len(perms), n)`` array of 0-based images of degree-n permutations."""
-    return np.array([p.images for p in perms], dtype=np.min_scalar_type(n)).reshape(-1, n) - 1
+    """The ``(len(perms), n)`` array of 0-based images of degree-n permutations;
+    a permutation of another degree raises DegreeMismatchError."""
+    rows = [p.images for p in perms]
+    for row in rows:
+        if len(row) != n:
+            raise DegreeMismatchError(f"degrees {len(row)} != {n}")
+    return np.array(rows, dtype=np.min_scalar_type(n)).reshape(-1, n) - 1
 
 
 def as_permutations(images: np.ndarray) -> tuple[Permutation, ...]:

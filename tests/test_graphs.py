@@ -25,6 +25,7 @@ from snspectra.graphs import (
     weyl_check,
 )
 from snspectra.permutations import (
+    DegreeMismatchError,
     Permutation,
     alternating_group,
     compose,
@@ -114,6 +115,10 @@ class TestConstruction:
     def test_explicit_set_validation(self):
         with pytest.raises(ValueError):
             from_explicit_set("symmetric", 3, [parse_cycles("(1,2,3)", 3)])
+
+    def test_set_of_another_degree_refused(self):
+        with pytest.raises(DegreeMismatchError, match="degrees 4 != 6"):
+            from_explicit_set("symmetric", 6, enumerate_connecting_set(full_cycles(4, 2)))
 
     def test_explicit_odd_set_rejected_on_alternating(self):
         with pytest.raises(ValueError, match="odd permutations"):

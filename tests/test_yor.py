@@ -7,6 +7,7 @@ from snspectra.characters import class_eigenvalue, mn_character
 from snspectra.diagrams import dimension, partitions_of
 from snspectra.graphs import dense_spectrum, from_explicit_set, split_by_last_point
 from snspectra.permutations import (
+    DegreeMismatchError,
     Permutation,
     compose,
     cycle_type,
@@ -174,6 +175,12 @@ class TestFullSpectra:
     def test_rejects_identity_in_set(self):
         with pytest.raises(ValueError):
             full_spectrum_via_irreps(4, [Permutation.identity(4)])
+
+    @pytest.mark.parametrize("kind", ["symmetric", "alternating"])
+    def test_rejects_set_of_another_degree(self, kind):
+        transpositions = enumerate_connecting_set(full_cycles(4, 2))
+        with pytest.raises(DegreeMismatchError, match="degrees 4 != 6"):
+            full_spectrum_via_irreps(6, transpositions, kind)
 
     def test_alternating_rejects_odd_set(self):
         connecting = enumerate_connecting_set(full_cycles(6, 4))
