@@ -15,7 +15,7 @@ from typing import Sequence
 from ._numpy import np
 from .eigen import exact_integer_eigenvalues
 from .formulas import binom
-from .graphs import CayleyGraph
+from .graphs import CayleyGraph, natural_module_matrix
 from .permutations import (
     ConnectingSetSpec,
     Permutation,
@@ -189,8 +189,9 @@ def counted_quotient(
 
     A neighbor h*v of v lands in the block determined by h(v(p)) where p is
     the partition point, so the count for every vertex of a block is a pure
-    point-image count; constancy across each block is verified exactly,
-    which covers every vertex of the explicit graph.
+    point-image count, read off the natural-module operator; constancy
+    across each block is verified exactly, which covers every vertex of the
+    explicit graph.
     """
     if which not in ("B1", "B2"):
         raise ValueError(f"which must be B1 or B2, not {which!r}")
@@ -199,20 +200,19 @@ def counted_quotient(
         ranges = [(n, n), (1, r), (r + 1, n - 1)]
     else:
         ranges = [(1, 1), (2, r), (r + 1, n)]
-    block_of = np.full(n, -1, dtype=np.intp)
-    for b, (lo, hi) in enumerate(ranges):
-        block_of[lo - 1 : hi] = b
-    assert (block_of >= 0).all()
-    # counts[p, b] = #{h in H : h(p) in block b}, for every point p at once
-    keys = np.arange(n) * 3 + block_of[image_array(connecting, n)]
-    counts = np.bincount(keys.ravel(), minlength=3 * n).reshape(n, 3)
+    natural = natural_module_matrix(n, connecting)
+    # counts[p][b] = #{h in H : h(p) in block b}, for every point p
+    counts = [
+        [sum(natural[i - 1][p - 1] for i in range(lo, hi + 1)) for lo, hi in ranges]
+        for p in range(1, n + 1)
+    ]
     quotient: list[list[int]] = []
     equitable = True
     for lo, hi in ranges:
         rows = counts[lo - 1 : hi]
-        if (rows != rows[0]).any():
+        if any(row != rows[0] for row in rows):
             equitable = False
-        quotient.append(rows[0].tolist())
+        quotient.append(rows[0])
     return equitable, quotient
 
 

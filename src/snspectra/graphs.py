@@ -7,6 +7,7 @@ checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
@@ -21,6 +22,7 @@ from .eigen import (
 )
 from .permutations import (
     ConnectingSetSpec,
+    DegreeMismatchError,
     Permutation,
     as_permutations,
     enumerate_connecting_set,
@@ -229,11 +231,17 @@ def dense_spectrum(graph: CayleyGraph) -> SpectrumReport:
 
 
 def natural_module_matrix(n: int, connecting: Sequence[Permutation]) -> list[list[int]]:
-    """The n x n integer operator N[i][j] = #{h in H : h(j) = i}."""
-    matrix = np.zeros((n, n), dtype=np.int64)
-    images = image_array(connecting, n)
-    np.add.at(matrix, (images, np.arange(n)), 1)
-    return matrix.tolist()
+    """The n x n integer operator N[i][j] = #{h in H : h(j) = i} (0-based i, j);
+    a permutation of another degree raises DegreeMismatchError."""
+    rows = [h.images for h in connecting]
+    for row in rows:
+        if len(row) != n:
+            raise DegreeMismatchError(f"degrees {len(row)} != {n}")
+    matrix = [[0] * n for _ in range(n)]
+    for j, column in enumerate(zip(*rows)):
+        for i, count in Counter(column).items():
+            matrix[i - 1][j] = count
+    return matrix
 
 
 def natural_module_spectrum(n: int, connecting: Sequence[Permutation]) -> SpectrumReport:

@@ -7,9 +7,10 @@ The composition convention is fixed repo-wide as ``(g * h)(x) = g(h(x))``,
 i.e. ``h`` acts first.  Cayley adjacency elsewhere uses ``u ~ v`` iff
 ``u * v.inverse()`` is in the connecting set.
 
-Internally, groups and connecting sets are ``(N, n)`` small-int arrays of
-0-based images, one row per element; ``Permutation`` objects are made from
-them only at the public boundary.
+Connecting sets are enumerated in pure Python.  The array routes hold
+groups and connecting sets as ``(N, n)`` small-int arrays of 0-based images,
+one row per element; ``Permutation`` objects are made from them only at the
+public boundary.
 
 Connecting sets:
 
@@ -284,21 +285,26 @@ def enumerate_connecting_set(spec: ConnectingSetSpec) -> tuple[Permutation, ...]
     """
     n, k = spec.n, spec.k
     if spec.family == "full":
-        supports = list(itertools.combinations(range(n), k))
+        supports = itertools.combinations(range(1, n + 1), k)
     else:
-        supports = [
-            tuple(range(spec.r)) + extra
-            for extra in itertools.combinations(range(spec.r, n), k - spec.r)
-        ]
-    # All (k-1)! distinct k-cycles on each support, anchored at its least
-    # point so each cycle is produced exactly once: cycle[i] -> cycle[i+1].
-    order = np.insert(_lex_permutations(k - 1) + 1, 0, 0, axis=1)
-    cycles = np.array(supports, dtype=np.intp)[:, order].reshape(-1, k)
-    images = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (len(cycles), 1))
-    images[np.arange(len(cycles))[:, None], cycles] = np.roll(cycles, -1, axis=1)
-    images = images[np.lexsort(images.T[::-1])]
-    assert len(images) == spec.cardinality()
-    return as_permutations(images)
+        prefix = tuple(range(1, spec.r + 1))
+        supports = (
+            prefix + extra
+            for extra in itertools.combinations(range(spec.r + 1, n + 1), k - spec.r)
+        )
+    identity = list(range(1, n + 1))
+    rows = []
+    for first, *rest in supports:
+        # All (k-1)! distinct k-cycles on the support, anchored at its least
+        # point so each cycle is produced exactly once: cycle[i] -> cycle[i+1].
+        for tail in itertools.permutations(rest):
+            images = identity.copy()
+            for a, b in zip((first,) + tail, tail + (first,)):
+                images[a - 1] = b
+            rows.append(tuple(images))
+    rows.sort()
+    assert len(rows) == spec.cardinality()
+    return tuple(map(Permutation._trusted, rows))
 
 
 def generated_subgroup_kind(spec: ConnectingSetSpec) -> str:

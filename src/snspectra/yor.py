@@ -397,7 +397,9 @@ def full_spectrum_via_irreps(
         for shape in partitions_of(n)
         for value, mult in hplus_block_spectrum(shape, connecting_set, params)
     ]
-    return _group_report(pairs, "irrep", group_kind, n, len(set(connecting_set)))
+    # A recognized class sum has already been checked for repeated elements.
+    order = len(connecting_set) if params is not None else len(set(connecting_set))
+    return _group_report(pairs, "irrep", group_kind, n, order)
 
 
 def char_spectrum(

@@ -19,10 +19,29 @@ from snspectra.formulas import mu_values
 from snspectra.graphs import build, dense_spectrum
 from snspectra.permutations import (
     Permutation,
+    enumerate_connecting_set,
     full_cycles,
+    image_array,
     parse_cycles,
     prefix_moving_cycles,
 )
+
+
+def bincount_quotient_reference(n, k, r, which):
+    """The counted quotient by the array formula: a block lookup table and
+    one bincount over the image array of H."""
+    connecting = enumerate_connecting_set(prefix_moving_cycles(n, k, r))
+    ranges = [(n, n), (1, r), (r + 1, n - 1)] if which == "B1" else [(1, 1), (2, r), (r + 1, n)]
+    block_of = np.full(n, -1, dtype=np.intp)
+    for b, (lo, hi) in enumerate(ranges):
+        block_of[lo - 1 : hi] = b
+    keys = np.arange(n) * 3 + block_of[image_array(connecting, n)]
+    counts = np.bincount(keys.ravel(), minlength=3 * n).reshape(n, 3)
+    blocks = [counts[lo - 1 : hi] for lo, hi in ranges]
+    return (
+        all((rows == rows[0]).all() for rows in blocks),
+        [rows[0].tolist() for rows in blocks],
+    )
 
 
 class TestEquitability:
@@ -124,6 +143,15 @@ class TestClosedFormQuotients:
                     closed = quotient_B1(n, k, r) if which == "B1" else quotient_B2(n, k, r)
                     assert equitable
                     assert counted == closed
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_counted_oracle_matches_bincount_reference(self, n):
+        for k in range(3, n):
+            for r in range(2, k):
+                for which in ("B1", "B2"):
+                    equitable, counted = counted_quotient(n, k, r, which)
+                    assert (equitable, counted) == bincount_quotient_reference(n, k, r, which)
+                    assert all(type(entry) is int for row in counted for entry in row)
 
     @pytest.mark.parametrize(
         "n,k,r", [(n, k, r) for n in range(4, 7) for k in range(3, n) for r in range(2, k)]

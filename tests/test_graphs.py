@@ -240,6 +240,13 @@ class TestDenseSpectrum:
             verify.spectrum(full_cycles(8, 8), "symmetric", "dense")
 
 
+def numpy_natural_reference(n, connecting):
+    """N by the array formula: one np.add.at over the image array."""
+    matrix = np.zeros((n, n), dtype=np.int64)
+    np.add.at(matrix, (image_array(connecting, n), np.arange(n)), 1)
+    return matrix.tolist()
+
+
 class TestNaturalModule:
     def test_matrix_entries(self):
         connecting = enumerate_connecting_set(prefix_moving_cycles(6, 3, 2))
@@ -257,6 +264,24 @@ class TestNaturalModule:
             for j in range(1, spec.n + 1):
                 expected[h(j) - 1][j - 1] += 1
         assert natural_module_matrix(spec.n, connecting) == expected
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_matrix_matches_numpy_reference(self, n):
+        for k in range(3, n):
+            for r in range(2, k):
+                connecting = enumerate_connecting_set(prefix_moving_cycles(n, k, r))
+                matrix = natural_module_matrix(n, connecting)
+                assert matrix == numpy_natural_reference(n, connecting)
+                assert all(type(entry) is int for row in matrix for entry in row)
+
+    @pytest.mark.parametrize(
+        "n,degrees,message",
+        [(6, (5, 5), "degrees 5 != 6"), (5, (5, 4), "degrees 4 != 5")],
+    )
+    def test_set_of_another_degree_refused(self, n, degrees, message):
+        connecting = [parse_cycles("(1,2,3)", degrees[0]), parse_cycles("(1,2)", degrees[1])]
+        with pytest.raises(DegreeMismatchError, match=message):
+            natural_module_matrix(n, connecting)
 
     def test_spectrum_example(self):
         connecting = enumerate_connecting_set(prefix_moving_cycles(6, 3, 2))

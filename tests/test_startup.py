@@ -53,9 +53,30 @@ CHAR_RUNS = [
 ]
 
 
+# The natural-module and quotient oracles count point images in Python.
+NATURAL_AND_QUOTIENT_RUNS = [
+    ["verify", "--theorem", "52", "--n", "5-8"],
+    ["verify", "--theorem", "53", "--n", "6-7"],
+    ["verify", "--theorem", "54", "--n", "6-7"],
+    ["verify", "--theorem", "61", "--n", "5-8"],
+    ["enumerate", "--set", "C(8,7;2)"],
+]
+QUOTIENT_RUNNER = """
+from snspectra import verify
+assert all(o.outcome == "match" for o in verify.verify_quotients(8, 5, 3))
+"""
+
+
 def test_char_routes_never_load_numpy():
     result = run_child(*CHAR_RUNS)
     assert result["codes"] == [0] * len(CHAR_RUNS)
+    assert result["loaded"] == []
+    assert result["real"]
+
+
+def test_natural_and_quotient_routes_never_load_numpy():
+    result = run_child(*NATURAL_AND_QUOTIENT_RUNS, prelude=QUOTIENT_RUNNER)
+    assert result["codes"] == [0] * len(NATURAL_AND_QUOTIENT_RUNS)
     assert result["loaded"] == []
     assert result["real"]
 
@@ -65,8 +86,6 @@ def test_char_routes_never_load_numpy():
     [
         ["verify", "--theorem", "1A", "--n", "5", "--method", "dense"],
         ["verify", "--theorem", "13", "--n", "6", "--r", "2", "--method", "irrep"],
-        ["verify", "--theorem", "61", "--n", "6", "--r", "2"],
-        ["verify", "--theorem", "53", "--n", "6", "--r", "2"],
     ],
 )
 def test_array_routes_load_numpy(argv):
