@@ -231,8 +231,8 @@ def dense_spectrum(graph: CayleyGraph) -> SpectrumReport:
 
 
 def natural_module_matrix(n: int, connecting: Sequence[Permutation]) -> list[list[int]]:
-    """The n x n integer operator N[i][j] = #{h in H : h(j) = i} (0-based i, j);
-    a permutation of another degree raises DegreeMismatchError."""
+    """The n x n integer operator N[i][j] = #{h in H : h(j) = i}; a
+    permutation of another degree raises DegreeMismatchError."""
     rows = [h.images for h in connecting]
     for row in rows:
         if len(row) != n:
