@@ -86,6 +86,8 @@ def test_natural_and_quotient_routes_never_load_numpy():
     [
         ["verify", "--theorem", "1A", "--n", "5", "--method", "dense"],
         ["verify", "--theorem", "13", "--n", "6", "--r", "2", "--method", "irrep"],
+        ["verify", "--theorem", "65", "--n", "6"],
+        ["verify", "--theorem", "1B", "--n", "5", "--method", "dense"],
     ],
 )
 def test_array_routes_load_numpy(argv):
