@@ -21,6 +21,7 @@ from .eigen import (
     weyl_upper_bounds_hold,
 )
 from .permutations import (
+    CapExceededError,
     ConnectingSetSpec,
     DegreeMismatchError,
     Permutation,
@@ -33,10 +34,6 @@ from .permutations import (
 from . import yor
 
 DENSE_CAP = 5040
-
-
-class CapExceededError(RuntimeError):
-    """A size cap refused a computation before its large allocation."""
 
 
 class DenseCapExceededError(CapExceededError):

@@ -30,8 +30,15 @@ from typing import Iterable, Sequence
 from ._numpy import np
 
 
+SET_CAP = 10**6  # the most elements enumerate_connecting_set makes
+
+
 class DegreeMismatchError(ValueError):
     """Raised when two permutations of different degree are combined."""
+
+
+class CapExceededError(RuntimeError):
+    """A size cap refused a computation before its large allocation."""
 
 
 @dataclass(frozen=True, order=True)
@@ -281,8 +288,11 @@ def enumerate_connecting_set(spec: ConnectingSetSpec) -> tuple[Permutation, ...]
     """The explicit connecting set, sorted by image sequence (deterministic).
 
     The result excludes the identity, is closed under inverse, and every
-    element is a single k-cycle.
+    element is a single k-cycle.  A set of more than SET_CAP elements is
+    refused with CapExceededError.
     """
+    if spec.cardinality() > SET_CAP:
+        raise CapExceededError(f"|{spec}| = {spec.cardinality()} exceeds set cap {SET_CAP}")
     n, k = spec.n, spec.k
     if spec.family == "full":
         supports = itertools.combinations(range(1, n + 1), k)

@@ -2,8 +2,9 @@
 Theorem verification runs: compute the predicted largest / second largest
 eigenvalues by the requested method and compare against the closed forms.
 
-Outcomes are "match", "mismatch", "skipped" or "documented-discrepancy" (a
-known inconsistency in the source material, reported but not fatal).
+Outcomes are "match", "mismatch", "skipped" (a size cap refused the case
+before its large allocation) or "documented-discrepancy" (a known
+inconsistency in the source material, reported but not fatal).
 """
 
 from __future__ import annotations
@@ -18,13 +19,13 @@ from typing import Callable, Sequence
 
 from . import formulas, graphs, yor
 from .characters import max_ratio_diagram
-from .diagrams import dimension, partitions_of
+from .diagrams import dimension
 from .eigen import CLUSTER_TOL, SpectrumReport
 from .equitable import counted_quotient, quotient_B1, quotient_B2, quotient_eigenvalues
-from .graphs import CapExceededError, build, check_dense_cap, dense_spectrum
+from .graphs import build, check_dense_cap, dense_spectrum
 from .permutations import (
+    CapExceededError,
     ConnectingSetSpec,
-    Permutation,
     enumerate_connecting_set,
     full_cycles,
     generated_subgroup_kind,
@@ -32,24 +33,24 @@ from .permutations import (
     prefix_moving_cycles,
 )
 
-# The one table of what verify checks: for each theorem, the methods that
-# check it and whether it takes r. run_cases refuses anything else.
+# The one table of what verify checks. For each theorem: the methods that
+# check it, the least n of its domain, the parameters it takes beyond n, one
+# letter each (r in 2..n-2, then k in r+1..n-1), and the runner of one case,
+# called with the method and the case's parameters by name.
 THEOREMS = {
-    "1A": (("auto", "dense", "irrep", "char", "all"), False),
-    "1B": (("auto", "dense", "irrep", "char", "all"), False),
-    "13": (("auto", "dense", "irrep", "all"), True),
-    "52": (("auto", "natural"), True),
-    "53": (("auto", "quotient"), True),
-    "54": (("auto", "quotient"), True),
-    "61": (("auto", "natural"), True),
-    "65": (("auto", "irrep"), True),
-    "42": (("auto", "char"), False),
-    "43": (("auto", "char"), False),
+    "1A": (("auto", "dense", "irrep", "char", "all"), 5, "", lambda m, n: [verify_T1A(n, m)]),
+    "1B": (("auto", "dense", "irrep", "char", "all"), 5, "", lambda m, n: [verify_T1B(n, m)]),
+    "13": (("auto", "dense", "irrep", "all"), 5, "r", lambda m, n, r: [verify_T13(n, r, m)]),
+    "52": (("auto", "natural"), 4, "rk", lambda m, n, k, r: [verify_T52(n, k, r)]),
+    "53": (("auto", "quotient"), 4, "rk", lambda m, n, k, r: [_quotient_outcome("53", n, k, r)]),
+    "54": (("auto", "quotient"), 4, "rk", lambda m, n, k, r: [_quotient_outcome("54", n, k, r)]),
+    "61": (("auto", "natural"), 4, "r", lambda m, n, r: verify_L61(n, r)),
+    "65": (("auto", "irrep"), 5, "r", lambda m, n, r: [verify_T65(n, r)]),
+    "42": (("auto", "char"), 5, "", lambda m, n: [verify_L42(n)]),
+    "43": (("auto", "char"), 5, "", lambda m, n: [verify_L43(n)]),
 }
-METHODS = ("auto", "dense", "irrep", "natural", "char", "quotient", "all")
+METHODS = tuple(dict.fromkeys(m for methods, *_ in THEOREMS.values() for m in methods))
 DENSE_AUTO_LIMIT = 720
-# The irrep route enumerates H first; above this many elements it refuses.
-IRREP_SET_CAP = 10**6
 
 
 @dataclass
@@ -75,20 +76,14 @@ def _timed(fn: Callable[[], Outcome]) -> Outcome:
     return out
 
 
-def _enumerate_capped(spec: ConnectingSetSpec) -> tuple[Permutation, ...]:
-    """The elements of H, refused with CapExceededError before enumerating
-    when |H| exceeds IRREP_SET_CAP."""
-    if spec.cardinality() > IRREP_SET_CAP:
-        raise CapExceededError(f"|H| = {spec.cardinality()} exceeds irrep cap {IRREP_SET_CAP}")
-    return enumerate_connecting_set(spec)
-
-
 def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
     """Spectrum of Cay(G, H) for the group of this kind and H = spec, by the
     dense oracle, the irrep blocks or the characters; "auto" takes char for a
     conjugacy class, else dense up to DENSE_AUTO_LIMIT vertices, else irrep.
-    Raises CapExceededError above the dense cap or, for irrep, when |H|
-    exceeds IRREP_SET_CAP."""
+    Raises CapExceededError before the large allocation: for dense above
+    graphs.DENSE_CAP vertices, for irrep when H has more than
+    permutations.SET_CAP elements or the largest block more than
+    yor.BLOCK_CAP rows."""
     if method == "auto":
         if spec.family == "full":
             method = "char"
@@ -98,7 +93,7 @@ def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
         check_dense_cap(group_order(kind, spec.n))
         return dense_spectrum(build(kind, spec))
     if method == "irrep":
-        return yor.full_spectrum_via_irreps(spec.n, _enumerate_capped(spec), kind)
+        return yor.full_spectrum_via_irreps(spec.n, enumerate_connecting_set(spec), kind)
     if method == "char":
         if spec.family != "full":
             raise ValueError("char method needs a conjugacy-class connecting set")
@@ -120,10 +115,7 @@ def _lambda_outcome(
     expected = {"lambda1": lambda1, "lambda2": lambda2}
 
     def run() -> Outcome:
-        try:
-            report = spectrum(spec, generated_subgroup_kind(spec), method)
-        except CapExceededError as exc:
-            return Outcome(theorem, params, expected, None, method, "skipped", detail=str(exc))
+        report = spectrum(spec, generated_subgroup_kind(spec), method)
         computed = {"lambda1": report.lambda1, "lambda2": report.lambda2}
         match = all(
             abs(computed[key] - value) <= CLUSTER_TOL for key, value in expected.items()
@@ -142,8 +134,6 @@ def _lambda_outcome(
 
 def verify_T1A(n: int, method: str = "auto") -> Outcome:
     """Full-cycle connecting set C(n, n)."""
-    if n <= 4:
-        return Outcome("1A", {"n": n}, None, None, method, "skipped", detail="n must be > 4")
     return _lambda_outcome(
         "1A", full_cycles(n, n), method,
         formulas.full_cycle_lambda1(n), formulas.full_cycle_lambda2(n), {"n": n},
@@ -152,8 +142,6 @@ def verify_T1A(n: int, method: str = "auto") -> Outcome:
 
 def verify_T1B(n: int, method: str = "auto") -> Outcome:
     """(n-1)-cycle connecting set C(n, n-1)."""
-    if n <= 4:
-        return Outcome("1B", {"n": n}, None, None, method, "skipped", detail="n must be > 4")
     return _lambda_outcome(
         "1B", full_cycles(n, n - 1), method,
         formulas.almost_full_cycle_lambda1(n), formulas.almost_full_cycle_lambda2(n), {"n": n},
@@ -162,14 +150,9 @@ def verify_T1B(n: int, method: str = "auto") -> Outcome:
 
 def verify_T13(n: int, r: int, method: str = "auto") -> Outcome:
     """Prefix-moving connecting set C(n, r+1; r)."""
-    params = {"n": n, "r": r}
-    if n <= 4 or not 2 <= r <= n - 2:
-        return Outcome(
-            "13", params, None, None, method, "skipped", detail="need n > 4, 2 <= r <= n-2"
-        )
     return _lambda_outcome(
         "13", prefix_moving_cycles(n, r + 1, r), method,
-        formulas.prefix_lambda1(n, r), formulas.prefix_lambda2(n, r), params,
+        formulas.prefix_lambda1(n, r), formulas.prefix_lambda2(n, r), {"n": n, "r": r},
     )
 
 
@@ -320,12 +303,13 @@ def theorem_65_max_block_eigenvalues(
     n: int, r: int
 ) -> list[tuple[tuple[int, ...], int, float]]:
     """(shape, dim, max eigenvalue) for every block of dimension > n-1 of the
-    prefix-moving set with k = r + 1.  Raises CapExceededError when the set
-    has more than IRREP_SET_CAP elements."""
-    connecting = _enumerate_capped(prefix_moving_cycles(n, r + 1, r))
+    prefix-moving set with k = r + 1.  Raises CapExceededError as
+    verify.spectrum's irrep route does."""
+    shapes = yor.block_shapes(n)
+    connecting = enumerate_connecting_set(prefix_moving_cycles(n, r + 1, r))
     params = yor._class_sum_parameters(n, connecting)
     rows = []
-    for shape in partitions_of(n):
+    for shape in shapes:
         dim = dimension(shape)
         if dim <= n - 1:
             continue
@@ -337,21 +321,12 @@ def theorem_65_max_block_eigenvalues(
 def verify_T65(n: int, r: int) -> Outcome:
     """No block of dimension > n-1 of C(n, r+1; r) has an eigenvalue above
     r!(n-r-1)."""
-    params = {"n": n, "r": r}
-    if n <= 4 or not 2 <= r <= n - 2:
-        return Outcome(
-            "65", params, None, None, "irrep", "skipped", detail="need n > 4, 2 <= r <= n-2"
-        )
 
     def run() -> Outcome:
         expected = formulas.prefix_lambda2(n, r)
-        try:
-            rows = theorem_65_max_block_eigenvalues(n, r)
-        except CapExceededError as exc:
-            return Outcome("65", params, expected, None, "irrep", "skipped", detail=str(exc))
-        computed = max(top for _, _, top in rows)
+        computed = max(top for _, _, top in theorem_65_max_block_eigenvalues(n, r))
         outcome = "match" if computed <= expected + CLUSTER_TOL else "mismatch"
-        return Outcome("65", params, expected, computed, "irrep", outcome)
+        return Outcome("65", {"n": n, "r": r}, expected, computed, "irrep", outcome)
 
     return _timed(run)
 
@@ -360,49 +335,51 @@ def verify_T65(n: int, r: int) -> Outcome:
 # Run orchestration
 
 
+def _domain(n_values, r_values, least_n: int, takes: str) -> list[dict]:
+    """The cases of a row by name: n >= least_n, then r in 2..n-2 (every one
+    by default), then k in r+1..n-1, as far as the row takes them. Requested
+    values outside that domain are not built."""
+    cases: list[dict] = []
+    for n in (n for n in n_values if n >= least_n):
+        rs = [r for r in (range(2, n - 1) if r_values is None else r_values) if 2 <= r <= n - 2]
+        if not takes:
+            cases.append({"n": n})
+        elif takes == "r":
+            cases += ({"n": n, "r": r} for r in rs)
+        else:
+            cases += ({"n": n, "k": k, "r": r} for r in rs for k in range(r + 1, n))
+    return cases
+
+
 def run_cases(
     theorem: str,
     n_values: Sequence[int],
     r_values: Sequence[int] | None = None,
     method: str = "auto",
 ) -> list[Outcome]:
+    """Every case of the theorem's domain at these values, by this method; a
+    case refused by a size cap is recorded as "skipped" with the refusal."""
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")
-    accepted, takes_r = THEOREMS[theorem]
+    accepted, least_n, takes, runner = THEOREMS[theorem]
     if method not in accepted:
         raise ValueError(f"theorem {theorem} takes method {'|'.join(accepted)}, not {method!r}")
-    if r_values is not None and not takes_r:
+    if r_values is not None and not takes:
         raise ValueError(f"theorem {theorem} takes no r")
-    methods = ["dense", "irrep"] if method == "all" else [method]
-    outcomes: list[Outcome] = []
-    for n in n_values:
-        rs = r_values if r_values is not None else range(2, n - 1)
-        if theorem == "1A":
-            outcomes.extend(verify_T1A(n, m) for m in methods)
-        elif theorem == "1B":
-            outcomes.extend(verify_T1B(n, m) for m in methods)
-        elif theorem == "42":
-            outcomes.append(verify_L42(n))
-        elif theorem == "43":
-            outcomes.append(verify_L43(n))
-        elif theorem == "13":
-            outcomes.extend(verify_T13(n, r, m) for r in rs for m in methods)
-        elif theorem == "61":
-            for r in rs:
-                outcomes.extend(verify_L61(n, r))
-        elif theorem == "65":
-            outcomes.extend(verify_T65(n, r) for r in rs)
-        elif theorem == "52":
-            outcomes.extend(verify_T52(n, k, r) for r in rs for k in range(r + 1, n))
-        else:  # 53, 54
-            outcomes.extend(
-                _quotient_outcome(theorem, n, k, r) for r in rs for k in range(r + 1, n)
-            )
-    if not outcomes:
-        where = f"n in {list(n_values)}"
-        if takes_r:
+    cases = _domain(n_values, r_values, least_n, takes)
+    if not cases:
+        where, needs = f"n in {list(n_values)}", f"n >= {least_n}"
+        if takes:
             where += f", r in {list(r_values) if r_values is not None else '2..n-2'}"
-        raise ValueError(f"theorem {theorem} has no case at {where}")
+            needs += ", 2 <= r <= n-2"
+        raise ValueError(f"theorem {theorem} has no case at {where}; it needs {needs}")
+    outcomes: list[Outcome] = []
+    for case in cases:
+        for m in ["dense", "irrep"] if method == "all" else [method]:
+            try:
+                outcomes.extend(runner(m, **case))
+            except CapExceededError as exc:
+                outcomes.append(Outcome(theorem, case, None, None, m, "skipped", detail=str(exc)))
     return outcomes
 
 

@@ -20,9 +20,12 @@ from . import characters
 from ._numpy import np
 from .diagrams import dimension, partitions_of, validate_diagram
 from .eigen import SpectrumReport, check_cayley_invariants, cluster_eigenvalues
-from .permutations import Permutation, even_rows, group_order, image_array
+from .permutations import CapExceededError, Permutation, even_rows, group_order, image_array
 
 SYMMETRY_TOL = 1e-9
+# The largest block of S12, (5,3,2,1,1): assembling and diagonalizing it
+# peaks at 2.8 GiB. S13's largest, (5,4,2,1,1), has 21450 rows.
+BLOCK_CAP = 7700
 
 # Tableau = tuple of row tuples, e.g. ((1, 2), (3,)) for shape [2, 1].
 Tableau = tuple[tuple[int, ...], ...]
@@ -377,6 +380,16 @@ def _group_report(
     return SpectrumReport(clustered, method)
 
 
+def block_shapes(n: int) -> tuple[tuple[int, ...], ...]:
+    """The diagrams of n, one block each; refused with CapExceededError,
+    before any block is built, when the largest has more than BLOCK_CAP rows."""
+    shapes = partitions_of(n)
+    rows, largest = max((dimension(shape), shape) for shape in shapes)
+    if rows > BLOCK_CAP:
+        raise CapExceededError(f"{rows}-row block {largest} of S{n} exceeds block cap {BLOCK_CAP}")
+    return shapes
+
+
 def full_spectrum_via_irreps(
     n: int, connecting_set: Sequence[Permutation], group_kind: str = "symmetric"
 ) -> SpectrumReport:
@@ -384,8 +397,10 @@ def full_spectrum_via_irreps(
 
     Each block value counts dim(shape) times, matching the regular
     representation of Sym(1..n); for ``group_kind`` "alternating" the
-    multiplicities are halved to those of Cay(Alt, H).
+    multiplicities are halved to those of Cay(Alt, H).  An n with a block
+    above BLOCK_CAP rows is refused first, by block_shapes.
     """
+    shapes = block_shapes(n)
     connecting_set = tuple(connecting_set)
     images = image_array(connecting_set, n)
     _check_group(group_kind, bool(even_rows(images).all()))
@@ -394,7 +409,7 @@ def full_spectrum_via_irreps(
     params = _class_sum_parameters(n, connecting_set)
     pairs = [
         (value, mult * dimension(shape))
-        for shape in partitions_of(n)
+        for shape in shapes
         for value, mult in hplus_block_spectrum(shape, connecting_set, params)
     ]
     # A recognized class sum has already been checked for repeated elements.

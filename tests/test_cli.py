@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -42,6 +43,18 @@ class TestVerifyCommand:
         assert run_cli(capsys, "character", "--n", "5")[0] == 0
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, params",
+        [
+            (("--theorem", "1A", "--n", "3-6"), [{"n": 5}, {"n": 6}]),
+            (("--theorem", "61", "--n", "6", "--r", "1-2"), [{"n": 6, "r": 2}] * 2),
+        ],
+    )
+    def test_partial_range_keeps_the_domain(self, capsys, argv, params):
+        code, out = run_cli(capsys, "verify", *argv, "--format", "json")
+        assert code == 0
+        assert [o["params"] for o in json.loads(out)] == params
+
     def test_rejects_unknown_theorem(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--theorem", "9", "--n", "5"])
@@ -76,6 +89,10 @@ class TestBadInput:
             ("verify", "--theorem", "52", "--n", "3"),
             ("verify", "--theorem", "61", "--n", "3"),
             ("verify", "--theorem", "13", "--n", "3"),
+            ("verify", "--theorem", "1A", "--n", "4"),
+            ("verify", "--theorem", "13", "--n", "6", "--r", "1"),
+            ("verify", "--theorem", "13", "--n", "6", "--r", "5"),
+            ("verify", "--theorem", "65", "--n", "7", "--r", "6"),
         ],
     )
     def test_one_line_error_and_exit_code_2(self, capsys, argv):
@@ -99,15 +116,9 @@ class TestBadInput:
         assert "mismatch" in out
 
 
+@pytest.mark.usefixtures("no_element_made")
 class TestIrrepCap:
-    """The irrep route refuses a huge H before enumerating it."""
-
-    @pytest.fixture(autouse=True)
-    def no_enumeration(self, monkeypatch):
-        def refuse(spec):
-            raise AssertionError(f"{spec} was enumerated")
-
-        monkeypatch.setattr(verify, "enumerate_connecting_set", refuse)
+    """The irrep route refuses a huge H before any element of it is made."""
 
     def test_verify_reports_skipped(self, capsys):
         code, out = run_cli(
@@ -117,7 +128,8 @@ class TestIrrepCap:
         assert code == 0
         [outcome] = json.loads(out)
         assert outcome["outcome"] == "skipped"
-        assert outcome["detail"] == "|H| = 479001600 exceeds irrep cap 1000000"
+        assert outcome["expected"] is None
+        assert outcome["detail"] == "|C(13,13)| = 479001600 exceeds set cap 1000000"
 
     def test_spectrum_one_line_error_and_exit_code_2(self, capsys):
         code = main(
@@ -127,7 +139,70 @@ class TestIrrepCap:
         assert code == 2
         assert captured.out == ""
         assert captured.err == (
-            "snspectra spectrum: error: |H| = 479001600 exceeds irrep cap 1000000\n"
+            "snspectra spectrum: error: |C(13,13)| = 479001600 exceeds set cap 1000000\n"
+        )
+
+
+
+@pytest.mark.usefixtures("no_element_made")
+class TestSetCap:
+    """Every other route that enumerates H refuses a huge H the same way."""
+
+    def test_enumerate_one_line_error_and_exit_code_2(self, capsys):
+        code = main(["enumerate", "--set", "C(13,13)"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "snspectra enumerate: error: |C(13,13)| = 479001600 exceeds set cap 1000000\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (("61", "--n", "13", "--r", "11"), "|C(13,12;11)| = 79833600 exceeds set cap 1000000"),
+            (("53", "--n", "14", "--r", "12"), "|C(14,13;12)| = 958003200 exceeds set cap 1000000"),
+        ],
+    )
+    def test_natural_and_quotient_rows_skipped(self, capsys, argv, detail):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "verify", "--theorem", *argv, "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        [outcome] = json.loads(out)
+        assert (outcome["outcome"], outcome["expected"], outcome["detail"]) == (
+            "skipped", None, detail,
+        )
+
+
+@pytest.mark.usefixtures("no_block_assembled")
+class TestBlockCap:
+    """The irrep route refuses an n whose largest block exceeds yor.BLOCK_CAP
+    before it assembles any block."""
+
+    def test_verify_reports_skipped(self, capsys):
+        start = time.perf_counter()
+        code, out = run_cli(
+            capsys, "verify", "--theorem", "13", "--n", "13", "--r", "2", "--format", "json"
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        [outcome] = json.loads(out)
+        assert (outcome["outcome"], outcome["expected"], outcome["params"]) == (
+            "skipped", None, {"n": 13, "r": 2},
+        )
+        assert outcome["detail"] == "21450-row block (5, 4, 2, 1, 1) of S13 exceeds block cap 7700"
+
+    def test_spectrum_one_line_error_and_exit_code_2(self, capsys):
+        code = main(
+            ["spectrum", "--group", "S", "--n", "13", "--set", "C(13,3;2)", "--method", "irrep"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "snspectra spectrum: error: "
+            "21450-row block (5, 4, 2, 1, 1) of S13 exceeds block cap 7700\n"
         )
 
 

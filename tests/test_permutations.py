@@ -4,7 +4,9 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from snspectra import graphs, permutations
 from snspectra.permutations import (
+    CapExceededError,
     ConnectingSetSpec,
     DegreeMismatchError,
     Permutation,
@@ -152,6 +154,20 @@ class TestSpecs:
             prefix_moving_cycles(5, 5, 2)  # needs k < n
         with pytest.raises(ValueError):
             prefix_moving_cycles(5, 3, 3)
+
+    def test_set_cap_refuses_before_making_an_element(self, no_element_made):
+        with pytest.raises(
+            CapExceededError, match=r"^\|C\(13,13\)\| = 479001600 exceeds set cap 1000000$"
+        ):
+            enumerate_connecting_set(full_cycles(13, 13))
+        assert permutations.SET_CAP == 10**6
+        assert graphs.CapExceededError is CapExceededError
+
+    def test_set_cap_admits_a_set_of_its_size(self, monkeypatch):
+        monkeypatch.setattr(permutations, "SET_CAP", 24)
+        assert len(enumerate_connecting_set(full_cycles(5, 5))) == 24
+        with pytest.raises(CapExceededError, match=r"\|C\(5,4\)\| = 30 exceeds set cap 24"):
+            enumerate_connecting_set(full_cycles(5, 4))
 
     def test_full_cycle_count(self):
         assert len(enumerate_connecting_set(full_cycles(5, 5))) == 24

@@ -110,15 +110,20 @@ class TestTheoremRunners:
         assert verify.verify_T13(6, 2).method == "dense"
 
     def test_T1A_skips_tiny(self):
-        assert verify.verify_T1A(4).outcome == "skipped"
+        # n <= 4 is outside Theorem 1A: run_cases builds no case there, and
+        # the runner called directly raises the formula's ValueError.
+        assert [o.params for o in verify.run_cases("1A", [3, 4, 5])] == [{"n": 5}]
+        with pytest.raises(ValueError, match="asserted for n > 4 only"):
+            verify.verify_T1A(4)
 
     def test_dense_refused_before_building(self, monkeypatch):
         def build(*args):
             raise AssertionError("the graph was built")
 
         monkeypatch.setattr(verify, "build", build)
-        out = verify.verify_T1A(9, "dense")
-        assert out.outcome == "skipped"
+        [out] = verify.run_cases("1A", [9], None, "dense")
+        assert (out.outcome, out.expected, out.computed) == ("skipped", None, None)
+        assert (out.params, out.method) == ({"n": 9}, "dense")
         assert out.detail == "181440 vertices exceeds dense cap 5040"
 
     def test_T1B_small(self):
@@ -133,7 +138,10 @@ class TestTheoremRunners:
         assert dense.computed == irrep.computed
 
     def test_T13_bad_r_skipped(self):
-        assert verify.verify_T13(6, 5).outcome == "skipped"
+        outcomes = verify.run_cases("13", [6], [1, 2, 5])
+        assert [o.params for o in outcomes] == [{"n": 6, "r": 2}]
+        with pytest.raises(ValueError, match="prefix family needs 1 <= r < k < n"):
+            verify.verify_T13(6, 5)
 
     def test_T52_match_and_discrepancy(self):
         assert verify.verify_T52(6, 3, 2).outcome == "match"
@@ -196,19 +204,17 @@ class TestTheoremRunners:
         assert (out.computed, out.outcome) == (10.5, "mismatch")
 
     def test_T65_skips_outside_the_theorem(self):
-        assert verify.verify_T65(4, 2).outcome == "skipped"
-        assert verify.verify_T65(7, 6).outcome == "skipped"
+        outcomes = verify.run_cases("65", [4, 7], [2, 6])
+        assert [o.params for o in outcomes] == [{"n": 7, "r": 2}]
+        with pytest.raises(ValueError, match="prefix family needs 1 <= r < k < n"):
+            verify.verify_T65(7, 6)
 
-    def test_T65_refused_above_the_irrep_cap_before_enumerating(self, monkeypatch):
-        def refuse(spec):
-            raise AssertionError(f"{spec} was enumerated")
-
-        monkeypatch.setattr(verify, "enumerate_connecting_set", refuse)
+    def test_T65_refused_above_the_irrep_cap_before_enumerating(self, no_element_made):
         start = time.perf_counter()
-        out = verify.verify_T65(13, 11)
+        [out] = verify.run_cases("65", [13], [11])
         assert time.perf_counter() - start < 1.0
-        assert out.outcome == "skipped"
-        assert out.detail == "|H| = 79833600 exceeds irrep cap 1000000"
+        assert (out.outcome, out.expected, out.params) == ("skipped", None, {"n": 13, "r": 11})
+        assert out.detail == "21450-row block (5, 4, 2, 1, 1) of S13 exceeds block cap 7700"
 
     @pytest.mark.parametrize("theorem", ["42", "43"])
     def test_L42_L43_reach(self, theorem):
@@ -233,7 +239,7 @@ class TestOrchestration:
 
     @pytest.mark.parametrize("theorem", list(verify.THEOREMS))
     def test_every_method_of_a_row_checks_its_theorem(self, theorem):
-        methods, _ = verify.THEOREMS[theorem]
+        methods, *_ = verify.THEOREMS[theorem]
         for method in methods:
             outcomes = verify.run_cases(theorem, [6], None, method)
             assert outcomes
@@ -241,11 +247,11 @@ class TestOrchestration:
 
     @pytest.mark.parametrize("theorem", list(verify.THEOREMS))
     def test_methods_and_r_outside_a_row_are_refused(self, theorem):
-        methods, takes_r = verify.THEOREMS[theorem]
+        methods, _, takes, _ = verify.THEOREMS[theorem]
         for method in set(verify.METHODS) - set(methods):
             with pytest.raises(ValueError, match=f"theorem {theorem} takes method"):
                 verify.run_cases(theorem, [6], None, method)
-        if takes_r:
+        if takes:
             assert verify.run_cases(theorem, [6], [2])
         else:
             with pytest.raises(ValueError, match="takes no r"):
@@ -256,8 +262,26 @@ class TestOrchestration:
             verify.run_cases("52", [6], [5])
         with pytest.raises(ValueError, match=r"theorem 61 has no case at n in \[3\], r in 2..n-2"):
             verify.run_cases("61", [3])
+        with pytest.raises(ValueError, match=r"theorem 1A has no case at n in \[4\]; it needs n >= 5"):
+            verify.run_cases("1A", [4])
         with pytest.raises(ValueError, match="theorem 43 needs n > 4, got n=4"):
             verify.verify_L43(4)
+
+    @pytest.mark.parametrize(
+        "theorem, least_n",
+        [("1A", 5), ("1B", 5), ("13", 5), ("65", 5), ("42", 5), ("43", 5),
+         ("52", 4), ("53", 4), ("54", 4), ("61", 4)],
+    )
+    def test_domain_of_each_row(self, theorem, least_n):
+        _, least, takes, _ = verify.THEOREMS[theorem]
+        assert least == least_n
+        outcomes = verify.run_cases(theorem, range(1, least_n + 1))
+        assert {o.params["n"] for o in outcomes} == {least_n}
+        for o in outcomes:
+            if "r" in takes:
+                assert 2 <= o.params["r"] <= o.params["n"] - 2
+            if "k" in takes:
+                assert o.params["r"] < o.params["k"] < o.params["n"]
 
     def test_run_cases_and_exit_code(self):
         outcomes = verify.run_cases("42", [5, 6])

@@ -7,6 +7,7 @@ from snspectra.characters import class_eigenvalue, mn_character
 from snspectra.diagrams import dimension, partitions_of
 from snspectra.graphs import dense_spectrum, from_explicit_set, split_by_last_point
 from snspectra.permutations import (
+    CapExceededError,
     DegreeMismatchError,
     Permutation,
     compose,
@@ -192,6 +193,29 @@ class TestFullSpectra:
     def test_rejects_unknown_group_kind(self):
         with pytest.raises(ValueError):
             char_spectrum(5, (5,), "cyclic")
+
+
+class TestBlockCap:
+    def test_largest_block_of_S12_is_admitted(self):
+        assert max(map(dimension, yor.block_shapes(12))) == yor.BLOCK_CAP == 7700
+        assert yor.block_shapes(12) == partitions_of(12)
+
+    @pytest.mark.parametrize(
+        "refused",
+        [
+            lambda: yor.block_shapes(13),
+            lambda: full_spectrum_via_irreps(
+                13, enumerate_connecting_set(prefix_moving_cycles(13, 3, 2))
+            ),
+            lambda: verify.theorem_65_max_block_eigenvalues(13, 2),
+        ],
+        ids=["shapes", "full_spectrum", "theorem_65"],
+    )
+    def test_S13_refused_before_any_block(self, no_block_assembled, refused):
+        with pytest.raises(
+            CapExceededError, match=r"^21450-row block \(5, 4, 2, 1, 1\) of S13 exceeds block cap 7700$"
+        ):
+            refused()
 
 
 class TestCharSpectrum:
