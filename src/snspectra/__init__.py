@@ -18,10 +18,28 @@ from .permutations import (
 )
 from .diagrams import branch_restrict, dimension, partitions_of, transpose
 from .characters import class_eigenvalue, hook_value_on_ncycle, max_ratio_diagram, mn_character
-from .yor import full_spectrum_via_irreps, hplus_block_spectrum, standard_tableaux, yor_generator, yor_image
 from .graphs import CayleyGraph, build, dense_spectrum, natural_module_spectrum
 from .eigen import SpectrumReport
 from .equitable import is_equitable, partition_P1, partition_P2, quotient_B1, quotient_B2
+
+# The yor exports load Young's orthogonal form on first access, so a run that
+# takes neither the irrep nor the char route never imports it.
+_YOR_EXPORTS = (
+    "full_spectrum_via_irreps",
+    "hplus_block_spectrum",
+    "standard_tableaux",
+    "yor_generator",
+    "yor_image",
+)
+
+
+def __getattr__(name: str):
+    if name in _YOR_EXPORTS:
+        from . import yor
+
+        return getattr(yor, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CayleyGraph",

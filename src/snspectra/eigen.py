@@ -1,12 +1,10 @@
 """
-Eigenvalue machinery: multiplicity clustering with integer snapping, exact
-integer characteristic polynomials with integer root extraction, and the
-Weyl inequality check.
+Eigenvalue machinery: multiplicity clustering with integer snapping, and
+exact integer characteristic polynomials with integer root extraction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 CLUSTER_TOL = 1e-6
@@ -89,7 +87,6 @@ def check_cayley_invariants(
         raise ArithmeticError("Cayley spectrum invariants fail: " + "; ".join(failures))
 
 
-@dataclass
 class SpectrumReport:
     """Sorted eigenvalue multiset with provenance.
 
@@ -97,21 +94,18 @@ class SpectrumReport:
     ``lambda2`` are the largest and second largest *distinct* values.
     """
 
-    eigenvalues: list[tuple[float, int]]
-    method: str
-    lambda1: float = field(init=False)
-    lambda2: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.eigenvalues:
+    def __init__(self, eigenvalues: list[tuple[float, int]], method: str) -> None:
+        if not eigenvalues:
             raise ValueError("empty spectrum")
-        if self.method not in ("dense", "irrep", "natural", "char"):
-            raise ValueError(f"unknown method {self.method!r}")
-        values = [v for v, _ in self.eigenvalues]
+        if method not in ("dense", "irrep", "natural", "char"):
+            raise ValueError(f"unknown method {method!r}")
+        values = [v for v, _ in eigenvalues]
         if values != sorted(values, reverse=True):
             raise ValueError("eigenvalues must be sorted descending")
-        self.lambda1 = values[0]
-        self.lambda2 = values[1] if len(values) > 1 else values[0]
+        self.eigenvalues = eigenvalues
+        self.method = method
+        self.lambda1: float = values[0]
+        self.lambda2: float = values[1] if len(values) > 1 else values[0]
 
     @property
     def size(self) -> int:
@@ -220,28 +214,3 @@ def exact_integer_eigenvalues(matrix: Sequence[Sequence[int]]) -> list[tuple[int
     bound = max((sum(abs(v) for v in row) for row in rows), default=0)
     roots = integer_roots(charpoly_int(rows), bound)
     return sorted(roots.items(), key=lambda kv: -kv[0])
-
-
-# ---------------------------------------------------------------------------
-# Weyl inequalities
-
-
-def weyl_upper_bounds_hold(
-    alpha: Sequence[float],
-    beta: Sequence[float],
-    gamma: Sequence[float],
-    tol: float = CLUSTER_TOL,
-) -> bool:
-    """Check gamma_{i+j-1} <= alpha_i + beta_j for all valid i, j.
-
-    Inputs are full descending eigenvalue lists of symmetric A, B and
-    C = A + B of equal size.
-    """
-    m = len(gamma)
-    if len(alpha) != m or len(beta) != m:
-        raise ValueError("eigenvalue lists must have equal length")
-    for i in range(1, m + 1):
-        for j in range(1, m + 1):
-            if i + j - 1 <= m and gamma[i + j - 2] > alpha[i - 1] + beta[j - 1] + tol:
-                return False
-    return True

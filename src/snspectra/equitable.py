@@ -182,10 +182,10 @@ def quotient_B2(n: int, k: int, r: int) -> list[list[int]]:
     ]
 
 
-def counted_quotient(
-    n: int, k: int, r: int, which: str
-) -> tuple[bool, list[list[int]]]:
-    """Neighbor-counted quotient oracle, independent of the closed forms.
+def counted_quotient(n: int, k: int, r: int) -> dict[str, tuple[bool, list[list[int]]]]:
+    """Neighbor-counted quotient oracle, independent of the closed forms:
+    for "B1" and "B2", whether the partition is equitable and its quotient
+    matrix, both read from one count of H = C(n, k; r).
 
     A neighbor h*v of v lands in the block determined by h(v(p)) where p is
     the partition point, so the count for every vertex of a block is a pure
@@ -193,27 +193,27 @@ def counted_quotient(
     across each block is verified exactly, which covers every vertex of the
     explicit graph.
     """
-    if which not in ("B1", "B2"):
-        raise ValueError(f"which must be B1 or B2, not {which!r}")
     connecting = enumerate_connecting_set(prefix_moving_cycles(n, k, r))
-    if which == "B1":
-        ranges = [(n, n), (1, r), (r + 1, n - 1)]
-    else:
-        ranges = [(1, 1), (2, r), (r + 1, n)]
     natural = natural_module_matrix(n, connecting)
-    # counts[p][b] = #{h in H : h(p) in block b}, for every point p
-    counts = [
-        [sum(natural[i - 1][p - 1] for i in range(lo, hi + 1)) for lo, hi in ranges]
-        for p in range(1, n + 1)
-    ]
-    quotient: list[list[int]] = []
-    equitable = True
-    for lo, hi in ranges:
-        rows = counts[lo - 1 : hi]
-        if any(row != rows[0] for row in rows):
-            equitable = False
-        quotient.append(rows[0])
-    return equitable, quotient
+    result = {}
+    for which, ranges in (
+        ("B1", [(n, n), (1, r), (r + 1, n - 1)]),
+        ("B2", [(1, 1), (2, r), (r + 1, n)]),
+    ):
+        # counts[p][b] = #{h in H : h(p) in block b}, for every point p
+        counts = [
+            [sum(natural[i - 1][p - 1] for i in range(lo, hi + 1)) for lo, hi in ranges]
+            for p in range(1, n + 1)
+        ]
+        quotient: list[list[int]] = []
+        equitable = True
+        for lo, hi in ranges:
+            rows = counts[lo - 1 : hi]
+            if any(row != rows[0] for row in rows):
+                equitable = False
+            quotient.append(rows[0])
+        result[which] = equitable, quotient
+    return result
 
 
 def quotient_eigenvalues(matrix: Sequence[Sequence[int]]) -> list[int]:

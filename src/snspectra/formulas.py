@@ -122,8 +122,3 @@ def prefix_lambda1(n: int, r: int) -> int:
 
 def prefix_lambda2(n: int, r: int) -> int:
     return factorial(r) * (n - r - 1)
-
-
-def split_sizes(n: int, r: int) -> tuple[int, int]:
-    """|H ∩ Sym(1..n-1)| and |H \\ Sym(1..n-1)| for H = C(n, r+1; r)."""
-    return factorial(r) * (n - r - 1), factorial(r)

@@ -1,14 +1,12 @@
 """
 Explicit Cayley graphs over symmetric/alternating groups, the dense spectrum
-oracle (block by block over the right cosets of a sign subgroup), the
-natural permutation-module operator, and the interlacing / Weyl numeric
-checks.
+oracle (block by block over the right cosets of a sign subgroup), and the
+natural permutation-module operator.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from ._numpy import np
@@ -18,7 +16,6 @@ from .eigen import (
     check_cayley_invariants,
     cluster_eigenvalues,
     exact_integer_eigenvalues,
-    weyl_upper_bounds_hold,
 )
 from .permutations import (
     CapExceededError,
@@ -31,7 +28,6 @@ from .permutations import (
     group_images,
     image_array,
 )
-from . import yor
 
 DENSE_CAP = 5040
 
@@ -40,7 +36,6 @@ class DenseCapExceededError(CapExceededError):
     pass
 
 
-@dataclass(eq=False)
 class CayleyGraph:
     """Cay(G, H) with u ~ v iff u * v^-1 in H.
 
@@ -53,17 +48,20 @@ class CayleyGraph:
     arrays, one row per element, the vertex rows in lexicographic order.
     """
 
-    group_kind: str
-    n: int
-    vertex_images: np.ndarray
-    connecting_set: tuple[Permutation, ...]
-    connecting_images: np.ndarray = field(init=False, repr=False)
-    _codes: np.ndarray = field(init=False, repr=False)
-    _neighbors: np.ndarray | None = field(init=False, repr=False, default=None)
-
-    def __post_init__(self) -> None:
-        self.connecting_images = image_array(self.connecting_set, self.n)
-        self._codes = self._code(self.vertex_images)
+    def __init__(
+        self,
+        group_kind: str,
+        n: int,
+        vertex_images: np.ndarray,
+        connecting_set: tuple[Permutation, ...],
+    ) -> None:
+        self.group_kind = group_kind
+        self.n = n
+        self.vertex_images = vertex_images
+        self.connecting_set = connecting_set
+        self.connecting_images = image_array(connecting_set, n)
+        self._codes = self._code(vertex_images)
+        self._neighbors: np.ndarray | None = None
 
     def _code(self, images: np.ndarray) -> np.ndarray:
         # Base-n reading of each row: increasing in lexicographic order, and
@@ -256,107 +254,3 @@ def multiplicity_table(n: int, r: int) -> list[tuple[int, int]]:
 
     connecting = enumerate_connecting_set(prefix_moving_cycles(n, r + 1, r))
     return exact_integer_eigenvalues(natural_module_matrix(n, connecting))
-
-
-# ---------------------------------------------------------------------------
-# Interlacing after deleting the edges at one vertex
-
-
-def delete_vertex_edges(graph: CayleyGraph, v: int) -> np.ndarray:
-    """Adjacency matrix with every edge incident to vertex ``v`` removed."""
-    a = graph.adjacency_matrix().astype(float)
-    a[v, :] = 0.0
-    a[:, v] = 0.0
-    return a
-
-
-@dataclass
-class InterlacingReport:
-    vertex: int
-    lambda1: float
-    lambda2: float
-    lambda1_after: float
-    lambda2_after: float
-    degree: int
-    chain_holds: bool
-    sqrt_bound_holds: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.chain_holds and self.sqrt_bound_holds
-
-
-def interlacing_check(
-    graph: CayleyGraph, v: int, tol: float = CLUSTER_TOL
-) -> InterlacingReport:
-    """Verify lambda1 >= lambda1' >= lambda2 >= lambda2' and the sqrt(d)
-    bound on the shifts, for edge deletion at one vertex."""
-    before = dense_spectrum(graph)
-    after_vals = np.linalg.eigvalsh(delete_vertex_edges(graph, v)).tolist()
-    after = SpectrumReport(cluster_eigenvalues([(x, 1) for x in after_vals]), "dense")
-    l1, l2 = before.lambda1, before.lambda2
-    l1p, l2p = after.lambda1, after.lambda2
-    d = graph.degree
-    chain = l1 + tol >= l1p >= l2 - tol and l2 + tol >= l2p
-    bound = abs(l1 - l1p) <= d**0.5 + tol and abs(l2 - l2p) <= d**0.5 + tol
-    return InterlacingReport(v, l1, l2, l1p, l2p, d, chain, bound)
-
-
-# ---------------------------------------------------------------------------
-# Weyl split checks
-
-
-@dataclass
-class WeylBlockReport:
-    shape: tuple[int, ...]
-    alpha1: float
-    alpha2: float
-    beta1: float
-    beta2: float
-    gamma2: float
-    holds: bool
-
-
-def weyl_check(
-    n: int,
-    part_a: Sequence[Permutation],
-    part_b: Sequence[Permutation],
-    tol: float = CLUSTER_TOL,
-) -> list[WeylBlockReport]:
-    """For a split H = H1 u H2 into disjoint inverse-closed parts, verify the
-    Weyl bounds gamma2 <= alpha1 + beta2 and gamma2 <= alpha2 + beta1 on every
-    representation block (and the full inequality family)."""
-    part_a, part_b = tuple(part_a), tuple(part_b)
-    if set(part_a) & set(part_b):
-        raise ValueError("split parts must be disjoint")
-    from .diagrams import partitions_of
-
-    reports = []
-    for shape in partitions_of(n):
-        mat_a = yor.hplus_matrix(shape, part_a) if part_a else None
-        mat_b = yor.hplus_matrix(shape, part_b) if part_b else None
-        dim = yor.dimension(shape)
-        zero = np.zeros((dim, dim))
-        a = mat_a if mat_a is not None else zero
-        b = mat_b if mat_b is not None else zero
-        alpha = np.sort(np.linalg.eigvalsh(a))[::-1]
-        beta = np.sort(np.linalg.eigvalsh(b))[::-1]
-        gamma = np.sort(np.linalg.eigvalsh(a + b))[::-1]
-        holds = weyl_upper_bounds_hold(alpha, beta, gamma, tol)
-        a2 = alpha[1] if dim > 1 else alpha[0]
-        b2 = beta[1] if dim > 1 else beta[0]
-        g2 = gamma[1] if dim > 1 else gamma[0]
-        holds = holds and g2 <= alpha[0] + b2 + tol and g2 <= a2 + beta[0] + tol
-        reports.append(
-            WeylBlockReport(shape, alpha[0], a2, beta[0], b2, g2, holds)
-        )
-    return reports
-
-
-def split_by_last_point(
-    connecting: Sequence[Permutation],
-) -> tuple[tuple[Permutation, ...], tuple[Permutation, ...]]:
-    """Split H into the part fixing the last point and the rest."""
-    fixing = tuple(h for h in connecting if h(h.degree) == h.degree)
-    moving = tuple(h for h in connecting if h(h.degree) != h.degree)
-    return fixing, moving

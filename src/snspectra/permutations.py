@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from math import comb, factorial
 from typing import Iterable, Sequence
 
@@ -41,16 +40,52 @@ class CapExceededError(RuntimeError):
     """A size cap refused a computation before its large allocation."""
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    """A bijection of {1..n}, immutable and hashable."""
+class _Value:
+    """An immutable value whose fields are its ``__slots__``, in order:
+    equality, hash, repr and pickling read them, and assigning or deleting
+    one raises AttributeError, as on a frozen dataclass."""
 
-    images: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        if sorted(self.images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {self.images}")
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Permutation(_Value):
+    """A bijection of {1..n}, immutable and hashable, ordered by ``images``."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]) -> None:
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection of 1..{n}: {images}")
+        self._set(images)
 
     @classmethod
     def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
@@ -58,6 +93,25 @@ class Permutation:
         p = object.__new__(cls)
         object.__setattr__(p, "images", images)
         return p
+
+    # Equality and hash as _Value gives them, without its generic field walk.
+    def __eq__(self, other):
+        return self.images == other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __lt__(self, other):
+        return self.images < other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.images <= other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.images > other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.images >= other.images if other.__class__ is self.__class__ else NotImplemented
 
     @staticmethod
     def identity(n: int) -> "Permutation":
@@ -194,32 +248,27 @@ def cycle_string(g: Permutation, include_fixed: bool = False) -> str:
 # Connecting sets
 
 
-@dataclass(frozen=True)
-class ConnectingSetSpec:
-    """Symbolic description of a cycle connecting set.
+class ConnectingSetSpec(_Value):
+    """Symbolic description of a cycle connecting set, immutable and hashable.
 
     ``family`` is "full" (all k-cycles) or "prefix" (k-cycles moving all of
     {1..r}); ``r`` is None exactly for the "full" family.
     """
 
-    family: str
-    n: int
-    k: int
-    r: int | None = None
+    __slots__ = ("family", "n", "k", "r")
 
-    def __post_init__(self) -> None:
-        if self.family == "full":
-            if not (1 < self.k <= self.n):
-                raise ValueError(f"full cycles need 1 < k <= n, got k={self.k}, n={self.n}")
-            if self.r is not None:
+    def __init__(self, family: str, n: int, k: int, r: int | None = None) -> None:
+        if family == "full":
+            if not (1 < k <= n):
+                raise ValueError(f"full cycles need 1 < k <= n, got k={k}, n={n}")
+            if r is not None:
                 raise ValueError("r is meaningless for the full-cycle family")
-        elif self.family == "prefix":
-            if self.r is None or not (1 <= self.r < self.k < self.n):
-                raise ValueError(
-                    f"prefix family needs 1 <= r < k < n, got r={self.r}, k={self.k}, n={self.n}"
-                )
+        elif family == "prefix":
+            if r is None or not (1 <= r < k < n):
+                raise ValueError(f"prefix family needs 1 <= r < k < n, got r={r}, k={k}, n={n}")
         else:
-            raise ValueError(f"unknown family {self.family!r}")
+            raise ValueError(f"unknown family {family!r}")
+        self._set(family, n, k, r)
 
     def cardinality(self) -> int:
         if self.family == "full":
@@ -284,15 +333,20 @@ def as_permutations(images: np.ndarray) -> tuple[Permutation, ...]:
     return tuple(Permutation._trusted(tuple(row)) for row in (images + 1).tolist())
 
 
+def check_set_cap(spec: ConnectingSetSpec) -> None:
+    """Refuse, with CapExceededError, a set of more than SET_CAP elements."""
+    if spec.cardinality() > SET_CAP:
+        raise CapExceededError(f"|{spec}| = {spec.cardinality()} exceeds set cap {SET_CAP}")
+
+
 def enumerate_connecting_set(spec: ConnectingSetSpec) -> tuple[Permutation, ...]:
     """The explicit connecting set, sorted by image sequence (deterministic).
 
     The result excludes the identity, is closed under inverse, and every
     element is a single k-cycle.  A set of more than SET_CAP elements is
-    refused with CapExceededError.
+    refused by check_set_cap.
     """
-    if spec.cardinality() > SET_CAP:
-        raise CapExceededError(f"|{spec}| = {spec.cardinality()} exceeds set cap {SET_CAP}")
+    check_set_cap(spec)
     n, k = spec.n, spec.k
     if spec.family == "full":
         supports = itertools.combinations(range(1, n + 1), k)

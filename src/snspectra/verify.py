@@ -13,11 +13,10 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import formulas, graphs, yor
+from . import formulas, graphs
 from .characters import max_ratio_diagram
 from .diagrams import dimension
 from .eigen import CLUSTER_TOL, SpectrumReport
@@ -26,6 +25,7 @@ from .graphs import build, check_dense_cap, dense_spectrum
 from .permutations import (
     CapExceededError,
     ConnectingSetSpec,
+    check_set_cap,
     enumerate_connecting_set,
     full_cycles,
     generated_subgroup_kind,
@@ -42,8 +42,8 @@ THEOREMS = {
     "1B": (("auto", "dense", "irrep", "char", "all"), 5, "", lambda m, n: [verify_T1B(n, m)]),
     "13": (("auto", "dense", "irrep", "all"), 5, "r", lambda m, n, r: [verify_T13(n, r, m)]),
     "52": (("auto", "natural"), 4, "rk", lambda m, n, k, r: [verify_T52(n, k, r)]),
-    "53": (("auto", "quotient"), 4, "rk", lambda m, n, k, r: [_quotient_outcome("53", n, k, r)]),
-    "54": (("auto", "quotient"), 4, "rk", lambda m, n, k, r: [_quotient_outcome("54", n, k, r)]),
+    "53": (("auto", "quotient"), 4, "rk", lambda m, n, k, r: _quotient_outcomes(n, k, r, ("53",))),
+    "54": (("auto", "quotient"), 4, "rk", lambda m, n, k, r: _quotient_outcomes(n, k, r, ("54",))),
     "61": (("auto", "natural"), 4, "r", lambda m, n, r: verify_L61(n, r)),
     "65": (("auto", "irrep"), 5, "r", lambda m, n, r: [verify_T65(n, r)]),
     "42": (("auto", "char"), 5, "", lambda m, n: [verify_L42(n)]),
@@ -53,16 +53,29 @@ METHODS = tuple(dict.fromkeys(m for methods, *_ in THEOREMS.values() for m in me
 DENSE_AUTO_LIMIT = 720
 
 
-@dataclass
 class Outcome:
-    theorem: str
-    params: dict
-    expected: object
-    computed: object
-    method: str
-    outcome: str
-    runtime_ms: float = 0.0
-    detail: str = ""
+    """One checked case. Its attributes, in this order, are the fields of
+    to_json and the columns of to_csv."""
+
+    def __init__(
+        self,
+        theorem: str,
+        params: dict,
+        expected: object,
+        computed: object,
+        method: str,
+        outcome: str,
+        runtime_ms: float = 0.0,
+        detail: str = "",
+    ) -> None:
+        self.theorem = theorem
+        self.params = params
+        self.expected = expected
+        self.computed = computed
+        self.method = method
+        self.outcome = outcome
+        self.runtime_ms = runtime_ms
+        self.detail = detail
 
     @property
     def ok(self) -> bool:
@@ -80,10 +93,11 @@ def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
     """Spectrum of Cay(G, H) for the group of this kind and H = spec, by the
     dense oracle, the irrep blocks or the characters; "auto" takes char for a
     conjugacy class, else dense up to DENSE_AUTO_LIMIT vertices, else irrep.
+    Only the irrep and char routes import yor.
     Raises CapExceededError before the large allocation: for dense above
-    graphs.DENSE_CAP vertices, for irrep when H has more than
-    permutations.SET_CAP elements or the largest block more than
-    yor.BLOCK_CAP rows."""
+    graphs.DENSE_CAP vertices; for irrep when H has more than
+    permutations.SET_CAP elements, then when the largest block has more than
+    yor.BLOCK_CAP rows, both before any element of H is made."""
     if method == "auto":
         if spec.family == "full":
             method = "char"
@@ -93,10 +107,16 @@ def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
         check_dense_cap(group_order(kind, spec.n))
         return dense_spectrum(build(kind, spec))
     if method == "irrep":
+        from . import yor
+
+        check_set_cap(spec)
+        yor.block_shapes(spec.n)
         return yor.full_spectrum_via_irreps(spec.n, enumerate_connecting_set(spec), kind)
     if method == "char":
         if spec.family != "full":
             raise ValueError("char method needs a conjugacy-class connecting set")
+        from . import yor
+
         ctype = (spec.k,) + (1,) * (spec.n - spec.k)
         return yor.char_spectrum(spec.n, ctype, kind)
     raise ValueError(f"method {method!r} not applicable here")
@@ -273,30 +293,34 @@ def verify_L43(n: int) -> Outcome:
     return _ratio_outcome("43", n, ctype, (2, 2) + (1,) * (n - 4), 2, n * (n - 3))
 
 
-def _quotient_outcome(theorem: str, n: int, k: int, r: int) -> Outcome:
-    """Lemma 53 (B1) or 54 (B2): the closed-form quotient matrix against the
-    neighbor-counted oracle, and its exact eigenvalue set against the
-    closed-form values."""
+def _quotient_outcomes(n: int, k: int, r: int, theorems: Sequence[str]) -> list[Outcome]:
+    """Lemma 53 (B1) and/or 54 (B2) at one (n, k, r): each closed-form
+    quotient matrix against the neighbor-counted oracle, and its exact
+    eigenvalue set against the closed-form values. H is counted once, by
+    the first case, for both quotients."""
+    counted: dict[str, tuple[bool, list[list[int]]]] = {}
 
-    def run() -> Outcome:
+    def run(theorem: str) -> Outcome:
+        if not counted:
+            counted.update(counted_quotient(n, k, r))
         mu1, mu2, mu3, mu4 = formulas.mu_values(n, k, r)
         if theorem == "53":
             which, closed, expected = "B1", quotient_B1(n, k, r), {mu1, mu2, mu3}
         else:
             which, closed, expected = "B2", quotient_B2(n, k, r), {mu1, mu3, mu4}
         params = {"n": n, "k": k, "r": r, "which": which}
-        equitable, counted = counted_quotient(n, k, r, which)
-        ok = equitable and counted == closed and set(quotient_eigenvalues(closed)) == expected
+        equitable, quotient = counted[which]
+        ok = equitable and quotient == closed and set(quotient_eigenvalues(closed)) == expected
         return Outcome(
-            theorem, params, closed, counted, "quotient", "match" if ok else "mismatch"
+            theorem, params, closed, quotient, "quotient", "match" if ok else "mismatch"
         )
 
-    return _timed(run)
+    return [_timed(lambda: run(theorem)) for theorem in theorems]
 
 
 def verify_quotients(n: int, k: int, r: int) -> list[Outcome]:
-    """Lemmas 53 and 54 at one (n, k, r)."""
-    return [_quotient_outcome("53", n, k, r), _quotient_outcome("54", n, k, r)]
+    """Lemmas 53 and 54 at one (n, k, r), from one count of H."""
+    return _quotient_outcomes(n, k, r, ("53", "54"))
 
 
 def theorem_65_max_block_eigenvalues(
@@ -305,6 +329,8 @@ def theorem_65_max_block_eigenvalues(
     """(shape, dim, max eigenvalue) for every block of dimension > n-1 of the
     prefix-moving set with k = r + 1.  Raises CapExceededError as
     verify.spectrum's irrep route does."""
+    from . import yor
+
     shapes = yor.block_shapes(n)
     connecting = enumerate_connecting_set(prefix_moving_cycles(n, r + 1, r))
     params = yor._class_sum_parameters(n, connecting)
@@ -388,7 +414,7 @@ def exit_code(outcomes: Sequence[Outcome]) -> int:
 
 
 def to_json(outcomes: Sequence[Outcome]) -> str:
-    return json.dumps([asdict(o) for o in outcomes], indent=2, default=str)
+    return json.dumps([vars(o) for o in outcomes], indent=2, default=str)
 
 
 def to_csv(outcomes: Sequence[Outcome]) -> str:

@@ -11,10 +11,9 @@ multiplicity) pairs throughout and are never expanded to |G| floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import characters
 from ._numpy import np
@@ -73,8 +72,7 @@ def _positions(tableau: Tableau) -> dict[int, tuple[int, int]]:
     }
 
 
-@dataclass(frozen=True)
-class _Generator:
+class _Generator(NamedTuple):
     """Structured form of the orthogonal matrix of one adjacent transposition.
 
     The matrix is block diagonal over tableaux: diagonal entries ``diag`` and
@@ -178,28 +176,6 @@ def yor_image(shape: Sequence[int], g: Permutation) -> np.ndarray:
     for a in adjacent_word(g):
         mat = _generator(shape, a).apply_right(mat)
     return mat
-
-
-def relation_residual(shape: Sequence[int]) -> float:
-    """Max residual over the defining relations of the generators:
-    orthogonality, involutivity, commutation and braid."""
-    shape = validate_diagram(shape)
-    n = sum(shape)
-    gens = [yor_generator(shape, i) for i in range(1, n)]
-    eye = np.eye(dimension(shape))
-    worst = 0.0
-    for q in gens:
-        worst = max(worst, np.abs(q.T @ q - eye).max())
-        worst = max(worst, np.abs(q @ q - eye).max())
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            if j - i >= 2:
-                worst = max(worst, np.abs(gens[i] @ gens[j] - gens[j] @ gens[i]).max())
-            else:
-                lhs = gens[i] @ gens[j] @ gens[i]
-                rhs = gens[j] @ gens[i] @ gens[j]
-                worst = max(worst, np.abs(lhs - rhs).max())
-    return worst
 
 
 def _inverse_representatives(

@@ -1,0 +1,173 @@
+"""Numeric checks that only the tests call: interlacing after deleting the
+edges at one vertex, the Weyl inequalities on a split of H, the relations of
+Young's orthogonal generators, and the split sizes of C(n, r+1; r).
+
+They compare the package against classical facts; no command or ``verify``
+row reaches them, so they live beside the tests and not in the package.
+"""
+
+from __future__ import annotations
+
+from math import factorial
+from typing import NamedTuple, Sequence
+
+import numpy as np
+
+from snspectra import yor
+from snspectra.diagrams import dimension, partitions_of, validate_diagram
+from snspectra.eigen import CLUSTER_TOL, SpectrumReport, cluster_eigenvalues
+from snspectra.graphs import CayleyGraph, dense_spectrum
+from snspectra.permutations import Permutation
+
+
+def split_sizes(n: int, r: int) -> tuple[int, int]:
+    """|H ∩ Sym(1..n-1)| and |H \\ Sym(1..n-1)| for H = C(n, r+1; r)."""
+    return factorial(r) * (n - r - 1), factorial(r)
+
+
+# ---------------------------------------------------------------------------
+# Interlacing after deleting the edges at one vertex
+
+
+def delete_vertex_edges(graph: CayleyGraph, v: int) -> np.ndarray:
+    """Adjacency matrix with every edge incident to vertex ``v`` removed."""
+    a = graph.adjacency_matrix().astype(float)
+    a[v, :] = 0.0
+    a[:, v] = 0.0
+    return a
+
+
+class InterlacingReport(NamedTuple):
+    vertex: int
+    lambda1: float
+    lambda2: float
+    lambda1_after: float
+    lambda2_after: float
+    degree: int
+    chain_holds: bool
+    sqrt_bound_holds: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.chain_holds and self.sqrt_bound_holds
+
+
+def interlacing_check(
+    graph: CayleyGraph, v: int, tol: float = CLUSTER_TOL
+) -> InterlacingReport:
+    """Verify lambda1 >= lambda1' >= lambda2 >= lambda2' and the sqrt(d)
+    bound on the shifts, for edge deletion at one vertex."""
+    before = dense_spectrum(graph)
+    after_vals = np.linalg.eigvalsh(delete_vertex_edges(graph, v)).tolist()
+    after = SpectrumReport(cluster_eigenvalues([(x, 1) for x in after_vals]), "dense")
+    l1, l2 = before.lambda1, before.lambda2
+    l1p, l2p = after.lambda1, after.lambda2
+    d = graph.degree
+    chain = l1 + tol >= l1p >= l2 - tol and l2 + tol >= l2p
+    bound = abs(l1 - l1p) <= d**0.5 + tol and abs(l2 - l2p) <= d**0.5 + tol
+    return InterlacingReport(v, l1, l2, l1p, l2p, d, chain, bound)
+
+
+# ---------------------------------------------------------------------------
+# Weyl inequalities and split checks
+
+
+def weyl_upper_bounds_hold(
+    alpha: Sequence[float],
+    beta: Sequence[float],
+    gamma: Sequence[float],
+    tol: float = CLUSTER_TOL,
+) -> bool:
+    """Check gamma_{i+j-1} <= alpha_i + beta_j for all valid i, j.
+
+    Inputs are full descending eigenvalue lists of symmetric A, B and
+    C = A + B of equal size.
+    """
+    m = len(gamma)
+    if len(alpha) != m or len(beta) != m:
+        raise ValueError("eigenvalue lists must have equal length")
+    for i in range(1, m + 1):
+        for j in range(1, m + 1):
+            if i + j - 1 <= m and gamma[i + j - 2] > alpha[i - 1] + beta[j - 1] + tol:
+                return False
+    return True
+
+
+class WeylBlockReport(NamedTuple):
+    shape: tuple[int, ...]
+    alpha1: float
+    alpha2: float
+    beta1: float
+    beta2: float
+    gamma2: float
+    holds: bool
+
+
+def weyl_check(
+    n: int,
+    part_a: Sequence[Permutation],
+    part_b: Sequence[Permutation],
+    tol: float = CLUSTER_TOL,
+) -> list[WeylBlockReport]:
+    """For a split H = H1 u H2 into disjoint inverse-closed parts, verify the
+    Weyl bounds gamma2 <= alpha1 + beta2 and gamma2 <= alpha2 + beta1 on every
+    representation block (and the full inequality family)."""
+    part_a, part_b = tuple(part_a), tuple(part_b)
+    if set(part_a) & set(part_b):
+        raise ValueError("split parts must be disjoint")
+
+    reports = []
+    for shape in partitions_of(n):
+        mat_a = yor.hplus_matrix(shape, part_a) if part_a else None
+        mat_b = yor.hplus_matrix(shape, part_b) if part_b else None
+        dim = dimension(shape)
+        zero = np.zeros((dim, dim))
+        a = mat_a if mat_a is not None else zero
+        b = mat_b if mat_b is not None else zero
+        alpha = np.sort(np.linalg.eigvalsh(a))[::-1]
+        beta = np.sort(np.linalg.eigvalsh(b))[::-1]
+        gamma = np.sort(np.linalg.eigvalsh(a + b))[::-1]
+        holds = weyl_upper_bounds_hold(alpha, beta, gamma, tol)
+        a2 = alpha[1] if dim > 1 else alpha[0]
+        b2 = beta[1] if dim > 1 else beta[0]
+        g2 = gamma[1] if dim > 1 else gamma[0]
+        holds = holds and g2 <= alpha[0] + b2 + tol and g2 <= a2 + beta[0] + tol
+        reports.append(
+            WeylBlockReport(shape, alpha[0], a2, beta[0], b2, g2, holds)
+        )
+    return reports
+
+
+def split_by_last_point(
+    connecting: Sequence[Permutation],
+) -> tuple[tuple[Permutation, ...], tuple[Permutation, ...]]:
+    """Split H into the part fixing the last point and the rest."""
+    fixing = tuple(h for h in connecting if h(h.degree) == h.degree)
+    moving = tuple(h for h in connecting if h(h.degree) != h.degree)
+    return fixing, moving
+
+
+# ---------------------------------------------------------------------------
+# Young's orthogonal form
+
+
+def relation_residual(shape: Sequence[int]) -> float:
+    """Max residual over the defining relations of the generators:
+    orthogonality, involutivity, commutation and braid."""
+    shape = validate_diagram(shape)
+    n = sum(shape)
+    gens = [yor.yor_generator(shape, i) for i in range(1, n)]
+    eye = np.eye(dimension(shape))
+    worst = 0.0
+    for q in gens:
+        worst = max(worst, np.abs(q.T @ q - eye).max())
+        worst = max(worst, np.abs(q @ q - eye).max())
+    for i in range(len(gens)):
+        for j in range(i + 1, len(gens)):
+            if j - i >= 2:
+                worst = max(worst, np.abs(gens[i] @ gens[j] - gens[j] @ gens[i]).max())
+            else:
+                lhs = gens[i] @ gens[j] @ gens[i]
+                rhs = gens[j] @ gens[i] @ gens[j]
+                worst = max(worst, np.abs(lhs - rhs).max())
+    return worst

@@ -10,8 +10,9 @@ from snspectra.eigen import (
     exact_integer_eigenvalues,
     integer_roots,
     snap_to_integer,
-    weyl_upper_bounds_hold,
 )
+
+from reference_checks import weyl_upper_bounds_hold
 
 
 class TestClustering:

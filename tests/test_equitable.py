@@ -139,7 +139,7 @@ class TestClosedFormQuotients:
         for k in range(3, n):
             for r in range(2, k):
                 for which in ("B1", "B2"):
-                    equitable, counted = counted_quotient(n, k, r, which)
+                    equitable, counted = counted_quotient(n, k, r)[which]
                     closed = quotient_B1(n, k, r) if which == "B1" else quotient_B2(n, k, r)
                     assert equitable
                     assert counted == closed
@@ -149,7 +149,7 @@ class TestClosedFormQuotients:
         for k in range(3, n):
             for r in range(2, k):
                 for which in ("B1", "B2"):
-                    equitable, counted = counted_quotient(n, k, r, which)
+                    equitable, counted = counted_quotient(n, k, r)[which]
                     assert (equitable, counted) == bincount_quotient_reference(n, k, r, which)
                     assert all(type(entry) is int for row in counted for entry in row)
 
@@ -162,7 +162,7 @@ class TestClosedFormQuotients:
         for kind in kinds:
             graph = build(kind, prefix_moving_cycles(n, k, r))
             for which, partition in (("B1", partition_P1), ("B2", partition_P2)):
-                assert counted_quotient(n, k, r, which) == is_equitable(graph, partition(graph, r))
+                assert counted_quotient(n, k, r)[which] == is_equitable(graph, partition(graph, r))
 
     @pytest.mark.parametrize("n,k,r", [(6, 3, 2), (7, 4, 2), (7, 4, 3), (8, 5, 4)])
     def test_eigenvalues_are_mu_values(self, n, k, r):

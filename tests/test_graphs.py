@@ -6,23 +6,19 @@ from hypothesis import given, settings, strategies as st
 
 from snspectra import verify
 from snspectra.eigen import CLUSTER_TOL, cluster_eigenvalues
-from snspectra.formulas import natural_trace, split_sizes
+from snspectra.formulas import natural_trace
 from snspectra.graphs import (
     CayleyGraph,
     DenseCapExceededError,
     build,
     check_dense_cap,
-    delete_vertex_edges,
     dense_spectrum,
     from_explicit_set,
-    interlacing_check,
     multiplicity_table,
     natural_module_matrix,
     natural_module_spectrum,
     sign_blocks,
     sign_subgroup,
-    split_by_last_point,
-    weyl_check,
 )
 from snspectra.permutations import (
     DegreeMismatchError,
@@ -39,6 +35,14 @@ from snspectra.permutations import (
     parse_spec,
     prefix_moving_cycles,
     symmetric_group,
+)
+
+from reference_checks import (
+    delete_vertex_edges,
+    interlacing_check,
+    split_by_last_point,
+    split_sizes,
+    weyl_check,
 )
 
 

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 from math import factorial
 
 import pytest
@@ -125,6 +127,48 @@ class TestBasics:
             Permutation((1, 1, 3))
 
 
+class TestPermutationValue:
+    """A Permutation is an immutable value: checked on input, compared, hashed
+    and ordered by its images."""
+
+    @pytest.mark.parametrize("images", [(1, 1, 3), (0, 1, 2), (2, 3, 4), (1, 3)])
+    def test_checks_its_input(self, images):
+        with pytest.raises(ValueError, match="not a bijection"):
+            Permutation(images)
+
+    def test_immutable(self):
+        g = Permutation((2, 1, 3))
+        with pytest.raises(AttributeError):
+            g.images = (1, 2, 3)
+        with pytest.raises(AttributeError):
+            del g.images
+        with pytest.raises(AttributeError):
+            g.label = "swap"
+        assert g.images == (2, 1, 3)
+
+    def test_equality_and_hash(self):
+        a, b = Permutation((2, 1, 3)), Permutation((2, 1, 3))
+        assert a == b and a is not b
+        assert hash(a) == hash(b) == hash(((2, 1, 3),))
+        assert len({a, b, Permutation((1, 2, 3))}) == 2
+        assert a != Permutation((1, 2, 3))
+        assert a != (2, 1, 3)
+
+    def test_orderings_follow_images(self):
+        a, b = Permutation((1, 3, 2)), Permutation((2, 1, 3))
+        assert a < b and a <= b and b > a and b >= a
+        assert a <= a and a >= a and not a < a and not a > a
+        assert not b < a and not b <= a and not a > b and not a >= b
+        assert sorted([b, a]) == [a, b]
+        with pytest.raises(TypeError):
+            a < (2, 1, 3)
+
+    def test_repr_and_copies(self):
+        g = Permutation((2, 1, 3))
+        assert repr(g) == "Permutation(images=(2, 1, 3))"
+        assert copy.copy(g) == g and pickle.loads(pickle.dumps(g)) == g
+
+
 class TestCycleNotation:
     def test_roundtrip(self):
         g = parse_cycles("(1,2,5)(3)(4)", 5)
@@ -154,6 +198,28 @@ class TestSpecs:
             prefix_moving_cycles(5, 5, 2)  # needs k < n
         with pytest.raises(ValueError):
             prefix_moving_cycles(5, 3, 3)
+
+    @pytest.mark.parametrize(
+        "args",
+        [("full", 5, 1), ("full", 5, 6), ("full", 5, 5, 2), ("prefix", 6, 3), ("prefix", 6, 3, 0),
+         ("prefix", 6, 6, 2), ("cyclic", 5, 5)],
+    )
+    def test_validation(self, args):
+        with pytest.raises(ValueError):
+            ConnectingSetSpec(*args)
+
+    def test_spec_is_an_immutable_hashable_value(self):
+        spec = ConnectingSetSpec("prefix", 6, 3, 2)
+        assert spec == prefix_moving_cycles(6, 3, 2) and spec is not prefix_moving_cycles(6, 3, 2)
+        assert hash(spec) == hash(prefix_moving_cycles(6, 3, 2))
+        assert {spec: "C(6,3;2)"}[parse_spec("C(6,3;2)")] == "C(6,3;2)"
+        assert spec != full_cycles(6, 3) and spec != ("prefix", 6, 3, 2)
+        assert repr(spec) == "ConnectingSetSpec(family='prefix', n=6, k=3, r=2)"
+        assert repr(full_cycles(5, 5)) == "ConnectingSetSpec(family='full', n=5, k=5, r=None)"
+        with pytest.raises(AttributeError):
+            spec.n = 7
+        assert (spec.family, spec.n, spec.k, spec.r) == ("prefix", 6, 3, 2)
+        assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_set_cap_refuses_before_making_an_element(self, no_element_made):
         with pytest.raises(

@@ -1,7 +1,9 @@
-"""numpy is loaded only by the routes that compute with arrays.
+"""Each route loads only the code it runs: numpy only for the routes that
+compute with arrays, ``snspectra.yor`` only for the irrep and char routes
+and Theorem 65, and ``dataclasses`` for none.
 
 Each case runs ``cli.main`` in a fresh interpreter, since the test process
-itself has numpy loaded already.
+itself has numpy, yor and dataclasses loaded already.
 """
 
 import json
@@ -24,11 +26,14 @@ from snspectra._numpy import np
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
 loaded = sorted(name for name in sys.modules if name.startswith("numpy."))
+yor, dataclasses = "snspectra.yor" in sys.modules, "dataclasses" in sys.modules
 np.zeros(1)  # the first attribute access loads numpy, if nothing did before
 import numpy
 print(json.dumps({
     "codes": codes,
     "loaded": loaded,
+    "yor": yor,
+    "dataclasses": dataclasses,
     "real": type(np) is types.ModuleType and np is numpy and np.__name__ == "numpy",
 }))
 """
@@ -67,6 +72,13 @@ assert all(o.outcome == "match" for o in verify.verify_quotients(8, 5, 3))
 """
 
 
+DENSE_RUNS = [
+    ["verify", "--theorem", "1A", "--n", "5-6", "--method", "dense"],
+    ["verify", "--theorem", "1B", "--n", "5-6", "--method", "dense"],
+    ["verify", "--theorem", "13", "--n", "7", "--r", "2", "--method", "dense"],
+]
+
+
 def test_char_routes_never_load_numpy():
     result = run_child(*CHAR_RUNS)
     assert result["codes"] == [0] * len(CHAR_RUNS)
@@ -95,6 +107,61 @@ def test_array_routes_load_numpy(argv):
     assert result["codes"] == [0]
     assert "numpy._core" in result["loaded"] or "numpy.core" in result["loaded"]
     assert result["real"]
+
+
+def test_routes_without_blocks_or_characters_never_load_yor_or_dataclasses():
+    runs = [CHAR_RUNS[0], CHAR_RUNS[1], CHAR_RUNS[4], *NATURAL_AND_QUOTIENT_RUNS, *DENSE_RUNS]
+    result = run_child(*runs, prelude=QUOTIENT_RUNNER)
+    assert result["codes"] == [0] * len(runs)
+    assert not result["yor"]
+    assert not result["dataclasses"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--theorem", "13", "--n", "6", "--r", "2", "--method", "irrep"],
+        ["verify", "--theorem", "1A", "--n", "5-7", "--method", "char"],
+        ["verify", "--theorem", "65", "--n", "6"],
+        ["spectrum", "--group", "S", "--n", "6", "--set", "C(6,6)", "--method", "char"],
+    ],
+)
+def test_irrep_char_and_65_runs_load_yor(argv):
+    result = run_child(argv)
+    assert result["codes"] == [0]
+    assert result["yor"]
+    assert not result["dataclasses"]
+
+
+def test_import_cli_loads_no_route():
+    code = (
+        "import sys, snspectra.cli; "
+        "print(sorted(m for m in sys.modules if m in ('dataclasses', 'snspectra.yor') "
+        "or m.startswith('numpy.')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_every_export_resolves():
+    code = (
+        "import snspectra, sys; "
+        "missing = [name for name in snspectra.__all__ if getattr(snspectra, name, None) is None]; "
+        "print(missing, 'snspectra.yor' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[] True\n"
+    assert snspectra.full_spectrum_via_irreps is snspectra.yor.full_spectrum_via_irreps
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        snspectra.nothing
 
 
 def test_numpy_imported_first_is_used_as_it_is():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from snspectra import graphs, verify, yor
+from snspectra import equitable, graphs, verify, yor
 from snspectra.formulas import (
     almost_full_cycle_lambda2,
     full_cycle_lambda2,
@@ -180,6 +180,15 @@ class TestTheoremRunners:
         assert [o.outcome for o in outcomes] == ["match", "match"]
         assert [o.theorem for o in outcomes] == ["53", "54"]
 
+    def test_quotients_count_H_once(self, monkeypatch):
+        counted = []
+        enumerate_once = equitable.enumerate_connecting_set
+        monkeypatch.setattr(
+            equitable, "enumerate_connecting_set", lambda spec: counted.append(spec) or enumerate_once(spec)
+        )
+        assert all(o.outcome == "match" for o in verify.verify_quotients(7, 4, 2))
+        assert counted == [prefix_moving_cycles(7, 4, 2)]
+
     @pytest.mark.parametrize("theorem, index", [("53", 0), ("54", 1)])
     def test_quotient_rows_split_verify_quotients(self, theorem, index):
         def fields(outcome):
@@ -215,6 +224,25 @@ class TestTheoremRunners:
         assert time.perf_counter() - start < 1.0
         assert (out.outcome, out.expected, out.params) == ("skipped", None, {"n": 13, "r": 11})
         assert out.detail == "21450-row block (5, 4, 2, 1, 1) of S13 exceeds block cap 7700"
+
+    def test_T13_refused_on_the_block_cap_before_enumerating(self, monkeypatch, no_block_assembled):
+        def refuse(spec):
+            raise AssertionError(f"{spec} was enumerated")
+
+        monkeypatch.setattr(verify, "enumerate_connecting_set", refuse)
+        [out] = verify.run_cases("13", [13], [8], "irrep")
+        assert (out.outcome, out.expected, out.params) == ("skipped", None, {"n": 13, "r": 8})
+        assert out.detail == "21450-row block (5, 4, 2, 1, 1) of S13 exceeds block cap 7700"
+
+    def test_admitted_irrep_case_enumerates_through_verify(self, monkeypatch):
+        enumerated = []
+        enumerate_once = verify.enumerate_connecting_set
+        monkeypatch.setattr(
+            verify, "enumerate_connecting_set", lambda spec: enumerated.append(spec) or enumerate_once(spec)
+        )
+        [out] = verify.run_cases("13", [6], [2], "irrep")
+        assert out.outcome == "match"
+        assert enumerated == [prefix_moving_cycles(6, 3, 2)]
 
     @pytest.mark.parametrize("theorem", ["42", "43"])
     def test_L42_L43_reach(self, theorem):
@@ -292,6 +320,16 @@ class TestOrchestration:
         bad = verify.Outcome("1A", {"n": 5}, 1, 2, "dense", "mismatch")
         assert verify.exit_code([bad]) == 1
         assert not bad.ok
+
+    def test_outcome_keeps_its_field_order(self):
+        order = ["theorem", "params", "expected", "computed", "method", "outcome", "runtime_ms", "detail"]
+        out = verify.Outcome("13", {"n": 6, "r": 2}, 1, 2, "dense", "mismatch", 1.5, "note")
+        assert out.__dict__ == dict(zip(order, ["13", {"n": 6, "r": 2}, 1, 2, "dense", "mismatch", 1.5, "note"]))
+        assert list(out.__dict__) == order
+        assert list(json.loads(verify.to_json([out]))[0]) == order
+        assert verify.to_csv([out]).splitlines() == [",".join(order), '13,"{""n"": 6, ""r"": 2}",1,2,dense,mismatch,1.5,note']
+        plain = verify.Outcome("42", {"n": 5}, 1, 1, "char", "match")
+        assert (plain.runtime_ms, plain.detail, plain.ok) == (0.0, "", True)
 
     def test_json_schema(self):
         outcomes = verify.run_cases("13", [6], [2], "dense")

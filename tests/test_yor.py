@@ -5,7 +5,7 @@ import pytest
 
 from snspectra.characters import class_eigenvalue, mn_character
 from snspectra.diagrams import dimension, partitions_of
-from snspectra.graphs import dense_spectrum, from_explicit_set, split_by_last_point
+from snspectra.graphs import dense_spectrum, from_explicit_set
 from snspectra.permutations import (
     CapExceededError,
     DegreeMismatchError,
@@ -27,11 +27,12 @@ from snspectra.yor import (
     char_spectrum,
     hplus_block_spectrum,
     hplus_matrix,
-    relation_residual,
     standard_tableaux,
     yor_generator,
     yor_image,
 )
+
+from reference_checks import relation_residual, split_by_last_point
 
 
 def word_oracle(g):
