@@ -5,6 +5,7 @@ exact integer characteristic polynomials with integer root extraction.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Sequence
 
 CLUSTER_TOL = 1e-6
@@ -136,13 +137,10 @@ def charpoly_int(matrix: Sequence[Sequence[int]]) -> list[int]:
     work = [[0] * n for _ in range(n)]  # M_0 = 0
     for k in range(1, n + 1):
         # work <- M * (work + c_{k-1} I)
-        shifted = [row[:] for row in work]
         for i in range(n):
-            shifted[i][i] += coeffs[-1]
-        work = [
-            [sum(m[i][t] * shifted[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
+            work[i][i] += coeffs[-1]
+        columns = list(zip(*work))
+        work = [[sum(map(mul, row, column)) for column in columns] for row in m]
         trace = sum(work[i][i] for i in range(n))
         c, rem = divmod(-trace, k)
         assert rem == 0, "Faddeev-LeVerrier trace not divisible"

@@ -17,10 +17,8 @@ from .eigen import exact_integer_eigenvalues
 from .formulas import binom
 from .graphs import CayleyGraph, natural_module_matrix
 from .permutations import (
-    ConnectingSetSpec,
     Permutation,
     conjugate,
-    enumerate_connecting_set,
     image_array,
     prefix_moving_cycles,
 )
@@ -193,8 +191,7 @@ def counted_quotient(n: int, k: int, r: int) -> dict[str, tuple[bool, list[list[
     across each block is verified exactly, which covers every vertex of the
     explicit graph.
     """
-    connecting = enumerate_connecting_set(prefix_moving_cycles(n, k, r))
-    natural = natural_module_matrix(n, connecting)
+    natural = natural_module_matrix(prefix_moving_cycles(n, k, r))
     result = {}
     for which, ranges in (
         ("B1", [(n, n), (1, r), (r + 1, n - 1)]),

@@ -1,12 +1,20 @@
 """
 Explicit Cayley graphs over symmetric/alternating groups, the dense spectrum
-oracle (block by block over the right cosets of a sign subgroup), and the
-natural permutation-module operator.
+oracle (block by block over the characters of an abelian subgroup K of right
+translations), and the natural permutation-module operator.
+
+K is generated by the transpositions (1 2), (3 4), ... in Sym(n), and in
+Alt(n) by a Klein four-group {(a b)(c d), (a c)(b d)} on each run of four
+points, with the 3-cycle on the last three points when n = 3 (mod 4).  Each
+pair {chi, conj(chi)} of characters of K gives one block of N/|K| rows: a
+real symmetric block for a real chi, else a Hermitian block whose
+eigenvalues count twice.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from itertools import product
+from math import lcm
 from typing import Iterator, Sequence
 
 from ._numpy import np
@@ -20,13 +28,14 @@ from .eigen import (
 from .permutations import (
     CapExceededError,
     ConnectingSetSpec,
-    DegreeMismatchError,
     Permutation,
     as_permutations,
+    connecting_cycles,
     enumerate_connecting_set,
     even_rows,
     group_images,
     image_array,
+    prefix_moving_cycles,
 )
 
 DENSE_CAP = 5040
@@ -152,71 +161,99 @@ def check_dense_cap(size: int) -> None:
         raise DenseCapExceededError(f"{size} vertices exceeds dense cap {DENSE_CAP}")
 
 
-def sign_subgroup(group_kind: str, n: int) -> np.ndarray:
-    """The elementary abelian 2-subgroup K of Sym(n) or Alt(n) that splits
-    the dense oracle, as a (2^d, n) array of 0-based images.
-
-    K is generated by the d commuting involutions (1 2), (3 4), ... in
-    Sym(n), and (1 2)(3 4), (1 2)(5 6), ... in Alt(n) (trivial for Alt(n)
-    with n <= 3).  Row b is the product of the generators at the set bits
-    of b.
-    """
-    swaps = [(2 * i, 2 * i + 1) for i in range(n // 2)]
+def translation_subgroup(group_kind: str, n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """K = <c_1> x ... x <c_d> (see the module docstring) as (|K|, n) 0-based
+    images, the (|K|, d) exponents x of its rows, row b being c_1^x_1 ...
+    c_d^x_d for the b-th x in lexicographic order, and the orders m_j of the
+    generators."""
     if group_kind == "symmetric":
-        generators = [[s] for s in swaps]
+        generators = [[(a, a + 1)] for a in range(0, n - 1, 2)]
     else:
-        generators = [[swaps[0], s] for s in swaps[1:]]
+        generators = []
+        for a in range(0, n - 3, 4):
+            generators += [[(a, a + 1), (a + 2, a + 3)], [(a, a + 2), (a + 1, a + 3)]]
+        if n % 4 == 3:
+            generators.append([(n - 3, n - 2, n - 1)])
+    orders = [len(cycles[0]) for cycles in generators]
     elements = np.arange(n)[None, :]
-    for generator in generators:
-        t = np.arange(n)
-        for a, b in generator:
-            t[[a, b]] = b, a
-        elements = np.concatenate([elements, elements[:, t]])
-    return elements
+    for cycles, order in zip(generators, orders):
+        powers = []
+        for j in range(order):  # c^j sends cycle[i] to cycle[i + j]
+            power = np.arange(n)
+            for cycle in cycles:
+                power[list(cycle)] = cycle[j:] + cycle[:j]
+            powers.append(power)
+        # Row i * order + j is row i times c^j.
+        elements = np.stack([elements[:, p] for p in powers], axis=1).reshape(-1, n)
+    exponents = np.array(list(product(*map(range, orders))), dtype=np.intp)
+    return elements, exponents.reshape(-1, len(orders)), orders
+
+
+def characters(orders: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """One exponent vector e per pair {chi, conj(chi)} of characters of
+    Z/m_1 x ... x Z/m_d, chi_e(x) = exp(2 pi i sum_j e_j x_j / m_j): the
+    first of the pair in lexicographic order of e."""
+    seen = set()
+    for e in product(*map(range, orders)):
+        conjugate = tuple(-x % m for x, m in zip(e, orders))
+        if conjugate not in seen:
+            seen.add(e)
+            yield e
 
 
 def sign_blocks(graph: CayleyGraph) -> Iterator[np.ndarray]:
-    """The adjacency operator's blocks in the sign basis of the right cosets
-    of K = sign_subgroup, one (N/2^d) x (N/2^d) real symmetric block per
-    character of K, made one at a time.
+    """The adjacency operator's blocks in the character bases of the right
+    cosets of K = translation_subgroup, one (N/|K|) x (N/|K|) block per
+    pair {chi, conj(chi)} of characters of K, made one at a time: a real
+    symmetric block for a real chi, and a complex Hermitian block for any
+    other chi, whose eigenvalues are those of conj(chi) too.
 
     The neighbours of g are h g, so g -> g k is a graph automorphism for
-    every k in G, and the sign patterns v(rep_c k_b) = (-1)^popcount(e & b)
-    on the cosets rep_c K span, for each e, a subspace the operator keeps.
-    Block e has entry (i, c) = sum of those signs over the neighbours of
-    rep_i that lie in coset c.
+    every k in G, and the functions v(rep_c k) = chi(k) on the cosets
+    rep_c K span, for each chi, a subspace the operator keeps.  Block chi
+    has entry (i, c) = sum of chi(k) over the neighbours rep_c k of rep_i.
     """
-    k = sign_subgroup(graph.group_kind, graph.n)
-    # right[b, g] is the vertex g k_b; a coset's representative is its
-    # least vertex, and g = rep k_bits(g) since each k_b is an involution.
-    right = np.stack([graph.ranks(graph.vertex_images[:, kb]) for kb in k])
-    rep, bits = right.min(axis=0), right.argmin(axis=0)
-    reps = np.flatnonzero(bits == 0)
+    k, exponents, orders = translation_subgroup(graph.group_kind, graph.n)
+    # right[b, g] is the vertex g k_b^-1; a coset's representative is its
+    # least vertex, and g = rep k_position(g).
+    right = np.stack([graph.ranks(graph.vertex_images[:, np.argsort(kb)]) for kb in k])
+    rep, position = right.min(axis=0), right.argmin(axis=0)
+    reps = np.flatnonzero(position == 0)
     m = len(reps)
     coset = np.empty(graph.size, dtype=np.intp)
     coset[reps] = np.arange(m)
     neighbors = graph.neighbors_of(reps)
     flat = (np.arange(m)[:, None] * m + coset[rep[neighbors]]).ravel()
-    neighbor_bits = bits[neighbors].ravel()
-    # Sylvester's table: signs[e, b] = (-1)^popcount(e & b).
-    signs = np.ones((1, 1))
-    while len(signs) < len(k):
-        signs = np.block([[signs, signs], [signs, -signs]])
-    for row in signs:
-        yield np.bincount(flat, weights=row[neighbor_bits], minlength=m * m).reshape(m, m)
+    neighbor_position = position[neighbors].ravel()
+
+    def block(values: np.ndarray) -> np.ndarray:
+        # Sum values[position] over the neighbours of each (rep, coset) pair;
+        # the per-edge weights are freed before the block is diagonalized.
+        return np.bincount(flat, values[neighbor_position], m * m).reshape(m, m)
+
+    # chi_e(k_b) = exp(2 pi i t_b / L), t = sum_j e_j x_j L / m_j mod L.
+    period = lcm(*orders)
+    for e in characters(orders):
+        t = exponents @ (np.array(e, dtype=np.intp) * period // orders) % period
+        if (2 * t % period == 0).all():  # a real chi takes the values +-1
+            yield block(np.where(t == 0, 1.0, -1.0))
+        else:
+            chi = np.exp(2j * np.pi / period * t)
+            yield block(chi.real) + 1j * block(chi.imag)
 
 
 def dense_spectrum(graph: CayleyGraph) -> SpectrumReport:
     """Full spectrum of the explicit adjacency operator (the brute-force
-    oracle), in the sign basis of the right cosets of K = sign_subgroup: the
-    union of the spectra of the 2^d blocks of sign_blocks, each diagonalized
-    on its own."""
+    oracle), in the character bases of the right cosets of K: the union of
+    the spectra of the blocks of sign_blocks, each diagonalized on its own,
+    with the values of a complex block counted twice (for chi and conj(chi))."""
     check_dense_cap(graph.size)
-    values: list[float] = []
+    pairs: list[tuple[float, int]] = []
     for block in sign_blocks(graph):
-        values += np.linalg.eigvalsh(block).tolist()
+        count = 2 if np.iscomplexobj(block) else 1
+        pairs += ((x, count) for x in np.linalg.eigvalsh(block).tolist())
         del block  # free it before the generator makes the next one
-    pairs = cluster_eigenvalues([(x, 1) for x in values])
+    pairs = cluster_eigenvalues(pairs)
     check_cayley_invariants(pairs, graph.size, graph.degree)
     return SpectrumReport(pairs, "dense")
 
@@ -225,23 +262,28 @@ def dense_spectrum(graph: CayleyGraph) -> SpectrumReport:
 # Natural module
 
 
-def natural_module_matrix(n: int, connecting: Sequence[Permutation]) -> list[list[int]]:
-    """The n x n integer operator N[i][j] = #{h in H : h(j) = i}; a
-    permutation of another degree raises DegreeMismatchError."""
-    rows = [h.images for h in connecting]
-    for row in rows:
-        if len(row) != n:
-            raise DegreeMismatchError(f"degrees {len(row)} != {n}")
+def natural_module_matrix(spec: ConnectingSetSpec) -> list[list[int]]:
+    """The n x n integer operator N[i][j] = #{h in H : h(j) = i} of H = spec,
+    counted from the cycle of every element: each arrow a -> b of a cycle
+    adds one to N[b][a], and N[j][j] = |H| - #{h moving j}."""
+    n = spec.n
     matrix = [[0] * n for _ in range(n)]
-    for j, column in enumerate(zip(*rows)):
-        for i, count in Counter(column).items():
-            matrix[i - 1][j] = count
+    size = 0
+    for cycle in connecting_cycles(spec):
+        size += 1
+        a = cycle[-1]
+        for b in cycle:
+            matrix[b - 1][a - 1] += 1
+            a = b
+    assert size == spec.cardinality()
+    for j in range(n):
+        matrix[j][j] = size - sum(row[j] for row in matrix)
     return matrix
 
 
-def natural_module_spectrum(n: int, connecting: Sequence[Permutation]) -> SpectrumReport:
+def natural_module_spectrum(spec: ConnectingSetSpec) -> SpectrumReport:
     """Exact integer spectrum of the connecting-set sum on the natural module."""
-    pairs = exact_integer_eigenvalues(natural_module_matrix(n, connecting))
+    pairs = exact_integer_eigenvalues(natural_module_matrix(spec))
     return SpectrumReport([(float(v), m) for v, m in pairs], "natural")
 
 
@@ -250,7 +292,4 @@ def multiplicity_table(n: int, r: int) -> list[tuple[int, int]]:
     prefix-moving set with k = r + 1, computed from the operator itself."""
     if not 2 <= r <= n - 2:
         raise ValueError(f"need 2 <= r <= n-2, got r={r}, n={n}")
-    from .permutations import prefix_moving_cycles
-
-    connecting = enumerate_connecting_set(prefix_moving_cycles(n, r + 1, r))
-    return exact_integer_eigenvalues(natural_module_matrix(n, connecting))
+    return exact_integer_eigenvalues(natural_module_matrix(prefix_moving_cycles(n, r + 1, r)))

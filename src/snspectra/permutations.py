@@ -24,12 +24,12 @@ from __future__ import annotations
 import itertools
 import re
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._numpy import np
 
 
-SET_CAP = 10**6  # the most elements enumerate_connecting_set makes
+SET_CAP = 10**6  # the most elements connecting_cycles makes
 
 
 class DegreeMismatchError(ValueError):
@@ -339,13 +339,10 @@ def check_set_cap(spec: ConnectingSetSpec) -> None:
         raise CapExceededError(f"|{spec}| = {spec.cardinality()} exceeds set cap {SET_CAP}")
 
 
-def enumerate_connecting_set(spec: ConnectingSetSpec) -> tuple[Permutation, ...]:
-    """The explicit connecting set, sorted by image sequence (deterministic).
-
-    The result excludes the identity, is closed under inverse, and every
-    element is a single k-cycle.  A set of more than SET_CAP elements is
-    refused by check_set_cap.
-    """
+def connecting_cycles(spec: ConnectingSetSpec) -> Iterator[tuple[int, ...]]:
+    """Each element of the connecting set once, as its cycle: a tuple of k
+    points with cycle[i] -> cycle[i+1], led by its least point.  A set of
+    more than SET_CAP elements is refused by check_set_cap on the call."""
     check_set_cap(spec)
     n, k = spec.n, spec.k
     if spec.family == "full":
@@ -356,16 +353,28 @@ def enumerate_connecting_set(spec: ConnectingSetSpec) -> tuple[Permutation, ...]
             prefix + extra
             for extra in itertools.combinations(range(spec.r + 1, n + 1), k - spec.r)
         )
-    identity = list(range(1, n + 1))
+    # All (k-1)! distinct k-cycles on each support, anchored at its least point.
+    return (
+        (first,) + tail for first, *rest in supports for tail in itertools.permutations(rest)
+    )
+
+
+def enumerate_connecting_set(spec: ConnectingSetSpec) -> tuple[Permutation, ...]:
+    """The explicit connecting set, sorted by image sequence (deterministic).
+
+    The result excludes the identity, is closed under inverse, and every
+    element is a single k-cycle.  A set of more than SET_CAP elements is
+    refused by check_set_cap.
+    """
+    identity = list(range(1, spec.n + 1))
     rows = []
-    for first, *rest in supports:
-        # All (k-1)! distinct k-cycles on the support, anchored at its least
-        # point so each cycle is produced exactly once: cycle[i] -> cycle[i+1].
-        for tail in itertools.permutations(rest):
-            images = identity.copy()
-            for a, b in zip((first,) + tail, tail + (first,)):
-                images[a - 1] = b
-            rows.append(tuple(images))
+    for cycle in connecting_cycles(spec):
+        images = identity.copy()
+        a = cycle[-1]
+        for b in cycle:
+            images[a - 1] = b
+            a = b
+        rows.append(tuple(images))
     rows.sort()
     assert len(rows) == spec.cardinality()
     return tuple(map(Permutation._trusted, rows))

@@ -82,10 +82,14 @@ class Outcome:
         return self.outcome in ("match", "documented-discrepancy", "skipped")
 
 
+def _ms_since(start: float) -> float:
+    return round((time.perf_counter() - start) * 1000.0, 3)
+
+
 def _timed(fn: Callable[[], Outcome]) -> Outcome:
     start = time.perf_counter()
     out = fn()
-    out.runtime_ms = round((time.perf_counter() - start) * 1000.0, 3)
+    out.runtime_ms = _ms_since(start)
     return out
 
 
@@ -188,8 +192,7 @@ def verify_T52(n: int, k: int, r: int) -> Outcome:
     def run() -> Outcome:
         params = {"n": n, "k": k, "r": r}
         mus = formulas.mu_values(n, k, r)
-        connecting = enumerate_connecting_set(prefix_moving_cycles(n, k, r))
-        report = graphs.natural_module_spectrum(n, connecting)
+        report = graphs.natural_module_spectrum(prefix_moving_cycles(n, k, r))
         computed = sorted({int(v) for v, _ in report.eigenvalues}, reverse=True)
         expected = sorted(set(mus), reverse=True)
         if computed != expected:
@@ -384,7 +387,8 @@ def run_cases(
     method: str = "auto",
 ) -> list[Outcome]:
     """Every case of the theorem's domain at these values, by this method; a
-    case refused by a size cap is recorded as "skipped" with the refusal."""
+    case refused by a size cap is recorded as "skipped" with the refusal and
+    the time up to it."""
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")
     accepted, least_n, takes, runner = THEOREMS[theorem]
@@ -402,10 +406,13 @@ def run_cases(
     outcomes: list[Outcome] = []
     for case in cases:
         for m in ["dense", "irrep"] if method == "all" else [method]:
+            start = time.perf_counter()
             try:
                 outcomes.extend(runner(m, **case))
             except CapExceededError as exc:
-                outcomes.append(Outcome(theorem, case, None, None, m, "skipped", detail=str(exc)))
+                outcomes.append(
+                    Outcome(theorem, case, None, None, m, "skipped", _ms_since(start), str(exc))
+                )
     return outcomes
 
 

@@ -118,8 +118,7 @@ def test_criterion_04_natural_module(capfd):
             for k in range(3, n):
                 for r in range(2, k):
                     mus = mu_values(n, k, r)
-                    connecting = enumerate_connecting_set(prefix_moving_cycles(n, k, r))
-                    report = natural_module_spectrum(n, connecting)
+                    report = natural_module_spectrum(prefix_moving_cycles(n, k, r))
                     values = {int(v) for v, _ in report.eigenvalues}
                     assert values == set(mus), (n, k, r)
                     if k == r + 1:

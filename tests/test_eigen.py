@@ -102,6 +102,37 @@ class TestCharpoly:
         assert np.allclose(sorted(ours.imag), sorted(reference.imag), atol=1e-6)
 
 
+def bareiss_determinant(matrix):
+    """det of an integer matrix by fraction-free Bareiss elimination."""
+    a = [list(row) for row in matrix]
+    n, sign, previous = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // previous
+        previous = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+class TestCharpolyAgainstDeterminants:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_values_are_det_xI_minus_M(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            m = rng.integers(-9, 10, size=(n, n)).tolist()
+            coeffs = charpoly_int(m)
+            assert len(coeffs) == n + 1 and coeffs[0] == 1
+            for x in range(n + 1):
+                shifted = [[x * (i == j) - m[i][j] for j in range(n)] for i in range(n)]
+                value = sum(c * x ** (n - d) for d, c in enumerate(coeffs))
+                assert value == bareiss_determinant(shifted), (m, x)
+
+
 class TestIntegerRoots:
     def test_simple_factorization(self):
         # (x - 2)^2 (x + 3) = x^3 - x^2 - 8x + 12

@@ -11,6 +11,7 @@ from snspectra.graphs import (
     CayleyGraph,
     DenseCapExceededError,
     build,
+    characters,
     check_dense_cap,
     dense_spectrum,
     from_explicit_set,
@@ -18,9 +19,10 @@ from snspectra.graphs import (
     natural_module_matrix,
     natural_module_spectrum,
     sign_blocks,
-    sign_subgroup,
+    translation_subgroup,
 )
 from snspectra.permutations import (
+    CapExceededError,
     DegreeMismatchError,
     Permutation,
     alternating_group,
@@ -203,21 +205,48 @@ class TestDenseSpectrum:
 
     @pytest.mark.parametrize(
         "kind, n, d",
-        [("symmetric", 3, 1), ("alternating", 3, 0), ("symmetric", 6, 3),
-         ("alternating", 6, 2), ("symmetric", 7, 3), ("alternating", 7, 2)],
+        [("symmetric", 3, 1), ("alternating", 3, 0), ("alternating", 5, 2), ("symmetric", 6, 3),
+         ("alternating", 6, 2), ("symmetric", 7, 3), ("alternating", 7, 2), ("alternating", 8, 4)],
     )
     def test_block_sizes(self, kind, n, d):
-        k = sign_subgroup(kind, n)
-        assert len(k) == 2**d
+        # K has d generators of order 2, and in Alt(n) with n = 3 (mod 4) a
+        # 3-cycle besides: |K| for Alt(5..8) is 4, 4, 12, 16.
+        with_3_cycle = kind == "alternating" and n % 4 == 3
+        k, exponents, orders = translation_subgroup(kind, n)
+        assert sorted(orders) == [2] * d + [3] * with_3_cycle
+        assert len(k) == 2**d * 3**with_3_cycle
         assert len({tuple(row) for row in k.tolist()}) == len(k)
-        assert all((row[row] == np.arange(n)).all() for row in k)  # involutions
+        assert [tuple(x) for x in exponents.tolist()] == list(itertools.product(*map(range, orders)))
+        # c_j is the row whose exponents are the j-th unit vector.
+        units = np.eye(len(orders), dtype=int)
+        generators = [(k[(exponents == unit).all(axis=1)][0], m) for unit, m in zip(units, orders)]
+        identity = np.arange(n)
+        for c, m in generators:
+            powers = [identity]
+            for _ in range(m):
+                powers.append(c[powers[-1]])
+            assert (powers[m] == identity).all()
+            assert not any((p == identity).all() for p in powers[1:m])
+        for (a, _), (b, _) in itertools.combinations(generators, 2):
+            assert (a[b] == b[a]).all()
+        for row, x in zip(k, exponents.tolist()):
+            element = identity
+            for (c, _), power in zip(generators, x):
+                for _ in range(power):
+                    element = element[c]
+            assert (row == element).all()
         if kind == "alternating":
             assert all(Permutation(tuple(row)).is_even() for row in (k + 1).tolist())
         g = build(kind, full_cycles(n, 3))
-        shapes = [block.shape for block in sign_blocks(g)]
-        assert shapes == [(g.size // 2**d, g.size // 2**d)] * 2**d
-        assert sum(rows for rows, _ in shapes) == g.size
-        assert all((block == block.T).all() for block in sign_blocks(g))
+        rows = g.size // len(k)
+        blocks = list(sign_blocks(g))
+        assert all(block.shape == (rows, rows) for block in blocks)
+        # A complex block stands for a character and its conjugate.
+        assert sum(rows * (1 + np.iscomplexobj(block)) for block in blocks) == g.size
+        assert any(np.iscomplexobj(block) for block in blocks) == with_3_cycle
+        for block in blocks:
+            assert np.allclose(block, block.conj().T, rtol=0, atol=1e-12)
+            assert np.iscomplexobj(block) or (block == block.T).all()
 
     def test_transposition_graph_on_sym3(self):
         # All transpositions on three points give K_{3,3}: spectrum 3, 0^4, -3.
@@ -251,45 +280,44 @@ def numpy_natural_reference(n, connecting):
     return matrix.tolist()
 
 
+def per_element_natural_reference(spec):
+    """N by the loop over the explicit elements: h adds one to N[h(j)][j]."""
+    expected = [[0] * spec.n for _ in range(spec.n)]
+    for h in enumerate_connecting_set(spec):
+        for j in range(1, spec.n + 1):
+            expected[h(j) - 1][j - 1] += 1
+    return expected
+
+
 class TestNaturalModule:
     def test_matrix_entries(self):
-        connecting = enumerate_connecting_set(prefix_moving_cycles(6, 3, 2))
-        m = natural_module_matrix(6, connecting)
+        spec = prefix_moving_cycles(6, 3, 2)
+        m = natural_module_matrix(spec)
         assert all(m[j][j] == 0 for j in range(2))  # moved points
         assert all(m[j][j] == 6 for j in range(2, 6))  # (k-1)! C(n-r-1, k-r)
-        assert sum(m[i][1] for i in range(6)) == len(connecting)
+        assert sum(m[i][1] for i in range(6)) == spec.cardinality()
 
-    @pytest.mark.parametrize("spec_text", ["C(5,2)", "C(6,3;2)", "C(7,5;3)", "C(8,8)"])
+    @pytest.mark.parametrize("spec_text", ["C(5,2)", "C(6,3;2)", "C(7,5;3)", "C(8,8)", "C(4,4)"])
     def test_matrix_matches_per_element_loop(self, spec_text):
         spec = parse_spec(spec_text)
-        connecting = enumerate_connecting_set(spec)
-        expected = [[0] * spec.n for _ in range(spec.n)]
-        for h in connecting:
-            for j in range(1, spec.n + 1):
-                expected[h(j) - 1][j - 1] += 1
-        assert natural_module_matrix(spec.n, connecting) == expected
+        assert natural_module_matrix(spec) == per_element_natural_reference(spec)
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_matrix_matches_numpy_reference(self, n):
         for k in range(3, n):
             for r in range(2, k):
-                connecting = enumerate_connecting_set(prefix_moving_cycles(n, k, r))
-                matrix = natural_module_matrix(n, connecting)
-                assert matrix == numpy_natural_reference(n, connecting)
+                spec = prefix_moving_cycles(n, k, r)
+                matrix = natural_module_matrix(spec)
+                assert matrix == per_element_natural_reference(spec)
+                assert matrix == numpy_natural_reference(n, enumerate_connecting_set(spec))
                 assert all(type(entry) is int for row in matrix for entry in row)
 
-    @pytest.mark.parametrize(
-        "n,degrees,message",
-        [(6, (5, 5), "degrees 5 != 6"), (5, (5, 4), "degrees 4 != 5")],
-    )
-    def test_set_of_another_degree_refused(self, n, degrees, message):
-        connecting = [parse_cycles("(1,2,3)", degrees[0]), parse_cycles("(1,2)", degrees[1])]
-        with pytest.raises(DegreeMismatchError, match=message):
-            natural_module_matrix(n, connecting)
+    def test_set_above_the_cap_refused(self):
+        with pytest.raises(CapExceededError, match="exceeds set cap"):
+            natural_module_matrix(prefix_moving_cycles(13, 12, 11))
 
     def test_spectrum_example(self):
-        connecting = enumerate_connecting_set(prefix_moving_cycles(6, 3, 2))
-        report = natural_module_spectrum(6, connecting)
+        report = natural_module_spectrum(prefix_moving_cycles(6, 3, 2))
         assert report.eigenvalues == [(8.0, 1), (6.0, 3), (2.0, 1), (-4.0, 1)]
 
     @pytest.mark.parametrize("n,r", [(6, 2), (7, 3), (8, 4), (9, 2)])
@@ -300,8 +328,7 @@ class TestNaturalModule:
 
     def test_at_most_four_distinct_values(self):
         for n, k, r in [(6, 3, 2), (7, 5, 3), (8, 6, 2), (7, 4, 2)]:
-            connecting = enumerate_connecting_set(prefix_moving_cycles(n, k, r))
-            report = natural_module_spectrum(n, connecting)
+            report = natural_module_spectrum(prefix_moving_cycles(n, k, r))
             assert len(report.eigenvalues) <= 4
 
 
@@ -353,24 +380,29 @@ def every_spec(n):
 
 
 def full_table_sign_blocks(graph):
-    """Block e of the sign basis from the whole adjacency matrix: the rows of
-    the coset representatives, times the sign pattern of e on every coset."""
-    k = sign_subgroup(graph.group_kind, graph.n)
-    right = np.stack([graph.ranks(graph.vertex_images[:, kb]) for kb in k])
-    reps = np.flatnonzero(right.argmin(axis=0) == 0)
-    patterns = np.zeros((len(k), graph.size, len(reps)))
-    for c, rep in enumerate(reps):
-        for b, v in enumerate(right[:, rep]):  # v = rep k_b
-            for e in range(len(k)):
-                patterns[e, v, c] = (-1) ** bin(e & b).count("1")
+    """The block of every character chi of K from the whole adjacency
+    matrix: the rows of the coset representatives times the character basis
+    v_c(rep_c k) = chi(k), one vector per coset, keyed by the exponents e of
+    chi(k) = exp(2 pi i sum_j e_j x_j / m_j) at k = c_1^x_1 ... c_d^x_d."""
+    k, exponents, orders = translation_subgroup(graph.group_kind, graph.n)
+    right = np.stack([graph.ranks(graph.vertex_images[:, kb]) for kb in k])  # g k_b
+    reps = np.unique(right.min(axis=0))
     rows = graph.adjacency_matrix()[reps].astype(float)
-    return [rows @ pattern for pattern in patterns]
+    blocks = {}
+    for e in itertools.product(*map(range, orders)):
+        chi = np.exp(2j * np.pi * (exponents @ (np.array(e) / orders)))
+        basis = np.zeros((graph.size, len(reps)), dtype=complex)
+        for c, rep in enumerate(reps):
+            basis[right[:, rep], c] = chi
+        blocks[e] = rows @ basis
+    return blocks
 
 
 class TestSignBlocksFromRepresentatives:
     @pytest.mark.parametrize(
         "kind, n, specs",
-        [("symmetric", 5, 10), ("alternating", 5, 4), ("symmetric", 6, 15), ("alternating", 6, 8)],
+        [("symmetric", 5, 10), ("alternating", 5, 4), ("symmetric", 6, 15), ("alternating", 6, 8),
+         ("alternating", 3, 1), ("alternating", 7, 9)],
     )
     def test_same_blocks_as_the_full_table(self, kind, n, specs):
         checked = 0
@@ -380,9 +412,15 @@ class TestSignBlocksFromRepresentatives:
             g = build(kind, spec)
             blocks = list(sign_blocks(g))
             reference = full_table_sign_blocks(g)
-            assert len(blocks) == len(reference)
-            for block, expected in zip(blocks, reference):
-                assert np.array_equal(block, expected), (kind, spec)
+            _, _, orders = translation_subgroup(kind, n)
+            pairs = list(characters(orders))
+            assert len(blocks) == len(pairs)
+            conjugate = {e: tuple(-x % m for x, m in zip(e, orders)) for e in pairs}
+            assert set(conjugate.values()) | set(pairs) == set(reference)
+            for e, block in zip(pairs, blocks):
+                # chi is real iff it is its own conjugate; else its block is complex.
+                assert np.iscomplexobj(block) == (conjugate[e] != e), (kind, spec, e)
+                assert np.allclose(block, reference[e], rtol=0, atol=1e-9), (kind, spec, e)
             checked += 1
         assert checked == specs
 

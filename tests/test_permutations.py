@@ -15,6 +15,7 @@ from snspectra.permutations import (
     alternating_group,
     compose,
     conjugate,
+    connecting_cycles,
     cycle_string,
     cycle_type,
     enumerate_connecting_set,
@@ -275,6 +276,20 @@ class TestSpecs:
         specs += [prefix_moving_cycles(n, k, r) for k in range(2, n) for r in range(1, k)]
         for spec in specs:
             assert enumerate_connecting_set(spec) == reference_connecting_set(spec)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_cycles_give_each_element_once(self, n):
+        specs = [full_cycles(n, k) for k in range(2, n + 1)]
+        specs += [prefix_moving_cycles(n, k, r) for k in range(2, n) for r in range(1, k)]
+        for spec in specs:
+            cycles = list(connecting_cycles(spec))
+            assert all(len(c) == spec.k and c[0] == min(c) for c in cycles)
+            elements = sorted(Permutation.from_cycles([c], n) for c in cycles)
+            assert tuple(elements) == enumerate_connecting_set(spec)
+
+    def test_cycles_refused_on_the_call(self, no_element_made):
+        with pytest.raises(CapExceededError, match=r"^\|C\(13,13\)\| = 479001600 exceeds"):
+            connecting_cycles(full_cycles(13, 13))
 
     def test_enumeration_deterministic(self):
         spec = prefix_moving_cycles(6, 3, 2)

@@ -182,12 +182,21 @@ class TestTheoremRunners:
 
     def test_quotients_count_H_once(self, monkeypatch):
         counted = []
-        enumerate_once = equitable.enumerate_connecting_set
+        count_once = equitable.natural_module_matrix
         monkeypatch.setattr(
-            equitable, "enumerate_connecting_set", lambda spec: counted.append(spec) or enumerate_once(spec)
+            equitable, "natural_module_matrix", lambda spec: counted.append(spec) or count_once(spec)
         )
         assert all(o.outcome == "match" for o in verify.verify_quotients(7, 4, 2))
         assert counted == [prefix_moving_cycles(7, 4, 2)]
+
+    def test_natural_rows_count_H_without_enumerating(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError(f"{spec} was enumerated")
+
+        monkeypatch.setattr(verify, "enumerate_connecting_set", refuse)
+        monkeypatch.setattr(graphs, "enumerate_connecting_set", refuse)
+        for theorem in ("52", "53", "54", "61"):
+            assert all(o.ok for o in verify.run_cases(theorem, [6]))
 
     @pytest.mark.parametrize("theorem, index", [("53", 0), ("54", 1)])
     def test_quotient_rows_split_verify_quotients(self, theorem, index):
@@ -224,6 +233,12 @@ class TestTheoremRunners:
         assert time.perf_counter() - start < 1.0
         assert (out.outcome, out.expected, out.params) == ("skipped", None, {"n": 13, "r": 11})
         assert out.detail == "21450-row block (5, 4, 2, 1, 1) of S13 exceeds block cap 7700"
+
+    def test_skipped_case_records_the_time_to_its_refusal(self, no_element_made):
+        [out] = verify.run_cases("61", [13], [11])
+        assert (out.outcome, out.params) == ("skipped", {"n": 13, "r": 11})
+        assert out.detail == "|C(13,12;11)| = 79833600 exceeds set cap 1000000"
+        assert out.runtime_ms > 0
 
     def test_T13_refused_on_the_block_cap_before_enumerating(self, monkeypatch, no_block_assembled):
         def refuse(spec):
