@@ -42,11 +42,6 @@ def class_size(ctype: Sequence[int]) -> int:
     return factorial(n) // denom
 
 
-def class_sign(ctype: Sequence[int]) -> int:
-    """Sign of any permutation with this cycle type."""
-    return -1 if (sum(ctype) - len(ctype)) % 2 else 1
-
-
 def _shape_from_beta(beta: list[int]) -> tuple[int, ...]:
     beta = sorted(beta, reverse=True)
     m = len(beta)
@@ -148,18 +143,21 @@ def max_ratio_diagram(
     return tuple(winners), best
 
 
-def character_table(n: int) -> tuple[tuple[tuple[int, ...], ...], list[list[int]]]:
-    """(cycle types, rows) with rows indexed by partitions_of(n)."""
+def character_table_csv(n: int) -> str:
+    """The character table as CSV: one row per diagram, one column per cycle
+    type, both in partitions_of order, exact ints; the one writer of both
+    ``character`` table outputs."""
     classes = partitions_of(n)
     columns = [character_column(c) for c in classes]
-    rows = [[column.get(shape, 0) for column in columns] for shape in classes]
-    return classes, rows
+    lines = ["diagram," + ",".join(map(diagram_string, classes))]
+    lines += [
+        diagram_string(shape) + "," + ",".join(str(column.get(shape, 0)) for column in columns)
+        for shape in classes
+    ]
+    return "\n".join(lines) + "\n"
 
 
 def export_character_table_csv(n: int, path: str | os.PathLike) -> None:
-    """CSV with one row per diagram, one column per cycle type, exact ints."""
-    classes, rows = character_table(n)
+    """Write character_table_csv(n) to ``path``."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("diagram," + ",".join(diagram_string(c) for c in classes) + "\n")
-        for shape, row in zip(partitions_of(n), rows):
-            fh.write(diagram_string(shape) + "," + ",".join(map(str, row)) + "\n")
+        fh.write(character_table_csv(n))

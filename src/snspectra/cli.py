@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import characters, equitable, graphs, verify
-from .diagrams import diagram_string, parse_diagram, partitions_of
+from .diagrams import parse_diagram
 from .permutations import cycle_string, enumerate_connecting_set, parse_spec
 
 
@@ -85,10 +85,7 @@ def _cmd_character(args: argparse.Namespace) -> int:
         characters.export_character_table_csv(args.n, args.csv)
         print(json.dumps({"n": args.n, "csv": args.csv}))
     else:
-        classes, rows = characters.character_table(args.n)
-        print("diagram," + ",".join(diagram_string(c) for c in classes))
-        for shape, row in zip(partitions_of(args.n), rows):
-            print(diagram_string(shape) + "," + ",".join(map(str, row)))
+        sys.stdout.write(characters.character_table_csv(args.n))
     return 0
 
 

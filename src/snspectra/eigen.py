@@ -15,20 +15,18 @@ class NonIntegerSpectrumError(ArithmeticError):
     """An exact spectrum was expected to be integral but is not."""
 
 
-def snap_to_integer(value: float, tol: float = CLUSTER_TOL) -> float:
+def snap_to_integer(value: float) -> float:
     nearest = round(value)
-    return float(nearest) if abs(value - nearest) <= tol else float(value)
+    return float(nearest) if abs(value - nearest) <= CLUSTER_TOL else float(value)
 
 
-def cluster_eigenvalues(
-    pairs: Sequence[tuple[float, int]], tol: float = CLUSTER_TOL
-) -> list[tuple[float, int]]:
+def cluster_eigenvalues(pairs: Sequence[tuple[float, int]]) -> list[tuple[float, int]]:
     """Merge numerically equal eigenvalues of (value, multiplicity) pairs.
 
     Raw solver output passes multiplicity 1 per value.  Sorted values chain
-    into one cluster while each is within ``tol`` of the previous one; the
-    representative is the multiplicity-weighted mean, snapped to the nearest
-    integer when within ``tol``.  Sorted descending.
+    into one cluster while each is within CLUSTER_TOL of the previous one;
+    the representative is the multiplicity-weighted mean, snapped to the
+    nearest integer when within CLUSTER_TOL.  Sorted descending.
 
     The mean is taken as an offset from the cluster's first value, so a
     cluster of equal values keeps that value exactly however large the
@@ -37,8 +35,8 @@ def cluster_eigenvalues(
     clusters: list[tuple[float, int]] = []
     base, offset, weight, prev = 0.0, 0.0, 0, 0.0
     for value, mult in sorted(pairs, key=lambda p: -p[0]):
-        if weight and prev - value > tol:
-            clusters.append((snap_to_integer(base + offset / weight, tol), weight))
+        if weight and prev - value > CLUSTER_TOL:
+            clusters.append((snap_to_integer(base + offset / weight), weight))
             weight = 0
         if not weight:
             base, offset = value, 0.0
@@ -46,7 +44,7 @@ def cluster_eigenvalues(
         weight += mult
         prev = value
     if weight:
-        clusters.append((snap_to_integer(base + offset / weight, tol), weight))
+        clusters.append((snap_to_integer(base + offset / weight), weight))
     return clusters
 
 
@@ -167,12 +165,12 @@ def integer_roots(coeffs: Sequence[int], bound: int | None = None) -> dict[int, 
     """Roots with multiplicity of a monic integer polynomial, all of which
     must be integers; raises NonIntegerSpectrumError otherwise.
 
-    Candidates are divisors of the constant term no larger in magnitude than
-    ``bound`` (or the Cauchy root bound when absent); each found root is
-    deflated out until the polynomial is fully factored.  Pass a sharp bound
-    when available -- the constant term can be enormous and trial division up
-    to its square root is hopeless, while any a-priori root bound keeps the
-    scan tiny.
+    One scan over d = 1, 2, ... up to ``bound`` (or the Cauchy root bound
+    when absent, or when smaller) tries d and -d where d divides the
+    constant term of what is left, and deflates each candidate out as often
+    as it is a root.  Pass a sharp bound when available -- the constant term
+    can be enormous and trial division up to its square root is hopeless,
+    while any a-priori root bound keeps the scan tiny.
     """
     poly = list(coeffs)
     if not poly or poly[0] != 1:
@@ -181,26 +179,21 @@ def integer_roots(coeffs: Sequence[int], bound: int | None = None) -> dict[int, 
     while len(poly) > 1 and poly[-1] == 0:
         roots[0] = roots.get(0, 0) + 1
         poly = poly[:-1]
-    while len(poly) > 1:
-        constant = abs(poly[-1])
-        cauchy = 1 + max(abs(c) for c in poly[1:])
-        limit = min(bound, cauchy) if bound is not None else cauchy
-        found = None
-        for d in range(1, limit + 1):
-            if constant % d:
-                continue
-            for candidate in (d, -d):
-                if _eval_poly(poly, candidate) == 0:
-                    found = candidate
-                    break
-            if found is not None:
-                break
-        if found is None:
-            raise NonIntegerSpectrumError(
-                f"no integer root of degree-{len(poly) - 1} factor {poly}"
-            )
-        roots[found] = roots.get(found, 0) + 1
-        poly = _deflate(poly, found)
+    cauchy = 1 + max((abs(c) for c in poly[1:]), default=0)
+    limit = min(bound, cauchy) if bound is not None else cauchy
+    for d in range(1, limit + 1):
+        if len(poly) == 1:
+            break
+        if poly[-1] % d:
+            continue
+        for candidate in (d, -d):
+            while len(poly) > 1 and _eval_poly(poly, candidate) == 0:
+                roots[candidate] = roots.get(candidate, 0) + 1
+                poly = _deflate(poly, candidate)
+    if len(poly) > 1:
+        raise NonIntegerSpectrumError(
+            f"no integer root of degree-{len(poly) - 1} factor {poly}"
+        )
     return roots
 
 

@@ -1,6 +1,7 @@
 """
-Equitable partitions, orbit partitions, and the two 3-block partitions of the
-prefix-moving Cayley graphs with their exact quotient matrices.
+Equitable partitions: the full per-vertex check, and the two 3-block
+partitions of the prefix-moving Cayley graphs with their exact quotient
+matrices.
 
 The closed-form quotient matrices B1 (blocks by the image of the last point)
 and B2 (blocks by the image of the first point) have exact integer entries;
@@ -16,12 +17,7 @@ from ._numpy import np
 from .eigen import exact_integer_eigenvalues
 from .formulas import binom
 from .graphs import CayleyGraph, natural_module_matrix
-from .permutations import (
-    Permutation,
-    conjugate,
-    image_array,
-    prefix_moving_cycles,
-)
+from .permutations import prefix_moving_cycles
 
 VertexPartition = list[list[int]]
 
@@ -64,54 +60,6 @@ def is_equitable(
             return False, None
         quotient.append(rows[0].tolist())
     return True, quotient
-
-
-def singleton_partition(graph: CayleyGraph) -> VertexPartition:
-    return [[v] for v in range(graph.size)]
-
-
-def orbit_partition(
-    graph: CayleyGraph, generators: Sequence[tuple[Permutation, Permutation]]
-) -> VertexPartition:
-    """Orbits of a subgroup of F x G acting by (f, g): v -> f^-1 v g.
-
-    Each generator must be an automorphism of the graph, which for this
-    action is exactly the requirement that conjugation by f preserves the
-    connecting set; this is checked and a failing generator raises.
-    The orbit partition is guaranteed equitable (and asserted so).
-    """
-    hset = set(graph.connecting_set)
-    actions = []
-    for f, g in generators:
-        if {conjugate(h, f.inverse()) for h in hset} != hset:
-            raise ValueError(f"conjugation by {f} does not preserve the connecting set")
-        finv = f.inverse()
-        actions.append((finv, g))
-    parent = list(range(graph.size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for finv, g in actions:
-        finv_images, g_images = image_array([finv, g], graph.n)
-        # (f^-1 v g)(x) = f^-1(v(g(x))), for every vertex v at once
-        targets = graph.ranks(finv_images[graph.vertex_images[:, g_images]])
-        if (targets < 0).any():
-            raise ValueError(f"right translation by {g} leaves the vertex set")
-        for i, j in enumerate(targets.tolist()):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
-    orbits: dict[int, list[int]] = {}
-    for i in range(graph.size):
-        orbits.setdefault(find(i), []).append(i)
-    blocks = sorted(orbits.values(), key=lambda b: b[0])
-    ok, _ = is_equitable(graph, blocks)
-    assert ok, "orbit partition failed the equitability check"
-    return blocks
 
 
 def _three_blocks(graph: CayleyGraph, point: int, r: int) -> VertexPartition:

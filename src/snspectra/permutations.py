@@ -7,7 +7,8 @@ The composition convention is fixed repo-wide as ``(g * h)(x) = g(h(x))``,
 i.e. ``h`` acts first.  Cayley adjacency elsewhere uses ``u ~ v`` iff
 ``u * v.inverse()`` is in the connecting set.
 
-Connecting sets are enumerated in pure Python.  The array routes hold
+Groups and connecting sets share one enumerator, ``itertools.permutations``,
+whose lexicographic order is the order of group rows.  The array routes hold
 groups and connecting sets as ``(N, n)`` small-int arrays of 0-based images,
 one row per element; ``Permutation`` objects are made from them only at the
 public boundary.
@@ -303,21 +304,6 @@ def parse_spec(text: str) -> ConnectingSetSpec:
     return prefix_moving_cycles(n, k, int(r))
 
 
-def _lex_permutations(n: int) -> np.ndarray:
-    """All permutations of range(n), one row of images each, in lexicographic order."""
-    dtype = np.min_scalar_type(n)
-    images = np.zeros((1, 0), dtype=dtype)
-    for m in range(1, n + 1):
-        # The rows starting with f: f, then the other points of range(m)
-        # arranged by each permutation of range(m - 1) in turn.
-        points = np.arange(m, dtype=dtype)
-        images = np.concatenate([
-            np.hstack([np.full((len(images), 1), f, dtype=dtype), np.delete(points, f)[images]])
-            for f in range(m)
-        ])
-    return images
-
-
 def image_array(perms: Sequence[Permutation], n: int) -> np.ndarray:
     """The ``(len(perms), n)`` array of 0-based images of degree-n permutations;
     a permutation of another degree raises DegreeMismatchError."""
@@ -399,7 +385,7 @@ def group_images(kind: str, n: int) -> np.ndarray:
     """Sym(1..n) or Alt(1..n) as 0-based images, rows in lexicographic order."""
     if kind not in ("symmetric", "alternating"):
         raise ValueError(f"unknown group kind {kind!r}")
-    images = _lex_permutations(n)
+    images = np.array(list(itertools.permutations(range(n))), dtype=np.min_scalar_type(n))
     return images if kind == "symmetric" else images[even_rows(images)]
 
 

@@ -334,17 +334,12 @@ def theorem_65_max_block_eigenvalues(
     verify.spectrum's irrep route does."""
     from . import yor
 
-    shapes = yor.block_shapes(n)
+    shapes = [shape for shape in yor.block_shapes(n) if dimension(shape) > n - 1]
     connecting = enumerate_connecting_set(prefix_moving_cycles(n, r + 1, r))
-    params = yor._class_sum_parameters(n, connecting)
-    rows = []
-    for shape in shapes:
-        dim = dimension(shape)
-        if dim <= n - 1:
-            continue
-        spectrum = yor.hplus_block_spectrum(shape, connecting, params)
-        rows.append((shape, dim, spectrum[0][0]))
-    return rows
+    _, spectra = yor.block_spectra(n, shapes, connecting)
+    return [
+        (shape, dimension(shape), spectrum[0][0]) for shape, spectrum in zip(shapes, spectra)
+    ]
 
 
 def verify_T65(n: int, r: int) -> Outcome:

@@ -366,6 +366,17 @@ def block_shapes(n: int) -> tuple[tuple[int, ...], ...]:
     return shapes
 
 
+def block_spectra(
+    n: int, shapes: Sequence[tuple[int, ...]], connecting_set: Sequence[Permutation]
+) -> tuple[int, list[list[tuple[float, int]]]]:
+    """|H| and, shape by shape, the clustered spectrum of H+ on its block:
+    the one block loop of the irrep route, which recognizes H once."""
+    params = _class_sum_parameters(n, connecting_set)
+    # A recognized class sum has already been checked for repeated elements.
+    order = len(connecting_set) if params is not None else len(set(connecting_set))
+    return order, [hplus_block_spectrum(shape, connecting_set, params) for shape in shapes]
+
+
 def full_spectrum_via_irreps(
     n: int, connecting_set: Sequence[Permutation], group_kind: str = "symmetric"
 ) -> SpectrumReport:
@@ -382,14 +393,12 @@ def full_spectrum_via_irreps(
     _check_group(group_kind, bool(even_rows(images).all()))
     if (images == np.arange(n)).all(axis=1).any():
         raise ValueError("connecting set may not contain the identity")
-    params = _class_sum_parameters(n, connecting_set)
+    order, spectra = block_spectra(n, shapes, connecting_set)
     pairs = [
         (value, mult * dimension(shape))
-        for shape in shapes
-        for value, mult in hplus_block_spectrum(shape, connecting_set, params)
+        for shape, spectrum in zip(shapes, spectra)
+        for value, mult in spectrum
     ]
-    # A recognized class sum has already been checked for repeated elements.
-    order = len(connecting_set) if params is not None else len(set(connecting_set))
     return _group_report(pairs, "irrep", group_kind, n, order)
 
 

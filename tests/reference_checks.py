@@ -1,6 +1,8 @@
 """Numeric checks that only the tests call: interlacing after deleting the
 edges at one vertex, the Weyl inequalities on a split of H, the relations of
-Young's orthogonal generators, and the split sizes of C(n, r+1; r).
+Young's orthogonal generators, and the split sizes of C(n, r+1; r).  Beside
+them are reference implementations the tests compare against: orbit and
+singleton partitions, and the sign of a cycle type.
 
 They compare the package against classical facts; no command or ``verify``
 row reaches them, so they live beside the tests and not in the package.
@@ -16,8 +18,9 @@ import numpy as np
 from snspectra import yor
 from snspectra.diagrams import dimension, partitions_of, validate_diagram
 from snspectra.eigen import CLUSTER_TOL, SpectrumReport, cluster_eigenvalues
+from snspectra.equitable import VertexPartition, is_equitable
 from snspectra.graphs import CayleyGraph, dense_spectrum
-from snspectra.permutations import Permutation
+from snspectra.permutations import Permutation, conjugate, image_array
 
 
 def split_sizes(n: int, r: int) -> tuple[int, int]:
@@ -171,3 +174,60 @@ def relation_residual(shape: Sequence[int]) -> float:
                 rhs = gens[j] @ gens[i] @ gens[j]
                 worst = max(worst, np.abs(lhs - rhs).max())
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Orbit partitions and the sign of a cycle type
+
+
+def singleton_partition(graph: CayleyGraph) -> VertexPartition:
+    return [[v] for v in range(graph.size)]
+
+
+def orbit_partition(
+    graph: CayleyGraph, generators: Sequence[tuple[Permutation, Permutation]]
+) -> VertexPartition:
+    """Orbits of a subgroup of F x G acting by (f, g): v -> f^-1 v g.
+
+    Each generator must be an automorphism of the graph, which for this
+    action is exactly the requirement that conjugation by f preserves the
+    connecting set; this is checked and a failing generator raises.
+    The orbit partition is guaranteed equitable (and asserted so).
+    """
+    hset = set(graph.connecting_set)
+    actions = []
+    for f, g in generators:
+        if {conjugate(h, f.inverse()) for h in hset} != hset:
+            raise ValueError(f"conjugation by {f} does not preserve the connecting set")
+        finv = f.inverse()
+        actions.append((finv, g))
+    parent = list(range(graph.size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for finv, g in actions:
+        finv_images, g_images = image_array([finv, g], graph.n)
+        # (f^-1 v g)(x) = f^-1(v(g(x))), for every vertex v at once
+        targets = graph.ranks(finv_images[graph.vertex_images[:, g_images]])
+        if (targets < 0).any():
+            raise ValueError(f"right translation by {g} leaves the vertex set")
+        for i, j in enumerate(targets.tolist()):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[rj] = ri
+    orbits: dict[int, list[int]] = {}
+    for i in range(graph.size):
+        orbits.setdefault(find(i), []).append(i)
+    blocks = sorted(orbits.values(), key=lambda b: b[0])
+    ok, _ = is_equitable(graph, blocks)
+    assert ok, "orbit partition failed the equitability check"
+    return blocks
+
+
+def class_sign(ctype: Sequence[int]) -> int:
+    """Sign of any permutation with this cycle type."""
+    return -1 if (sum(ctype) - len(ctype)) % 2 else 1

@@ -8,7 +8,6 @@ from snspectra import characters
 from snspectra.characters import (
     character_column,
     class_eigenvalue,
-    class_sign,
     class_size,
     export_character_table_csv,
     hook_value_on_ncycle,
@@ -25,6 +24,8 @@ from snspectra.diagrams import (
     transpose,
     validate_diagram,
 )
+
+from reference_checks import class_sign
 
 
 def count_standard_fillings(shape):

@@ -276,6 +276,15 @@ class TestCharacterCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 6
 
+    def test_stdout_equals_the_csv_file(self, capsys, tmp_path):
+        target = tmp_path / "t8.csv"
+        code, out = run_cli(capsys, "character", "--n", "8", "--csv", str(target))
+        assert (code, json.loads(out)) == (0, {"n": 8, "csv": str(target)})
+        code, out = run_cli(capsys, "character", "--n", "8")
+        assert code == 0
+        assert out.encode() == target.read_bytes()
+        assert len(out.splitlines()) == 23  # header + p(8) diagrams
+
 
 class TestEnumerateCommand:
     def test_lists_cycles(self, capsys):

@@ -1,6 +1,10 @@
+import contextlib
+import io
+
 import numpy as np
 import pytest
 
+from snspectra import cli, eigen
 from snspectra.eigen import (
     NonIntegerSpectrumError,
     SpectrumReport,
@@ -133,6 +137,14 @@ class TestCharpolyAgainstDeterminants:
                 assert value == bareiss_determinant(shifted), (m, x)
 
 
+def from_roots(roots, factor=(1,)):
+    """Coefficients of factor * prod(x - root), leading term first."""
+    poly = list(factor)
+    for root in roots:
+        poly = [a - root * b for a, b in zip(poly + [0], [0] + poly)]
+    return poly
+
+
 class TestIntegerRoots:
     def test_simple_factorization(self):
         # (x - 2)^2 (x + 3) = x^3 - x^2 - 8x + 12
@@ -144,6 +156,31 @@ class TestIntegerRoots:
     def test_irrational_spectrum_raises(self):
         with pytest.raises(NonIntegerSpectrumError):
             integer_roots([1, 0, -2])  # x^2 - 2
+
+    def test_repeated_negative_and_zero_roots(self):
+        roots = [0, 0, -2, -2, -2, 5, 5, 1, -7]
+        assert integer_roots(from_roots(roots)) == {0: 2, 1: 1, -2: 3, 5: 2, -7: 1}
+        assert integer_roots(from_roots(roots), bound=7) == {0: 2, 1: 1, -2: 3, 5: 2, -7: 1}
+
+    def test_non_integer_factor_left_after_the_integer_roots_raises(self):
+        # (x - 3)^2 (x + 1) (x^2 - 2): the integer roots deflate out first.
+        coeffs = from_roots([3, 3, -1], factor=(1, 0, -2))
+        with pytest.raises(NonIntegerSpectrumError, match=r"degree-2 factor \[1, 0, -2\]$"):
+            integer_roots(coeffs)
+
+    def test_root_beyond_the_bound_raises(self):
+        with pytest.raises(NonIntegerSpectrumError, match=r"degree-1 factor \[1, -9\]$"):
+            integer_roots(from_roots([2, 9]), bound=8)
+
+    def test_one_scan_on_theorem_52(self, monkeypatch):
+        # The divisors are scanned once, each candidate deflated as often as
+        # it is a root; restarting the scan after every root made 12794 calls.
+        calls = []
+        evaluate = eigen._eval_poly
+        monkeypatch.setattr(eigen, "_eval_poly", lambda *args: calls.append(1) or evaluate(*args))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["verify", "--theorem", "52", "--n", "5-8", "--format", "json"]) == 0
+        assert 0 < len(calls) <= 3700
 
     def test_exact_eigenvalues(self):
         # Quotient-style matrix with known integer spectrum {8, 6, 2}.

@@ -7,13 +7,11 @@ from snspectra.equitable import (
     counted_quotient,
     export_quotient_csv,
     is_equitable,
-    orbit_partition,
     partition_P1,
     partition_P2,
     quotient_B1,
     quotient_B2,
     quotient_eigenvalues,
-    singleton_partition,
 )
 from snspectra.formulas import mu_values
 from snspectra.graphs import build, dense_spectrum
@@ -25,6 +23,8 @@ from snspectra.permutations import (
     parse_cycles,
     prefix_moving_cycles,
 )
+
+from reference_checks import orbit_partition, singleton_partition
 
 
 def bincount_quotient_reference(n, k, r, which):

@@ -3,6 +3,7 @@ import itertools
 import pickle
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,6 +22,7 @@ from snspectra.permutations import (
     enumerate_connecting_set,
     full_cycles,
     generated_subgroup_kind,
+    group_images,
     parity,
     parse_cycles,
     parse_spec,
@@ -349,8 +351,13 @@ def test_group_enumerations():
     assert symmetric_group(3) == tuple(sorted(symmetric_group(3)))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 8))
 def test_group_enumerations_match_itertools(n):
     group = tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
+    even = tuple(g for g in group if parity(g) == "even")
     assert symmetric_group(n) == group
-    assert alternating_group(n) == tuple(g for g in group if parity(g) == "even")
+    assert alternating_group(n) == even
+    for kind, expected in (("symmetric", group), ("alternating", even)):
+        images = group_images(kind, n)
+        assert images.dtype == np.min_scalar_type(n)
+        assert images.tolist() == [[i - 1 for i in g.images] for g in expected]

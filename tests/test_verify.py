@@ -265,6 +265,16 @@ class TestTheoremRunners:
         assert [o.params["n"] for o in outcomes] == list(range(27, 61))
         assert all(o.outcome == "match" for o in outcomes)
 
+    def test_theorem_65_rows_match_the_recorded_rows(self):
+        # tests/data/theorem_65_rows.json holds the rows as computed when
+        # Theorem 65 still ran its own copy of the irrep block loop.
+        recorded = json.loads(THEOREM_65_ROWS.read_text())
+        assert len(recorded) == 20 and sum(map(len, recorded.values())) == 311
+        for key, rows in recorded.items():
+            n, r = map(int, key.split(","))
+            got = verify.theorem_65_max_block_eigenvalues(n, r)
+            assert [[list(shape), dim, top] for shape, dim, top in got] == rows, key
+
     def test_theorem_65_bound(self):
         for n, r in [(6, 2), (6, 3), (7, 2), (8, 5)]:
             bound = prefix_lambda2(n, r)
@@ -374,6 +384,7 @@ GOLDEN_GRID = (
     + [("42", range(5, 10), "auto"), ("43", range(5, 10), "auto")]
 )
 GOLDEN_FILE = Path(__file__).parent / "data" / "verify_golden.json"
+THEOREM_65_ROWS = Path(__file__).parent / "data" / "theorem_65_rows.json"
 
 
 def golden_outputs() -> dict[str, list[dict]]:
