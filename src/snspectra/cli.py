@@ -76,9 +76,14 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def _cmd_character(args: argparse.Namespace) -> int:
-    if args.diagram and args.klass:
+    if (args.diagram is None) != (args.klass is None):
+        raise ValueError("--diagram and --class go together: one value needs both")
+    if args.diagram is not None:
         shape = parse_diagram(args.diagram)
         ctype = parse_diagram(args.klass)
+        for text, size in ((args.diagram, sum(shape)), (args.klass, sum(ctype))):
+            if size != args.n:
+                raise ValueError(f"--n {args.n} disagrees with {text}, which sums to {size}")
         value = characters.mn_character(shape, ctype)
         print(json.dumps({"diagram": args.diagram, "class": args.klass, "value": value}))
     elif args.csv:

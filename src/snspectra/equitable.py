@@ -63,6 +63,8 @@ def is_equitable(
 
 
 def _three_blocks(graph: CayleyGraph, point: int, r: int) -> VertexPartition:
+    if not 2 <= r < graph.n:
+        raise ValueError(f"need 2 <= r < n, got r={r}")
     image = graph.vertex_images[:, point - 1] + 1
     fixed = image == point
     masks = (fixed, ~fixed & (image <= r), ~fixed & (image > r))
@@ -71,15 +73,11 @@ def _three_blocks(graph: CayleyGraph, point: int, r: int) -> VertexPartition:
 
 def partition_P1(graph: CayleyGraph, r: int) -> VertexPartition:
     """Blocks by the image of the last point: fixed, in {1..r}, in {r+1..n-1}."""
-    if not 2 <= r < graph.n:
-        raise ValueError(f"need 2 <= r < n, got r={r}")
     return _three_blocks(graph, graph.n, r)
 
 
 def partition_P2(graph: CayleyGraph, r: int) -> VertexPartition:
     """Blocks by the image of the first point: fixed, in {2..r}, in {r+1..n}."""
-    if not 2 <= r < graph.n:
-        raise ValueError(f"need 2 <= r < n, got r={r}")
     return _three_blocks(graph, 1, r)
 
 

@@ -13,13 +13,9 @@ from math import comb, factorial
 
 def binom(a: int, b: int) -> int:
     """Binomial coefficient with the conventions C(a, 0) = 1, C(a, -1) = 0."""
-    if b == -1:
-        return 0
     if b == 0:
         return 1
-    if b < -1 or a < 0:
-        return 0
-    return comb(a, b) if a >= b else 0
+    return comb(a, b) if 0 <= b <= a else 0
 
 
 def _as_int(value: Fraction) -> int:

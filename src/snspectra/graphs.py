@@ -30,6 +30,7 @@ from .permutations import (
     ConnectingSetSpec,
     Permutation,
     as_permutations,
+    check_group,
     connecting_cycles,
     enumerate_connecting_set,
     even_rows,
@@ -39,10 +40,6 @@ from .permutations import (
 )
 
 DENSE_CAP = 5040
-
-
-class DenseCapExceededError(CapExceededError):
-    pass
 
 
 class CayleyGraph:
@@ -127,19 +124,13 @@ class CayleyGraph:
         return a
 
 
-def _vertex_images(group_kind: str, n: int, connecting: np.ndarray, label: str) -> np.ndarray:
-    # For the alternating group every element of H must be even, otherwise
-    # the connecting set does not live inside the vertex group at all.
-    if group_kind == "alternating" and not even_rows(connecting).all():
-        raise ValueError(f"{label} contains odd permutations, not inside Alt")
-    return group_images(group_kind, n)
-
-
 def build(group_kind: str, spec: ConnectingSetSpec) -> CayleyGraph:
     """Construct the Cayley graph for a connecting-set spec."""
-    connecting = enumerate_connecting_set(spec)
-    vertices = _vertex_images(group_kind, spec.n, image_array(connecting, spec.n), str(spec))
-    return CayleyGraph(group_kind, spec.n, vertices, connecting)
+    graph = CayleyGraph(
+        group_kind, spec.n, group_images(group_kind, spec.n), enumerate_connecting_set(spec)
+    )
+    check_group(group_kind, bool(even_rows(graph.connecting_images).all()))
+    return graph
 
 
 def from_explicit_set(
@@ -150,15 +141,15 @@ def from_explicit_set(
         raise ValueError("connecting set contains the identity")
     if set(connecting) != {h.inverse() for h in connecting}:
         raise ValueError("connecting set is not inverse-closed")
-    label = "{" + ", ".join(map(str, connecting)) + "}"
-    vertices = _vertex_images(group_kind, n, image_array(connecting, n), label)
-    return CayleyGraph(group_kind, n, vertices, connecting)
+    graph = CayleyGraph(group_kind, n, group_images(group_kind, n), connecting)
+    check_group(group_kind, bool(even_rows(graph.connecting_images).all()))
+    return graph
 
 
 def check_dense_cap(size: int) -> None:
     """Refuse a dense spectrum of ``size`` vertices above DENSE_CAP."""
     if size > DENSE_CAP:
-        raise DenseCapExceededError(f"{size} vertices exceeds dense cap {DENSE_CAP}")
+        raise CapExceededError(f"{size} vertices exceeds dense cap {DENSE_CAP}")
 
 
 def translation_subgroup(group_kind: str, n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:

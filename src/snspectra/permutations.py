@@ -126,8 +126,7 @@ class Permutation(_Value):
                 if not 1 <= a <= degree:
                     raise ValueError(f"point {a} outside 1..{degree}")
                 images[a - 1] = b
-        p = Permutation(tuple(images))
-        return p
+        return Permutation(tuple(images))
 
     @property
     def degree(self) -> int:
@@ -165,15 +164,6 @@ class Permutation(_Value):
             if len(cycle) > 1 or include_fixed:
                 out.append(tuple(cycle))
         return out
-
-    def cycle_type(self) -> tuple[int, ...]:
-        return cycle_type(self)
-
-    def parity(self) -> str:
-        return parity(self)
-
-    def is_even(self) -> bool:
-        return parity(self) == "even"
 
     def __str__(self) -> str:
         return cycle_string(self)
@@ -238,8 +228,8 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     return Permutation.from_cycles(cycles, degree)
 
 
-def cycle_string(g: Permutation, include_fixed: bool = False) -> str:
-    cycles = g.cycles(include_fixed=include_fixed)
+def cycle_string(g: Permutation) -> str:
+    cycles = g.cycles()
     if not cycles:
         return "()"
     return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
@@ -381,10 +371,19 @@ def even_rows(images: np.ndarray) -> np.ndarray:
     return ~odd
 
 
-def group_images(kind: str, n: int) -> np.ndarray:
-    """Sym(1..n) or Alt(1..n) as 0-based images, rows in lexicographic order."""
+def check_group(kind: str, inside_alt: bool) -> None:
+    """The one membership rule: refuse, with ValueError, a group kind other
+    than "symmetric" or "alternating", and a connecting set that is not
+    ``inside_alt`` (has an odd element) on the alternating group."""
     if kind not in ("symmetric", "alternating"):
         raise ValueError(f"unknown group kind {kind!r}")
+    if kind == "alternating" and not inside_alt:
+        raise ValueError("connecting set contains odd permutations, not inside Alt")
+
+
+def group_images(kind: str, n: int) -> np.ndarray:
+    """Sym(1..n) for kind "symmetric", else Alt(1..n), as 0-based images,
+    rows in lexicographic order; check_group decides which kinds exist."""
     images = np.array(list(itertools.permutations(range(n))), dtype=np.min_scalar_type(n))
     return images if kind == "symmetric" else images[even_rows(images)]
 

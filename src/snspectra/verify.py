@@ -30,6 +30,7 @@ from .permutations import (
     full_cycles,
     generated_subgroup_kind,
     group_order,
+    image_array,
     prefix_moving_cycles,
 )
 
@@ -101,7 +102,8 @@ def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
     Raises CapExceededError before the large allocation: for dense above
     graphs.DENSE_CAP vertices; for irrep when H has more than
     permutations.SET_CAP elements, then when the largest block has more than
-    yor.BLOCK_CAP rows, both before any element of H is made."""
+    yor.BLOCK_CAP rows, both before any element of H is made; for char above
+    degree yor.CHAR_CAP, before the diagrams of n are listed."""
     if method == "auto":
         if spec.family == "full":
             method = "char"
@@ -336,7 +338,7 @@ def theorem_65_max_block_eigenvalues(
 
     shapes = [shape for shape in yor.block_shapes(n) if dimension(shape) > n - 1]
     connecting = enumerate_connecting_set(prefix_moving_cycles(n, r + 1, r))
-    _, spectra = yor.block_spectra(n, shapes, connecting)
+    _, spectra = yor.block_spectra(image_array(connecting, n), shapes, connecting)
     return [
         (shape, dimension(shape), spectrum[0][0]) for shape, spectrum in zip(shapes, spectra)
     ]

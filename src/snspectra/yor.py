@@ -19,12 +19,16 @@ from . import characters
 from ._numpy import np
 from .diagrams import dimension, partitions_of, validate_diagram
 from .eigen import SpectrumReport, check_cayley_invariants, cluster_eigenvalues
-from .permutations import CapExceededError, Permutation, even_rows, group_order, image_array
+from .permutations import (
+    CapExceededError, Permutation, check_group, even_rows, group_order, image_array
+)
 
 SYMMETRY_TOL = 1e-9
 # The largest block of S12, (5,3,2,1,1): assembling and diagonalizing it
 # peaks at 2.8 GiB. S13's largest, (5,4,2,1,1), has 21450 rows.
 BLOCK_CAP = 7700
+# One class of S40 by characters: 0.9 s, 34 MB resident; of S45: 2.5 s, 63 MB.
+CHAR_CAP = 40
 
 # Tableau = tuple of row tuples, e.g. ((1, 2), (3,)) for shape [2, 1].
 Tableau = tuple[tuple[int, ...], ...]
@@ -84,13 +88,6 @@ class _Generator(NamedTuple):
     q: np.ndarray
     coeff: np.ndarray
 
-    def dense(self) -> np.ndarray:
-        dim = len(self.diag)
-        mat = np.diag(self.diag.copy())
-        mat[self.p, self.q] = self.coeff
-        mat[self.q, self.p] = self.coeff
-        return mat
-
     def apply_left(self, m: np.ndarray) -> np.ndarray:
         out = self.diag[:, None] * m
         if len(self.p):
@@ -145,7 +142,10 @@ def _generator(shape: tuple[int, ...], i: int) -> _Generator:
 
 def yor_generator(shape: Sequence[int], i: int) -> np.ndarray:
     """Orthogonal matrix of the adjacent transposition (i, i+1)."""
-    return _generator(validate_diagram(shape), i).dense()
+    g = _generator(validate_diagram(shape), i)
+    mat = np.diag(g.diag)
+    mat[g.p, g.q] = mat[g.q, g.p] = g.coeff
+    return mat
 
 
 def adjacent_word(g: Permutation) -> tuple[int, ...]:
@@ -225,21 +225,19 @@ def _word_walk_matrix(shape: tuple[int, ...], connecting_set: Sequence[Permutati
     return total
 
 
-def _class_sum_parameters(
-    n: int, connecting_set: Sequence[Permutation]
-) -> tuple[int, int] | None:
-    """(k, r) when the set is exactly C(n,k;r), every k-cycle of Sym(1..n)
+def _class_sum_parameters(images: np.ndarray) -> tuple[int, int] | None:
+    """(k, r) when the rows of ``images``, the image array of a set of
+    permutations of 1..n, are exactly C(n,k;r), every k-cycle of Sym(1..n)
     moving all of {1..r}; r = 0 for C(n,k) with k < n, and r = n for C(n,n).
 
-    Every element being one k-cycle, the points they all move being exactly
-    {1..r}, the elements being distinct and their number being
+    Every row being one k-cycle, the points they all move being exactly
+    {1..r}, the rows being distinct and their number being
     (k-1)! C(n-r, k-r) together force the set to be C(n,k;r).  Returns None
     for any other set.
     """
-    rows = [h.images for h in connecting_set]
-    if not rows or any(len(row) != n for row in rows):
+    count, n = images.shape
+    if not count:
         return None
-    images = np.array(rows, dtype=np.min_scalar_type(n)) - 1
     moved = images != np.arange(n)
     k = int(moved[0].sum())
     if k < 2 or not (moved.sum(axis=1) == k).all():
@@ -248,18 +246,21 @@ def _class_sum_parameters(
     r = int(common.sum())
     if not common[:r].all():
         return None
-    if len(rows) != factorial(k - 1) * comb(n - r, k - r):
+    if count != factorial(k - 1) * comb(n - r, k - r):
         return None
     # A row moving exactly k points is one k-cycle iff the orbit of its first
     # moved point does not close within k - 1 steps.
-    each = np.arange(len(images))
+    each = np.arange(count)
     start = moved.argmax(axis=1)
     point = start
     for _ in range(k - 1):
         point = images[each, point]
         if (point == start).any():
             return None
-    if len(set(rows)) != len(rows):
+    # Distinct rows: sort the rows as opaque n-item records (np.unique
+    # would also load numpy.ma, 1.3 MB) and compare neighbours.
+    rows = np.sort(images.view(np.dtype((np.void, images.itemsize * n))).ravel())
+    if (rows[1:] == rows[:-1]).any():
         return None
     return k, r
 
@@ -311,7 +312,7 @@ def hplus_matrix(
     """
     shape = validate_diagram(shape)
     if params is _RECOGNIZE:
-        params = _class_sum_parameters(sum(shape), connecting_set)
+        params = _class_sum_parameters(image_array(connecting_set, sum(shape)))
     if params is None:
         total = _word_walk_matrix(shape, connecting_set)
     else:
@@ -329,13 +330,6 @@ def hplus_block_spectrum(
     ``params`` as for hplus_matrix."""
     values = np.linalg.eigvalsh(hplus_matrix(shape, connecting_set, params))
     return cluster_eigenvalues([(v, 1) for v in values.tolist()])
-
-
-def _check_group(group_kind: str, inside_alt: bool) -> None:
-    if group_kind not in ("symmetric", "alternating"):
-        raise ValueError(f"unknown group kind {group_kind!r}")
-    if group_kind == "alternating" and not inside_alt:
-        raise ValueError("connecting set contains odd permutations, not inside Alt")
 
 
 def _group_report(
@@ -358,20 +352,26 @@ def _group_report(
 
 def block_shapes(n: int) -> tuple[tuple[int, ...], ...]:
     """The diagrams of n, one block each; refused with CapExceededError,
-    before any block is built, when the largest has more than BLOCK_CAP rows."""
-    shapes = partitions_of(n)
-    rows, largest = max((dimension(shape), shape) for shape in shapes)
-    if rows > BLOCK_CAP:
-        raise CapExceededError(f"{rows}-row block {largest} of S{n} exceeds block cap {BLOCK_CAP}")
-    return shapes
+    before any block is built, when the largest has more than BLOCK_CAP rows.
+    Adding a box never shrinks a block (branching), so the scan stops at the
+    first S_m, m <= n, past the cap, without listing the diagrams of n."""
+    for m in range(1, n + 1):
+        rows, largest = max((dimension(shape), shape) for shape in partitions_of(m))
+        if rows > BLOCK_CAP:
+            beyond = f", so S{n} has one at least as large" if m < n else ""
+            raise CapExceededError(
+                f"{rows}-row block {largest} of S{m} exceeds block cap {BLOCK_CAP}{beyond}"
+            )
+    return partitions_of(n)
 
 
 def block_spectra(
-    n: int, shapes: Sequence[tuple[int, ...]], connecting_set: Sequence[Permutation]
+    images: np.ndarray, shapes: Sequence[tuple[int, ...]], connecting_set: Sequence[Permutation]
 ) -> tuple[int, list[list[tuple[float, int]]]]:
     """|H| and, shape by shape, the clustered spectrum of H+ on its block:
-    the one block loop of the irrep route, which recognizes H once."""
-    params = _class_sum_parameters(n, connecting_set)
+    the one block loop of the irrep route, which recognizes H once, from
+    ``images``, the image array of ``connecting_set``."""
+    params = _class_sum_parameters(images)
     # A recognized class sum has already been checked for repeated elements.
     order = len(connecting_set) if params is not None else len(set(connecting_set))
     return order, [hplus_block_spectrum(shape, connecting_set, params) for shape in shapes]
@@ -385,15 +385,16 @@ def full_spectrum_via_irreps(
     Each block value counts dim(shape) times, matching the regular
     representation of Sym(1..n); for ``group_kind`` "alternating" the
     multiplicities are halved to those of Cay(Alt, H).  An n with a block
-    above BLOCK_CAP rows is refused first, by block_shapes.
+    above BLOCK_CAP rows is refused first, by block_shapes.  The membership,
+    identity and recognition checks all read one image array of H.
     """
     shapes = block_shapes(n)
     connecting_set = tuple(connecting_set)
     images = image_array(connecting_set, n)
-    _check_group(group_kind, bool(even_rows(images).all()))
+    check_group(group_kind, bool(even_rows(images).all()))
     if (images == np.arange(n)).all(axis=1).any():
         raise ValueError("connecting set may not contain the identity")
-    order, spectra = block_spectra(n, shapes, connecting_set)
+    order, spectra = block_spectra(images, shapes, connecting_set)
     pairs = [
         (value, mult * dimension(shape))
         for shape, spectrum in zip(shapes, spectra)
@@ -407,9 +408,11 @@ def char_spectrum(
 ) -> SpectrumReport:
     """Spectrum of a full-conjugacy-class connecting set from exact character
     scalars: the block of each diagram is the scalar |H| chi(h)/chi(1), with
-    multiplicity dim^2 in the regular representation."""
+    multiplicity dim^2 in the regular representation; n > CHAR_CAP is refused."""
+    if n > CHAR_CAP:
+        raise CapExceededError(f"degree {n} exceeds char cap {CHAR_CAP}")
     # A permutation is even iff n minus its number of cycles is even.
-    _check_group(group_kind, (n - len(ctype)) % 2 == 0)
+    check_group(group_kind, (n - len(ctype)) % 2 == 0)
     pairs = [
         (float(characters.class_eigenvalue(shape, ctype)), dimension(shape) ** 2)
         for shape in partitions_of(n)

@@ -2,7 +2,7 @@ import types
 
 import pytest
 
-from snspectra import permutations, yor
+from snspectra import characters, diagrams, graphs, permutations, verify, yor
 
 
 @pytest.fixture
@@ -27,3 +27,34 @@ def no_block_assembled(monkeypatch):
 
     monkeypatch.setattr(yor, "_class_sum_matrix", refuse)
     monkeypatch.setattr(yor, "_word_walk_matrix", refuse)
+
+
+@pytest.fixture
+def image_arrays(monkeypatch):
+    """The arrays that permutations.image_array makes, in order, from every
+    module of the package that calls it."""
+    made = []
+    image_array = permutations.image_array
+
+    def recorded(perms, n):
+        made.append(image_array(perms, n))
+        return made[-1]
+
+    for module in (permutations, graphs, verify, yor):
+        monkeypatch.setattr(module, "image_array", recorded)
+    return made
+
+
+@pytest.fixture
+def no_partitions_of_200(monkeypatch):
+    """Fail the test if the diagrams of 200 are listed, from any module of
+    the package that lists diagrams."""
+    partitions_of = diagrams.partitions_of
+
+    def guarded(n):
+        if n == 200:
+            raise AssertionError("the partitions of 200 were listed")
+        return partitions_of(n)
+
+    for module in (diagrams, characters, yor):
+        monkeypatch.setattr(module, "partitions_of", guarded)

@@ -14,6 +14,7 @@ from snspectra.characters import (
     max_ratio_diagram,
     mn_character,
 )
+from snspectra.permutations import CapExceededError
 from snspectra.diagrams import (
     branch_restrict,
     diagram_string,
@@ -243,3 +244,8 @@ class TestMaxRatioScan:
         # On real columns this arises only at n <= 4, which is refused.
         monkeypatch.setattr(characters, "character_column", lambda ctype: column)
         assert max_ratio_diagram(5, (5,)) == (winners, 0)
+
+
+def test_table_cap():
+    with pytest.raises(CapExceededError, match=r"^degree 19 exceeds table cap 18$"):
+        characters.character_table_csv(characters.TABLE_CAP + 1)

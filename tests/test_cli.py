@@ -93,6 +93,10 @@ class TestBadInput:
             ("verify", "--theorem", "13", "--n", "6", "--r", "1"),
             ("verify", "--theorem", "13", "--n", "6", "--r", "5"),
             ("verify", "--theorem", "65", "--n", "7", "--r", "6"),
+            ("character", "--n", "3", "--diagram", "[4,2,1]", "--class", "[3,3,1]"),
+            ("character", "--n", "7", "--diagram", "[4,2,1]", "--class", "[3,3]"),
+            ("character", "--n", "4", "--diagram", "[4,2,1]"),
+            ("character", "--n", "7", "--class", "[3,3,1]"),
         ],
     )
     def test_one_line_error_and_exit_code_2(self, capsys, argv):
@@ -284,6 +288,54 @@ class TestCharacterCommand:
         assert code == 0
         assert out.encode() == target.read_bytes()
         assert len(out.splitlines()) == 23  # header + p(8) diagrams
+
+
+@pytest.mark.usefixtures("no_partitions_of_200")
+class TestPartitionCaps:
+    """Every route that lists the diagrams of n refuses n = 200 before it
+    lists them, within a second."""
+
+    BLOCK = (
+        "21450-row block (5, 4, 2, 1, 1) of S13 exceeds block cap 7700, "
+        "so S200 has one at least as large"
+    )
+
+    @pytest.mark.parametrize(
+        "argv, detail",
+        [
+            (("13", "--n", "200", "--r", "2"), BLOCK),
+            (("65", "--n", "200", "--r", "2"), BLOCK),
+            (("1A", "--n", "200", "--method", "char"), "degree 200 exceeds char cap 40"),
+        ],
+    )
+    def test_verify_reports_skipped(self, capsys, argv, detail):
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "verify", "--theorem", *argv, "--format", "json")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        [outcome] = json.loads(out)
+        assert (outcome["outcome"], outcome["expected"], outcome["detail"]) == (
+            "skipped", None, detail,
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("character", "--n", "200"), "degree 200 exceeds table cap 18"),
+            (
+                ("spectrum", "--group", "S", "--n", "200", "--set", "C(200,200)", "--method", "char"),
+                "degree 200 exceeds char cap 40",
+            ),
+        ],
+        ids=["character", "spectrum"],
+    )
+    def test_one_line_error_and_exit_code_2(self, capsys, argv, message):
+        start = time.perf_counter()
+        code = main(list(argv))
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"snspectra {argv[0]}: error: {message}\n"
 
 
 class TestEnumerateCommand:

@@ -9,7 +9,6 @@ from snspectra.eigen import CLUSTER_TOL, cluster_eigenvalues
 from snspectra.formulas import natural_trace
 from snspectra.graphs import (
     CayleyGraph,
-    DenseCapExceededError,
     build,
     characters,
     check_dense_cap,
@@ -236,7 +235,7 @@ class TestDenseSpectrum:
                     element = element[c]
             assert (row == element).all()
         if kind == "alternating":
-            assert all(Permutation(tuple(row)).is_even() for row in (k + 1).tolist())
+            assert all(parity(Permutation(tuple(row))) == "even" for row in (k + 1).tolist())
         g = build(kind, full_cycles(n, 3))
         rows = g.size // len(k)
         blocks = list(sign_blocks(g))
@@ -267,9 +266,9 @@ class TestDenseSpectrum:
 
     def test_cap(self):
         check_dense_cap(5040)
-        with pytest.raises(DenseCapExceededError, match="40320 vertices exceeds dense cap 5040"):
+        with pytest.raises(CapExceededError, match="40320 vertices exceeds dense cap 5040"):
             check_dense_cap(40320)
-        with pytest.raises(DenseCapExceededError):
+        with pytest.raises(CapExceededError, match="40320 vertices exceeds dense cap 5040"):
             verify.spectrum(full_cycles(8, 8), "symmetric", "dense")
 
 
@@ -429,3 +428,21 @@ class TestSignBlocksFromRepresentatives:
         g = CayleyGraph("alternating", 5, group_images("alternating", 5), transpositions)
         with pytest.raises(ValueError, match="not inside the alternating group"):
             list(sign_blocks(g))
+
+
+class TestOneImageArray:
+    """The dense route reads H into one image array: the graph's own."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build("alternating", prefix_moving_cycles(6, 3, 2)),
+            lambda: from_explicit_set("symmetric", 5, enumerate_connecting_set(full_cycles(5, 2))),
+        ],
+        ids=["build", "from_explicit_set"],
+    )
+    def test_one_array_per_set(self, image_arrays, make):
+        graph = make()
+        dense_spectrum(graph)
+        assert len(image_arrays) == 1
+        assert graph.connecting_images is image_arrays[0]

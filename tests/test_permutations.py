@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from snspectra import graphs, permutations
+from snspectra import graphs, permutations, yor
 from snspectra.permutations import (
     CapExceededError,
     ConnectingSetSpec,
     DegreeMismatchError,
     Permutation,
     alternating_group,
+    check_group,
     compose,
     conjugate,
     connecting_cycles,
@@ -361,3 +362,52 @@ def test_group_enumerations_match_itertools(n):
         images = group_images(kind, n)
         assert images.dtype == np.min_scalar_type(n)
         assert images.tolist() == [[i - 1 for i in g.images] for g in expected]
+
+
+class TestOneMembershipRule:
+    """Every route decides whether H lies in the group by check_group, with
+    one message for each refusal."""
+
+    ROUTES = {
+        "dense": lambda kind, spec: graphs.build(kind, spec),
+        "explicit": lambda kind, spec: graphs.from_explicit_set(
+            kind, spec.n, enumerate_connecting_set(spec)
+        ),
+        "irrep": lambda kind, spec: yor.full_spectrum_via_irreps(
+            spec.n, enumerate_connecting_set(spec), kind
+        ),
+        "char": lambda kind, spec: yor.char_spectrum(
+            spec.n, (spec.k,) + (1,) * (spec.n - spec.k), kind
+        ),
+    }
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+
+        def recorded(kind, inside_alt):
+            calls.append((kind, inside_alt))
+            check_group(kind, inside_alt)
+
+        for module in (graphs, yor):
+            monkeypatch.setattr(module, "check_group", recorded)
+        return calls
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize(
+        "kind, spec, message",
+        [
+            ("alternating", full_cycles(6, 4), "connecting set contains odd permutations, not inside Alt"),
+            ("cyclic", full_cycles(6, 3), "unknown group kind 'cyclic'"),
+        ],
+        ids=["odd-on-alt", "unknown-kind"],
+    )
+    def test_refused_by_the_one_rule(self, checks, route, kind, spec, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.ROUTES[route](kind, spec)
+        assert checks == [(kind, spec.k % 2 == 1)]
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_even_set_admitted_on_alt(self, checks, route):
+        assert self.ROUTES[route]("alternating", full_cycles(5, 3)) is not None
+        assert checks == [("alternating", True)]

@@ -14,6 +14,7 @@ from snspectra.permutations import (
     cycle_type,
     enumerate_connecting_set,
     full_cycles,
+    image_array,
     parse_cycles,
     prefix_moving_cycles,
     symmetric_group,
@@ -278,7 +279,7 @@ class TestClassSumAssembly:
                 r = spec.r
             else:
                 r = spec.n if spec.k == spec.n else 0
-            assert _class_sum_parameters(spec.n, connecting) == (spec.k, r)
+            assert _class_sum_parameters(image_array(connecting, spec.n)) == (spec.k, r)
             for shape in partitions_of(spec.n):
                 walked = _word_walk_matrix(shape, connecting)
                 assert np.abs(hplus_matrix(shape, connecting) - walked).max() < 1e-10, (spec, shape)
@@ -298,7 +299,7 @@ class TestClassSumAssembly:
     def test_other_sets_fall_through_to_the_word_walk(self, make, monkeypatch):
         connecting = make()
         n = connecting[0].degree
-        assert _class_sum_parameters(n, connecting) is None
+        assert _class_sum_parameters(image_array(connecting, n)) is None
         for shape in partitions_of(n):
             assert np.array_equal(hplus_matrix(shape, connecting), _word_walk_matrix(shape, connecting))
 
@@ -313,8 +314,8 @@ class TestClassSumAssembly:
     def test_split_parts_fall_through_and_add_up(self):
         connecting = enumerate_connecting_set(prefix_moving_cycles(7, 3, 2))
         fixing, moving = split_by_last_point(connecting)
-        assert _class_sum_parameters(7, fixing) is None
-        assert _class_sum_parameters(7, moving) is None
+        assert _class_sum_parameters(image_array(fixing, 7)) is None
+        assert _class_sum_parameters(image_array(moving, 7)) is None
         for shape in partitions_of(7):
             parts = hplus_matrix(shape, fixing) + hplus_matrix(shape, moving)
             assert np.abs(parts - hplus_matrix(shape, connecting)).max() < 1e-10
@@ -328,9 +329,9 @@ class TestRecognizeOnce:
         calls = []
         recognize = yor._class_sum_parameters
 
-        def counted(n, connecting_set):
-            calls.append(n)
-            return recognize(n, connecting_set)
+        def counted(images):
+            calls.append(images.shape[1])
+            return recognize(images)
 
         monkeypatch.setattr(yor, "_class_sum_parameters", counted)
         return calls
@@ -364,3 +365,53 @@ class TestRecognizeOnce:
         assert calls == []
         hplus_matrix((5, 1), connecting)
         assert calls == [6]
+
+
+class TestOneImageArray:
+    """The irrep route reads H into one image array, and recognition reads
+    that same array."""
+
+    @pytest.fixture
+    def recognized(self, monkeypatch):
+        seen = []
+        recognize = yor._class_sum_parameters
+
+        def recorded(images):
+            seen.append(images)
+            return recognize(images)
+
+        monkeypatch.setattr(yor, "_class_sum_parameters", recorded)
+        return seen
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: full_spectrum_via_irreps(6, enumerate_connecting_set(prefix_moving_cycles(6, 3, 2))),
+            lambda: full_spectrum_via_irreps(5, enumerate_connecting_set(full_cycles(5, 3)), "alternating"),
+            lambda: full_spectrum_via_irreps(6, union_of_two_classes()),
+            lambda: verify.theorem_65_max_block_eigenvalues(7, 3),
+        ],
+        ids=["prefix", "alternating", "word-walk", "theorem_65"],
+    )
+    def test_one_array_per_set(self, image_arrays, recognized, run):
+        run()
+        assert len(image_arrays) == 1
+        assert len(recognized) == 1 and recognized[0] is image_arrays[0]
+
+
+class TestPartitionScans:
+    def test_largest_block_never_shrinks_as_n_grows(self):
+        largest = [max(map(dimension, partitions_of(m))) for m in range(1, 14)]
+        assert largest == sorted(largest)
+
+    def test_block_cap_names_the_first_symmetric_group_past_it(self, no_block_assembled):
+        with pytest.raises(
+            CapExceededError,
+            match=r"^21450-row block \(5, 4, 2, 1, 1\) of S13 exceeds block cap 7700, "
+            r"so S14 has one at least as large$",
+        ):
+            yor.block_shapes(14)
+
+    def test_char_cap(self):
+        with pytest.raises(CapExceededError, match=r"^degree 41 exceeds char cap 40$"):
+            char_spectrum(yor.CHAR_CAP + 1, (yor.CHAR_CAP + 1,))
