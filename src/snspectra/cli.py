@@ -76,6 +76,8 @@ def _cmd_quotient(args: argparse.Namespace) -> int:
 
 
 def _cmd_character(args: argparse.Namespace) -> int:
+    if args.csv is not None and (args.diagram, args.klass) != (None, None):
+        raise ValueError("--csv writes the whole table, so it takes no --diagram or --class")
     if (args.diagram is None) != (args.klass is None):
         raise ValueError("--diagram and --class go together: one value needs both")
     if args.diagram is not None:

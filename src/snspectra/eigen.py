@@ -16,8 +16,9 @@ class NonIntegerSpectrumError(ArithmeticError):
 
 
 def snap_to_integer(value: float) -> float:
+    """The nearest int when within CLUSTER_TOL of one, else the value."""
     nearest = round(value)
-    return float(nearest) if abs(value - nearest) <= CLUSTER_TOL else float(value)
+    return nearest if abs(value - nearest) <= CLUSTER_TOL else value
 
 
 def cluster_eigenvalues(pairs: Sequence[tuple[float, int]]) -> list[tuple[float, int]]:
@@ -28,24 +29,22 @@ def cluster_eigenvalues(pairs: Sequence[tuple[float, int]]) -> list[tuple[float,
     the representative is the multiplicity-weighted mean, snapped to the
     nearest integer when within CLUSTER_TOL.  Sorted descending.
 
-    The mean is taken as an offset from the cluster's first value, so a
-    cluster of equal values keeps that value exactly however large the
-    multiplicities are.
+    The mean is taken as an offset from the cluster's first value, and a
+    cluster of equal values keeps that first value as it is: an exact int
+    stays one however large it or the multiplicities are.
     """
-    clusters: list[tuple[float, int]] = []
-    base, offset, weight, prev = 0.0, 0.0, 0, 0.0
+    clusters: list[list] = []  # [first value, offset sum, weight]
     for value, mult in sorted(pairs, key=lambda p: -p[0]):
-        if weight and prev - value > CLUSTER_TOL:
-            clusters.append((snap_to_integer(base + offset / weight), weight))
-            weight = 0
-        if not weight:
-            base, offset = value, 0.0
-        offset += (value - base) * mult
-        weight += mult
+        if not clusters or prev - value > CLUSTER_TOL:
+            clusters.append([value, 0, 0])
+        cluster = clusters[-1]
+        cluster[1] += (value - cluster[0]) * mult
+        cluster[2] += mult
         prev = value
-    if weight:
-        clusters.append((snap_to_integer(base + offset / weight), weight))
-    return clusters
+    return [
+        (snap_to_integer(base + offset / weight if offset else base), weight)
+        for base, offset, weight in clusters
+    ]
 
 
 INVARIANT_RTOL = 1e-9
@@ -58,13 +57,10 @@ def check_cayley_invariants(
     Cay(G, H), with |G| = ``order`` and |H| = ``degree``, satisfy
     sum m = |G|, sum v m = 0, sum v^2 m = |G||H| and lambda1 = |H|.
 
-    The check is exact in integers when every value is an integer no larger
-    in magnitude than 2**53 (beyond that a float need not be the integer it
-    rounds); otherwise sums agree to the relative tolerance INVARIANT_RTOL.
+    The check is exact when every value is an int; otherwise sums agree to
+    the relative tolerance INVARIANT_RTOL.
     """
-    exact = all(float(v).is_integer() and abs(v) <= 2**53 for v, _ in pairs)
-    if exact:
-        pairs = [(int(v), m) for v, m in pairs]
+    exact = all(isinstance(v, int) for v, _ in pairs)
 
     def holds(value: float, target: int, scale: float) -> bool:
         return value == target if exact else abs(value - target) <= INVARIANT_RTOL * scale

@@ -274,8 +274,7 @@ def natural_module_matrix(spec: ConnectingSetSpec) -> list[list[int]]:
 
 def natural_module_spectrum(spec: ConnectingSetSpec) -> SpectrumReport:
     """Exact integer spectrum of the connecting-set sum on the natural module."""
-    pairs = exact_integer_eigenvalues(natural_module_matrix(spec))
-    return SpectrumReport([(float(v), m) for v, m in pairs], "natural")
+    return SpectrumReport(exact_integer_eigenvalues(natural_module_matrix(spec)), "natural")
 
 
 def multiplicity_table(n: int, r: int) -> list[tuple[int, int]]:

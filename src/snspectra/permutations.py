@@ -301,7 +301,8 @@ def image_array(perms: Sequence[Permutation], n: int) -> np.ndarray:
     for row in rows:
         if len(row) != n:
             raise DegreeMismatchError(f"degrees {len(row)} != {n}")
-    return np.array(rows, dtype=np.min_scalar_type(n)).reshape(-1, n) - 1
+    flat = itertools.chain.from_iterable(rows)
+    return np.fromiter(flat, np.min_scalar_type(n), len(rows) * n).reshape(len(rows), n) - 1
 
 
 def as_permutations(images: np.ndarray) -> tuple[Permutation, ...]:

@@ -195,7 +195,7 @@ def verify_T52(n: int, k: int, r: int) -> Outcome:
         params = {"n": n, "k": k, "r": r}
         mus = formulas.mu_values(n, k, r)
         report = graphs.natural_module_spectrum(prefix_moving_cycles(n, k, r))
-        computed = sorted({int(v) for v, _ in report.eigenvalues}, reverse=True)
+        computed = [v for v, _ in report.eigenvalues]
         expected = sorted(set(mus), reverse=True)
         if computed != expected:
             return Outcome("52", params, expected, computed, "natural", "mismatch")

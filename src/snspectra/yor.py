@@ -407,14 +407,14 @@ def char_spectrum(
     n: int, ctype: Sequence[int], group_kind: str = "symmetric"
 ) -> SpectrumReport:
     """Spectrum of a full-conjugacy-class connecting set from exact character
-    scalars: the block of each diagram is the scalar |H| chi(h)/chi(1), with
+    scalars: the block of each diagram is the int |H| chi(h)/chi(1), with
     multiplicity dim^2 in the regular representation; n > CHAR_CAP is refused."""
     if n > CHAR_CAP:
         raise CapExceededError(f"degree {n} exceeds char cap {CHAR_CAP}")
     # A permutation is even iff n minus its number of cycles is even.
     check_group(group_kind, (n - len(ctype)) % 2 == 0)
     pairs = [
-        (float(characters.class_eigenvalue(shape, ctype)), dimension(shape) ** 2)
+        (characters.class_eigenvalue(shape, ctype), dimension(shape) ** 2)
         for shape in partitions_of(n)
     ]
     return _group_report(pairs, "char", group_kind, n, characters.class_size(ctype))

@@ -280,6 +280,21 @@ class TestCharacterCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 6
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--diagram", "[4,1,1]", "--class", "[6]"), ("--diagram", "[4,1,1]"), ("--class", "[6]")],
+    )
+    def test_csv_with_one_value_refused(self, capsys, tmp_path, argv):
+        target = tmp_path / "t.csv"
+        code = main(["character", "--n", "6", *argv, "--csv", str(target)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "snspectra character: error: --csv writes the whole table, "
+            "so it takes no --diagram or --class\n"
+        )
+        assert not target.exists()
+
     def test_stdout_equals_the_csv_file(self, capsys, tmp_path):
         target = tmp_path / "t8.csv"
         code, out = run_cli(capsys, "character", "--n", "8", "--csv", str(target))

@@ -1,5 +1,6 @@
 import contextlib
 import io
+from math import factorial
 
 import numpy as np
 import pytest
@@ -21,12 +22,21 @@ from reference_checks import weyl_upper_bounds_hold
 
 class TestClustering:
     def test_snap(self):
-        assert snap_to_integer(3.9999999) == 4.0
+        assert type(snap_to_integer(3.9999999)) is int
+        assert snap_to_integer(3.9999999) == 4
         assert snap_to_integer(3.9) == 3.9
+        assert snap_to_integer(factorial(39)) == factorial(39)
 
     def test_cluster_merges_and_sorts(self):
         clustered = cluster_eigenvalues([(2.0, 1), (-1.0 + 2e-7, 1), (2.0 + 3e-7, 1), (-1.0, 1)])
-        assert clustered == [(2.0, 2), (-1.0, 2)]
+        assert clustered == [(2, 2), (-1, 2)]
+        assert all(type(v) is int for v, _ in clustered)
+
+    def test_equal_ints_stay_exact(self):
+        big = factorial(39)  # no float is this integer
+        clustered = cluster_eigenvalues([(big, 2), (0, 5), (big, 10**18), (-big, 1)])
+        assert clustered == [(big, 10**18 + 2), (0, 5), (-big, 1)]
+        assert all(type(v) is int for v, _ in clustered)
 
     def test_distinct_values_survive(self):
         clustered = cluster_eigenvalues([(1.0, 1), (0.5, 1), (0.0, 1)])
@@ -64,13 +74,16 @@ class TestSpectrumReport:
 
 class TestCayleyInvariants:
     # Cay(Alt(5), C(5,5)): |G| = 60, |H| = 24, an integral spectrum.
-    ALT5 = [(24.0, 1), (4.0, 18), (0.0, 25), (-6.0, 16)]
+    ALT5 = [(24, 1), (4, 18), (0, 25), (-6, 16)]
+    # Two copies of K_{D,D}: D, 0 and -D, far above 2**53.
+    BIG = [(2**60, 2), (0, 2**62 - 4), (-(2**60), 2)]
     # The 5-cycle, Cay(Z/5, {1, -1}): 2 and 2cos(2 pi j / 5), each twice.
     CYCLE5 = [(2.0, 1), (2 * np.cos(2 * np.pi / 5), 2), (2 * np.cos(4 * np.pi / 5), 2)]
 
     def test_true_spectra_pass(self):
         check_cayley_invariants(self.ALT5, 60, 24)
         check_cayley_invariants(self.CYCLE5, 5, 2)
+        check_cayley_invariants(self.BIG, 2**62, 2**60)
 
     @pytest.mark.parametrize(
         "pairs, order, degree",
@@ -80,6 +93,8 @@ class TestCayleyInvariants:
             ([(25.0, 1), (4.0, 18), (0.0, 25), (-6.0, 16)], 60, 24),  # lambda1
             ([(24.0, 1), (6.0, 12), (0.0, 31), (-6.0, 16)], 60, 24),  # sum v^2 m
             ([(2.0, 1), (0.618034, 2), (-1.618034, 2)], 5, 2),  # 6 decimals: sum v^2 m
+            # ints above 2**53 are checked exactly: sum v m = 1
+            ([(2**60, 2), (0, 2**62 - 4), (1 - 2**60, 1), (-(2**60), 1)], 2**62, 2**60),
         ],
     )
     def test_tampered_pairs_raise(self, pairs, order, degree):

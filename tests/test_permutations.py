@@ -24,6 +24,7 @@ from snspectra.permutations import (
     full_cycles,
     generated_subgroup_kind,
     group_images,
+    image_array,
     parity,
     parse_cycles,
     parse_spec,
@@ -362,6 +363,41 @@ def test_group_enumerations_match_itertools(n):
         images = group_images(kind, n)
         assert images.dtype == np.min_scalar_type(n)
         assert images.tolist() == [[i - 1 for i in g.images] for g in expected]
+
+
+class TestImageArray:
+    """image_array fills one flat buffer; it must equal the array of a list of
+    image rows in dtype, shape, row order and the refusal of another degree."""
+
+    @staticmethod
+    def rows_reference(perms, n):
+        rows = [p.images for p in perms]
+        return np.array(rows, dtype=np.min_scalar_type(n)).reshape(-1, n) - 1
+
+    @pytest.mark.parametrize("spec_text", ["C(4,2)", "C(7,5;2)", "C(9,9)"])
+    def test_matches_a_list_of_rows(self, spec_text):
+        spec = parse_spec(spec_text)
+        perms = enumerate_connecting_set(spec)
+        images, reference = image_array(perms, spec.n), self.rows_reference(perms, spec.n)
+        assert (images.dtype, images.shape) == (reference.dtype, reference.shape)
+        assert (images == reference).all()
+
+    @pytest.mark.parametrize("n", [1, 3, 255, 256])
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_dtype_and_shape_at_each_width(self, n, count):
+        perms = [Permutation(tuple(range(n, 0, -1)))] * count
+        images, reference = image_array(perms, n), self.rows_reference(perms, n)
+        assert (images.dtype, images.shape) == (reference.dtype, reference.shape)
+        assert images.tolist() == reference.tolist()
+
+    def test_degree_zero(self):
+        # The shape is taken from the row count, so empty rows keep their number.
+        assert image_array([Permutation(())] * 2, 0).shape == (2, 0)
+
+    def test_another_degree_refused(self):
+        perms = [Permutation((2, 3, 1)), Permutation((2, 1))]
+        with pytest.raises(DegreeMismatchError, match="^degrees 2 != 3$"):
+            image_array(perms, 3)
 
 
 class TestOneMembershipRule:

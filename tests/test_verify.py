@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from snspectra import equitable, graphs, verify, yor
+from snspectra import equitable, formulas, graphs, verify, yor
 from snspectra.formulas import (
     almost_full_cycle_lambda2,
     full_cycle_lambda2,
@@ -70,10 +70,31 @@ def test_spectrum_invariants(kind, spec_text, method):
     degree = spec.cardinality()
     report = verify.spectrum(spec, kind, method)
     assert report.method == method
+    assert all(type(v) is int for v in report.distinct())  # a class sum's spectrum
     assert report.size == order
-    assert abs(report.trace()) <= 1e-6
-    assert sum(v * v * m for v, m in report.eigenvalues) == pytest.approx(order * degree)
+    assert report.trace() == 0
+    assert sum(v * v * m for v, m in report.eigenvalues) == order * degree
     assert report.lambda1 == degree
+
+
+@pytest.mark.parametrize(
+    "kind, spec_text, method, floats",
+    [
+        ("symmetric", "C(7,5;3)", "irrep", 2),
+        ("alternating", "C(7,5;3)", "irrep", 2),
+        ("alternating", "C(7,5;3)", "dense", 2),
+        ("symmetric", "C(6,4;3)", "dense", 0),
+        ("symmetric", "C(7,7)", "char", 0),
+        ("alternating", "C(7,5)", "char", 0),
+    ],
+)
+def test_every_integral_value_is_an_int(kind, spec_text, method, floats):
+    """Integral eigenvalues are ints on every route; only the values that are
+    not integral, as C(7,5;3) has two, stay floats."""
+    values = verify.spectrum(parse_spec(spec_text), kind, method).distinct()
+    non_ints = [v for v in values if type(v) is not int]
+    assert len(non_ints) == floats
+    assert all(type(v) is float and abs(v - round(v)) > 0.1 for v in non_ints)
 
 
 @pytest.mark.parametrize("method, module", [("dense", graphs), ("irrep", yor), ("char", yor)])
@@ -99,10 +120,21 @@ class TestTheoremRunners:
         assert out.computed == {"lambda1": 24.0, "lambda2": 4.0}
         assert out.ok
 
-    @pytest.mark.parametrize("runner, n", [(verify.verify_T1A, 20), (verify.verify_T1B, 24)])
-    def test_char_route_at_large_n(self, runner, n):
-        # Multiplicities near n! must not move a cluster's value by an ulp.
-        assert runner(n, "char").outcome == "match"
+    @pytest.mark.parametrize(
+        "runner, n",
+        [(verify.verify_T1A, 20), (verify.verify_T1A, 30), (verify.verify_T1B, 24),
+         (verify.verify_T1B, 30)],
+    )
+    def test_char_route_at_large_n(self, runner, n, monkeypatch):
+        # The values are exact ints however large: multiplicities near n!
+        # move no value, and a closed form off by 1 is a mismatch.
+        out = runner(n, "char")
+        assert out.outcome == "match"
+        assert all(type(v) is int for v in out.computed.values())
+        closed_form = "full_cycle_lambda2" if out.theorem == "1A" else "almost_full_cycle_lambda2"
+        real = getattr(formulas, closed_form)
+        monkeypatch.setattr(formulas, closed_form, lambda n: real(n) + 1)
+        assert runner(n, "char").outcome == "mismatch"
 
     def test_auto_takes_char_for_a_class(self):
         assert verify.verify_T1A(8).method == "char"
