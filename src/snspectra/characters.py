@@ -149,7 +149,10 @@ def max_ratio_diagram(
 def character_table_csv(n: int) -> str:
     """The character table as CSV: one row per diagram, one column per cycle
     type, both in partitions_of order, exact ints; the one writer of both
-    ``character`` table outputs; n > TABLE_CAP is refused."""
+    ``character`` table outputs; n < 1, which has no diagram, and
+    n > TABLE_CAP are refused."""
+    if n < 1:
+        raise ValueError(f"degree {n} has no diagram: n must be at least 1")
     if n > TABLE_CAP:
         raise CapExceededError(f"degree {n} exceeds table cap {TABLE_CAP}")
     classes = partitions_of(n)
@@ -163,6 +166,8 @@ def character_table_csv(n: int) -> str:
 
 
 def export_character_table_csv(n: int, path: str | os.PathLike) -> None:
-    """Write character_table_csv(n) to ``path``."""
+    """Write character_table_csv(n) to ``path``; a refused n leaves the file
+    as it was, since the table is built before the file is opened."""
+    table = character_table_csv(n)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(character_table_csv(n))
+        fh.write(table)

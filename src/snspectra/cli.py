@@ -145,11 +145,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; exit code 1 for a failed verification, 2 for bad input."""
+    """Run one subcommand; exit code 1 for a failed verification, 2 for bad
+    input, a refused size or an output file that cannot be written."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, graphs.CapExceededError) as exc:
+    except (ValueError, graphs.CapExceededError, OSError) as exc:
         print(f"snspectra {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

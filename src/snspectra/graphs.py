@@ -133,19 +133,6 @@ def build(group_kind: str, spec: ConnectingSetSpec) -> CayleyGraph:
     return graph
 
 
-def from_explicit_set(
-    group_kind: str, n: int, connecting: Sequence[Permutation]
-) -> CayleyGraph:
-    connecting = tuple(sorted(set(connecting)))
-    if any(h.is_identity() for h in connecting):
-        raise ValueError("connecting set contains the identity")
-    if set(connecting) != {h.inverse() for h in connecting}:
-        raise ValueError("connecting set is not inverse-closed")
-    graph = CayleyGraph(group_kind, n, group_images(group_kind, n), connecting)
-    check_group(group_kind, bool(even_rows(graph.connecting_images).all()))
-    return graph
-
-
 def check_dense_cap(size: int) -> None:
     """Refuse a dense spectrum of ``size`` vertices above DENSE_CAP."""
     if size > DENSE_CAP:

@@ -25,7 +25,6 @@ from .graphs import build, check_dense_cap, dense_spectrum
 from .permutations import (
     CapExceededError,
     ConnectingSetSpec,
-    check_set_cap,
     enumerate_connecting_set,
     full_cycles,
     generated_subgroup_kind,
@@ -100,9 +99,9 @@ def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
     conjugacy class, else dense up to DENSE_AUTO_LIMIT vertices, else irrep.
     Only the irrep and char routes import yor.
     Raises CapExceededError before the large allocation: for dense above
-    graphs.DENSE_CAP vertices; for irrep when H has more than
-    permutations.SET_CAP elements, then when the largest block has more than
-    yor.BLOCK_CAP rows, both before any element of H is made; for char above
+    graphs.DENSE_CAP vertices; for irrep when the largest block has more than
+    yor.BLOCK_CAP rows, then when H has more than permutations.SET_CAP
+    elements, both before any element of H is made; for char above
     degree yor.CHAR_CAP, before the diagrams of n are listed."""
     if method == "auto":
         if spec.family == "full":
@@ -115,7 +114,6 @@ def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
     if method == "irrep":
         from . import yor
 
-        check_set_cap(spec)
         yor.block_shapes(spec.n)
         return yor.full_spectrum_via_irreps(spec.n, enumerate_connecting_set(spec), kind)
     if method == "char":
@@ -338,7 +336,7 @@ def theorem_65_max_block_eigenvalues(
 
     shapes = [shape for shape in yor.block_shapes(n) if dimension(shape) > n - 1]
     connecting = enumerate_connecting_set(prefix_moving_cycles(n, r + 1, r))
-    _, spectra = yor.block_spectra(image_array(connecting, n), shapes, connecting)
+    _, spectra = yor.block_spectra(image_array(connecting, n), shapes)
     return [
         (shape, dimension(shape), spectrum[0][0]) for shape, spectrum in zip(shapes, spectra)
     ]

@@ -2,8 +2,9 @@
 Young's orthogonal representation and per-block spectra of connecting sets.
 
 Each irreducible of Sym(1..n) is realized by real orthogonal matrices indexed
-by standard tableaux.  The image of an inverse-closed connecting set summed
-over the block is symmetric, so its spectrum is computed with LAPACK
+by standard tableaux.  The image of a connecting set C(n,k) or C(n,k;r)
+summed over the block is built from one class sum by conjugations with the
+generators; it is symmetric, so its spectrum is computed with LAPACK
 ``eigvalsh``; the union of these block spectra over all diagrams, each value
 repeated dim times, is the Cayley graph spectrum.  Spectra stay (value,
 multiplicity) pairs throughout and are never expanded to |G| floats.
@@ -13,14 +14,14 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb, factorial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import characters
 from ._numpy import np
 from .diagrams import dimension, partitions_of, validate_diagram
 from .eigen import SpectrumReport, check_cayley_invariants, cluster_eigenvalues
 from .permutations import (
-    CapExceededError, Permutation, check_group, even_rows, group_order, image_array
+    CapExceededError, Permutation, check_group, group_order, image_array
 )
 
 SYMMETRY_TOL = 1e-9
@@ -178,53 +179,6 @@ def yor_image(shape: Sequence[int], g: Permutation) -> np.ndarray:
     return mat
 
 
-def _inverse_representatives(
-    connecting_set: Iterable[Permutation],
-) -> tuple[list[Permutation], list[Permutation]]:
-    """Split an inverse-closed set into involutions and one element per
-    {h, h^-1} pair (the image of the partner is the transpose)."""
-    hset = set(connecting_set)
-    involutions, reps = [], []
-    for h in sorted(hset):
-        hinv = h.inverse()
-        if hinv == h:
-            involutions.append(h)
-        elif h < hinv:
-            if hinv not in hset:
-                raise ValueError(f"set is not inverse-closed: missing {hinv}")
-            reps.append(h)
-    return involutions, reps
-
-
-def _word_walk_matrix(shape: tuple[int, ...], connecting_set: Sequence[Permutation]) -> np.ndarray:
-    """Sum of the images of an inverse-closed set, one adjacent word per element.
-
-    Words sharing a prefix reuse partial products.
-    """
-    dim = dimension(shape)
-    involutions, reps = _inverse_representatives(connecting_set)
-    total = np.zeros((dim, dim))
-    worklist = sorted(
-        [(adjacent_word(h), False) for h in involutions]
-        + [(adjacent_word(h), True) for h in reps]
-    )
-    stack = [np.eye(dim)]
-    prev: tuple[int, ...] = ()
-    for word, paired in worklist:
-        common = 0
-        for a, b in zip(word, prev):
-            if a != b:
-                break
-            common += 1
-        del stack[common + 1:]
-        for a in word[common:]:
-            stack.append(_generator(shape, a).apply_right(stack[-1]))
-        prev = word
-        mat = stack[len(word)]
-        total += mat + mat.T if paired else mat
-    return total
-
-
 def _class_sum_parameters(images: np.ndarray) -> tuple[int, int] | None:
     """(k, r) when the rows of ``images``, the image array of a set of
     permutations of 1..n, are exactly C(n,k;r), every k-cycle of Sym(1..n)
@@ -265,17 +219,25 @@ def _class_sum_parameters(images: np.ndarray) -> tuple[int, int] | None:
     return k, r
 
 
-def _class_sum_matrix(shape: tuple[int, ...], k: int, r: int) -> np.ndarray:
-    """H+ of C(n,k;r) built from the class sum of the k-cycles on {1..k}.
+def hplus_matrix(shape: Sequence[int], k: int, r: int) -> np.ndarray:
+    """H+ of C(n,k;r) on the block labeled by ``shape``, n = |shape|: the sum
+    of the images of the k-cycles of Sym(1..n) that move all of {1..r}, with
+    r = 0 for C(n,k) and r = n for C(n,n).
 
-    That class sum is central in Sym(1..k), so in this Gelfand-Tsetlin basis
-    it is diagonal: on tableau T it is the class eigenvalue of the shape that
-    1..k fill in T.  Let Y_i be the sum over the supports inside {1..i} that
-    contain {1..r}; it is Sym({r+1..i})-invariant.  Conjugating by the i - r
-    chains s_j ... s_{i-1} (j = r+1..i) reaches every support inside {1..i}
-    exactly i - k times, so Y_i is that sum of conjugates of Y_{i-1} divided
-    by i - k, and H+ = Y_n.
+    It is built from the class sum of the k-cycles on {1..k}.  That sum is
+    central in Sym(1..k), so in this Gelfand-Tsetlin basis it is diagonal:
+    on tableau T it is the class eigenvalue of the shape that 1..k fill in T.
+    Let Y_i be the sum over the supports inside {1..i} that contain {1..r};
+    it is Sym({r+1..i})-invariant.  Conjugating by the i - r chains
+    s_j ... s_{i-1} (j = r+1..i) reaches every support inside {1..i} exactly
+    i - k times, so Y_i is that sum of conjugates of Y_{i-1} divided by
+    i - k, and H+ = Y_n.  H is inverse-closed, so the result must be
+    symmetric, and asymmetry beyond tolerance signals an assembly bug.
     """
+    shape = validate_diagram(shape)
+    n = sum(shape)
+    if not (2 <= k <= n and 0 <= r <= k):
+        raise ValueError(f"no connecting set C({n},{k};{r})")
     eigenvalue: dict[tuple[int, ...], int] = {}
     diag = []
     for tab in standard_tableaux(shape):
@@ -284,51 +246,22 @@ def _class_sum_matrix(shape: tuple[int, ...], k: int, r: int) -> np.ndarray:
             eigenvalue[nu] = characters.class_eigenvalue(nu, (k,))
         diag.append(eigenvalue[nu])
     y = np.diag(np.array(diag, dtype=float))
-    for i in range(k + 1, sum(shape) + 1):
+    for i in range(k + 1, n + 1):
         w, acc = y, y.copy()
         for j in range(i - 1, r, -1):
             g = _generator(shape, j)
             w = g.apply_left(g.apply_right(w))
             acc += w
         y = acc / (i - k)
+    asym = np.abs(y - y.T).max()
+    if asym > SYMMETRY_TOL:
+        raise ArithmeticError(f"H+ block for {shape} asymmetric by {asym:.3e}")
     return y
 
 
-# Default of ``params``: recognize the set in hplus_matrix itself.
-_RECOGNIZE = object()
-
-
-def hplus_matrix(
-    shape: Sequence[int], connecting_set: Sequence[Permutation], params=_RECOGNIZE
-) -> np.ndarray:
-    """Sum of the representation matrices over the connecting set.
-
-    Requires H = H^-1; the result must then be symmetric, and asymmetry
-    beyond tolerance signals an assembly bug.  When H is exactly C(n,k) or
-    C(n,k;r) the block is built from one diagonal class sum by adjacent
-    conjugations; any other set is summed word by word.  A caller that
-    builds many blocks of one set passes ``params``, the result of
-    _class_sum_parameters for it, so that H is recognized only once.
-    """
-    shape = validate_diagram(shape)
-    if params is _RECOGNIZE:
-        params = _class_sum_parameters(image_array(connecting_set, sum(shape)))
-    if params is None:
-        total = _word_walk_matrix(shape, connecting_set)
-    else:
-        total = _class_sum_matrix(shape, *params)
-    asym = np.abs(total - total.T).max() if total.size else 0.0
-    if asym > SYMMETRY_TOL:
-        raise ArithmeticError(f"H+ block for {shape} asymmetric by {asym:.3e}")
-    return total
-
-
-def hplus_block_spectrum(
-    shape: Sequence[int], connecting_set: Sequence[Permutation], params=_RECOGNIZE
-) -> list[tuple[float, int]]:
-    """Clustered eigenvalues of the connecting-set sum on one block;
-    ``params`` as for hplus_matrix."""
-    values = np.linalg.eigvalsh(hplus_matrix(shape, connecting_set, params))
+def hplus_block_spectrum(shape: Sequence[int], k: int, r: int) -> list[tuple[float, int]]:
+    """Clustered eigenvalues of H+ of C(n,k;r) on one block."""
+    values = np.linalg.eigvalsh(hplus_matrix(shape, k, r))
     return cluster_eigenvalues([(v, 1) for v in values.tolist()])
 
 
@@ -366,41 +299,43 @@ def block_shapes(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def block_spectra(
-    images: np.ndarray, shapes: Sequence[tuple[int, ...]], connecting_set: Sequence[Permutation]
-) -> tuple[int, list[list[tuple[float, int]]]]:
-    """|H| and, shape by shape, the clustered spectrum of H+ on its block:
-    the one block loop of the irrep route, which recognizes H once, from
-    ``images``, the image array of ``connecting_set``."""
+    images: np.ndarray, shapes: Sequence[tuple[int, ...]]
+) -> tuple[tuple[int, int], Iterator[list[tuple[float, int]]]]:
+    """(k, r) of H = C(n,k;r), recognized once from ``images``, its image
+    array, and shape by shape the clustered spectrum of H+ on its block: the
+    one block loop of the irrep route.  Any other set is refused with
+    ValueError; the blocks are built only as the iterator is read, so a
+    caller can check (k, r) before the first one."""
     params = _class_sum_parameters(images)
-    # A recognized class sum has already been checked for repeated elements.
-    order = len(connecting_set) if params is not None else len(set(connecting_set))
-    return order, [hplus_block_spectrum(shape, connecting_set, params) for shape in shapes]
+    if params is None:
+        n = images.shape[1]
+        raise ValueError(f"connecting set is not C({n},k) or C({n},k;r) for any k, r")
+    return params, (hplus_block_spectrum(shape, *params) for shape in shapes)
 
 
 def full_spectrum_via_irreps(
     n: int, connecting_set: Sequence[Permutation], group_kind: str = "symmetric"
 ) -> SpectrumReport:
-    """Cayley spectrum as the union of block spectra over all diagrams of n.
+    """Cayley spectrum of C(n,k) or C(n,k;r) as the union of block spectra
+    over all diagrams of n.
 
     Each block value counts dim(shape) times, matching the regular
     representation of Sym(1..n); for ``group_kind`` "alternating" the
     multiplicities are halved to those of Cay(Alt, H).  An n with a block
-    above BLOCK_CAP rows is refused first, by block_shapes.  The membership,
-    identity and recognition checks all read one image array of H.
+    above BLOCK_CAP rows is refused first, by block_shapes; then any other
+    set, and a set of odd k-cycles on Alt, before any block is built.
     """
     shapes = block_shapes(n)
-    connecting_set = tuple(connecting_set)
     images = image_array(connecting_set, n)
-    check_group(group_kind, bool(even_rows(images).all()))
-    if (images == np.arange(n)).all(axis=1).any():
-        raise ValueError("connecting set may not contain the identity")
-    order, spectra = block_spectra(images, shapes, connecting_set)
+    (k, _), spectra = block_spectra(images, shapes)
+    check_group(group_kind, k % 2 == 1)  # a k-cycle is even iff k is odd
     pairs = [
         (value, mult * dimension(shape))
         for shape, spectrum in zip(shapes, spectra)
         for value, mult in spectrum
     ]
-    return _group_report(pairs, "irrep", group_kind, n, order)
+    # Recognition has refused repeated elements, so |H| is the row count.
+    return _group_report(pairs, "irrep", group_kind, n, len(images))
 
 
 def char_spectrum(

@@ -20,13 +20,12 @@ def no_element_made(monkeypatch):
 
 @pytest.fixture
 def no_block_assembled(monkeypatch):
-    """Fail the test if any irrep block is assembled, by class sum or word walk."""
+    """Fail the test if any irrep block is assembled."""
 
     def refuse(*args):
         raise AssertionError("a block was assembled")
 
-    monkeypatch.setattr(yor, "_class_sum_matrix", refuse)
-    monkeypatch.setattr(yor, "_word_walk_matrix", refuse)
+    monkeypatch.setattr(yor, "hplus_matrix", refuse)
 
 
 @pytest.fixture

@@ -1,8 +1,9 @@
 """Numeric checks that only the tests call: interlacing after deleting the
 edges at one vertex, the Weyl inequalities on a split of H, the relations of
 Young's orthogonal generators, and the split sizes of C(n, r+1; r).  Beside
-them are reference implementations the tests compare against: orbit and
-singleton partitions, and the sign of a cycle type.
+them are reference implementations the tests compare against: the Cayley
+graph and the H+ blocks of any inverse-closed set, orbit and singleton
+partitions, and the sign of a cycle type.
 
 They compare the package against classical facts; no command or ``verify``
 row reaches them, so they live beside the tests and not in the package.
@@ -11,7 +12,7 @@ row reaches them, so they live beside the tests and not in the package.
 from __future__ import annotations
 
 from math import factorial
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,7 +21,88 @@ from snspectra.diagrams import dimension, partitions_of, validate_diagram
 from snspectra.eigen import CLUSTER_TOL, SpectrumReport, cluster_eigenvalues
 from snspectra.equitable import VertexPartition, is_equitable
 from snspectra.graphs import CayleyGraph, dense_spectrum
-from snspectra.permutations import Permutation, conjugate, image_array
+from snspectra.permutations import (
+    Permutation, check_group, conjugate, even_rows, group_images, image_array
+)
+
+
+# ---------------------------------------------------------------------------
+# Any inverse-closed set: the explicit Cayley graph and the H+ blocks
+
+
+def from_explicit_set(
+    group_kind: str, n: int, connecting: Sequence[Permutation]
+) -> CayleyGraph:
+    connecting = tuple(sorted(set(connecting)))
+    if any(h.is_identity() for h in connecting):
+        raise ValueError("connecting set contains the identity")
+    if set(connecting) != {h.inverse() for h in connecting}:
+        raise ValueError("connecting set is not inverse-closed")
+    graph = CayleyGraph(group_kind, n, group_images(group_kind, n), connecting)
+    check_group(group_kind, bool(even_rows(graph.connecting_images).all()))
+    return graph
+
+
+def _inverse_representatives(
+    connecting_set: Iterable[Permutation],
+) -> tuple[list[Permutation], list[Permutation]]:
+    """Split an inverse-closed set into involutions and one element per
+    {h, h^-1} pair (the image of the partner is the transpose)."""
+    hset = set(connecting_set)
+    involutions, reps = [], []
+    for h in sorted(hset):
+        hinv = h.inverse()
+        if hinv == h:
+            involutions.append(h)
+        elif h < hinv:
+            if hinv not in hset:
+                raise ValueError(f"set is not inverse-closed: missing {hinv}")
+            reps.append(h)
+    return involutions, reps
+
+
+def word_walk_matrix(shape: tuple[int, ...], connecting_set: Sequence[Permutation]) -> np.ndarray:
+    """Sum of the images of an inverse-closed set, one adjacent word per element.
+
+    Words sharing a prefix reuse partial products.
+    """
+    dim = dimension(shape)
+    involutions, reps = _inverse_representatives(connecting_set)
+    total = np.zeros((dim, dim))
+    worklist = sorted(
+        [(yor.adjacent_word(h), False) for h in involutions]
+        + [(yor.adjacent_word(h), True) for h in reps]
+    )
+    stack = [np.eye(dim)]
+    prev: tuple[int, ...] = ()
+    for word, paired in worklist:
+        common = 0
+        for a, b in zip(word, prev):
+            if a != b:
+                break
+            common += 1
+        del stack[common + 1:]
+        for a in word[common:]:
+            stack.append(yor._generator(shape, a).apply_right(stack[-1]))
+        prev = word
+        mat = stack[len(word)]
+        total += mat + mat.T if paired else mat
+    return total
+
+
+def word_walk_spectrum(n: int, connecting_set: Sequence[Permutation]) -> list[tuple[float, int]]:
+    """Clustered spectrum of Cay(Sym(1..n), H) from the word-walk blocks,
+    each block value counted dim(shape) times."""
+    pairs = [
+        (value, dimension(shape))
+        for shape in partitions_of(n)
+        for value in np.linalg.eigvalsh(word_walk_matrix(shape, connecting_set)).tolist()
+    ]
+    return cluster_eigenvalues(pairs)
+
+
+# ---------------------------------------------------------------------------
+# Split sizes of C(n, r+1; r)
 
 
 def split_sizes(n: int, r: int) -> tuple[int, int]:
@@ -121,8 +203,8 @@ def weyl_check(
 
     reports = []
     for shape in partitions_of(n):
-        mat_a = yor.hplus_matrix(shape, part_a) if part_a else None
-        mat_b = yor.hplus_matrix(shape, part_b) if part_b else None
+        mat_a = word_walk_matrix(shape, part_a) if part_a else None
+        mat_b = word_walk_matrix(shape, part_b) if part_b else None
         dim = dimension(shape)
         zero = np.zeros((dim, dim))
         a = mat_a if mat_a is not None else zero

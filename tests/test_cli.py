@@ -122,30 +122,47 @@ class TestBadInput:
 
 @pytest.mark.usefixtures("no_element_made")
 class TestIrrepCap:
-    """The irrep route refuses a huge H before any element of it is made."""
+    """The irrep route refuses a huge H before any element of it is made:
+    C(12,12) by the set cap, after the block cap admits S12, and C(13,13) by
+    the block cap, which is checked first."""
 
     def test_verify_reports_skipped(self, capsys):
         code, out = run_cli(
-            capsys, "verify", "--theorem", "1A", "--n", "13", "--method", "irrep",
+            capsys, "verify", "--theorem", "1A", "--n", "12", "--method", "irrep",
             "--format", "json",
         )
         assert code == 0
         [outcome] = json.loads(out)
         assert outcome["outcome"] == "skipped"
         assert outcome["expected"] is None
-        assert outcome["detail"] == "|C(13,13)| = 479001600 exceeds set cap 1000000"
+        assert outcome["detail"] == "|C(12,12)| = 39916800 exceeds set cap 1000000"
 
     def test_spectrum_one_line_error_and_exit_code_2(self, capsys):
         code = main(
-            ["spectrum", "--group", "S", "--n", "13", "--set", "C(13,13)", "--method", "irrep"]
+            ["spectrum", "--group", "S", "--n", "12", "--set", "C(12,12)", "--method", "irrep"]
         )
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert captured.err == (
-            "snspectra spectrum: error: |C(13,13)| = 479001600 exceeds set cap 1000000\n"
+            "snspectra spectrum: error: |C(12,12)| = 39916800 exceeds set cap 1000000\n"
         )
 
+    def test_block_cap_comes_first_at_13(self, capsys):
+        block = "21450-row block (5, 4, 2, 1, 1) of S13 exceeds block cap 7700"
+        code, out = run_cli(
+            capsys, "verify", "--theorem", "1A", "--n", "13", "--method", "irrep",
+            "--format", "json",
+        )
+        assert code == 0
+        [outcome] = json.loads(out)
+        assert (outcome["outcome"], outcome["detail"]) == ("skipped", block)
+        code = main(
+            ["spectrum", "--group", "S", "--n", "13", "--set", "C(13,13)", "--method", "irrep"]
+        )
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"snspectra spectrum: error: {block}\n"
 
 
 @pytest.mark.usefixtures("no_element_made")
@@ -267,6 +284,28 @@ class TestQuotientCommand:
         assert target.exists()
 
 
+class TestUnwritableCsv:
+    """An output file that cannot be opened is bad input: one line, exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("character", "--n", "5"),
+            ("quotient", "--n", "6", "--k", "3", "--r", "2", "--which", "B1"),
+        ],
+        ids=["character", "quotient"],
+    )
+    def test_one_line_error_and_exit_code_2(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "q.csv"
+        code = main([*argv, "--csv", str(target)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"snspectra {argv[0]}: error: [Errno 2] No such file or directory: '{target}'\n"
+        )
+        assert not target.parent.exists()
+
+
 class TestCharacterCommand:
     def test_single_value(self, capsys):
         code, out = run_cli(
@@ -294,6 +333,31 @@ class TestCharacterCommand:
             "so it takes no --diagram or --class\n"
         )
         assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            ("19", "degree 19 exceeds table cap 18"),
+            ("0", "degree 0 has no diagram: n must be at least 1"),
+        ],
+    )
+    def test_refused_table_leaves_the_csv_file_as_it_was(self, capsys, tmp_path, n, message):
+        target = tmp_path / "t.csv"
+        target.write_text("kept\n")
+        code = main(["character", "--n", n, "--csv", str(target)])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"snspectra character: error: {message}\n"
+        assert target.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_n_below_1_refused(self, capsys, n):
+        code = main(["character", "--n", n])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"snspectra character: error: degree {n} has no diagram: n must be at least 1\n"
+        )
 
     def test_stdout_equals_the_csv_file(self, capsys, tmp_path):
         target = tmp_path / "t8.csv"

@@ -13,7 +13,6 @@ from snspectra.graphs import (
     characters,
     check_dense_cap,
     dense_spectrum,
-    from_explicit_set,
     multiplicity_table,
     natural_module_matrix,
     natural_module_spectrum,
@@ -40,6 +39,7 @@ from snspectra.permutations import (
 
 from reference_checks import (
     delete_vertex_edges,
+    from_explicit_set,
     interlacing_check,
     split_by_last_point,
     split_sizes,

@@ -32,6 +32,8 @@ from snspectra.permutations import (
     symmetric_group,
 )
 
+import reference_checks
+
 
 def apply_pointwise(g: Permutation, h: Permutation, x: int) -> int:
     # Independent oracle for the composition convention: h first, then g.
@@ -406,7 +408,7 @@ class TestOneMembershipRule:
 
     ROUTES = {
         "dense": lambda kind, spec: graphs.build(kind, spec),
-        "explicit": lambda kind, spec: graphs.from_explicit_set(
+        "explicit": lambda kind, spec: reference_checks.from_explicit_set(
             kind, spec.n, enumerate_connecting_set(spec)
         ),
         "irrep": lambda kind, spec: yor.full_spectrum_via_irreps(
@@ -425,7 +427,7 @@ class TestOneMembershipRule:
             calls.append((kind, inside_alt))
             check_group(kind, inside_alt)
 
-        for module in (graphs, yor):
+        for module in (graphs, reference_checks, yor):
             monkeypatch.setattr(module, "check_group", recorded)
         return calls
 

@@ -5,7 +5,7 @@ import pytest
 
 from snspectra.characters import class_eigenvalue, mn_character
 from snspectra.diagrams import dimension, partitions_of
-from snspectra.graphs import dense_spectrum, from_explicit_set
+from snspectra.graphs import dense_spectrum
 from snspectra.permutations import (
     CapExceededError,
     DegreeMismatchError,
@@ -22,7 +22,6 @@ from snspectra.permutations import (
 from snspectra import verify, yor
 from snspectra.yor import (
     _class_sum_parameters,
-    _word_walk_matrix,
     adjacent_word,
     full_spectrum_via_irreps,
     char_spectrum,
@@ -33,7 +32,13 @@ from snspectra.yor import (
     yor_image,
 )
 
-from reference_checks import relation_residual, split_by_last_point
+from reference_checks import (
+    from_explicit_set,
+    relation_residual,
+    split_by_last_point,
+    word_walk_matrix,
+    word_walk_spectrum,
+)
 
 
 def word_oracle(g):
@@ -132,28 +137,34 @@ class TestImages:
 class TestBlockSums:
     def test_class_block_is_scalar(self):
         # A full conjugacy class acts as the scalar |H| chi(h) / chi(1).
-        connecting = enumerate_connecting_set(full_cycles(6, 6))
         for shape in partitions_of(6):
-            mat = hplus_matrix(shape, connecting)
+            mat = hplus_matrix(shape, 6, 6)
             expected = float(class_eigenvalue(shape, (6,)))
             assert np.abs(mat - expected * np.eye(dimension(shape))).max() < 1e-8
 
     def test_scalar_block_example(self):
-        spectrum = hplus_block_spectrum((2, 1, 1, 1, 1), enumerate_connecting_set(full_cycles(6, 6)))
+        spectrum = hplus_block_spectrum((2, 1, 1, 1, 1), 6, 6)
         assert spectrum == [(24.0, 5)]
 
     def test_prefix_block_example(self):
-        connecting = enumerate_connecting_set(prefix_moving_cycles(6, 3, 2))
-        spectrum = hplus_block_spectrum((5, 1), connecting)
+        spectrum = hplus_block_spectrum((5, 1), 3, 2)
         assert spectrum == [(6.0, 3), (2.0, 1), (-4.0, 1)]
 
-    def test_rejects_non_inverse_closed(self):
-        with pytest.raises(ValueError):
-            hplus_matrix((3, 1), [parse_cycles("(1,2,3)", 4)])
+    def test_rejects_non_inverse_closed(self, no_block_assembled):
+        half = [parse_cycles("(1,2,3)", 4)]
+        with pytest.raises(ValueError, match=r"^connecting set is not C\(4,k\) or C\(4,k;r\)"):
+            full_spectrum_via_irreps(4, half)
+        with pytest.raises(ValueError, match="not inverse-closed"):
+            word_walk_matrix((3, 1), half)
+
+    @pytest.mark.parametrize("k, r", [(1, 0), (5, 0), (3, 4), (3, -1)])
+    def test_rejects_parameters_of_no_set(self, k, r):
+        with pytest.raises(ValueError, match=rf"^no connecting set C\(4,{k};{r}\)$"):
+            hplus_matrix((3, 1), k, r)
 
     def test_trivial_block_counts_set(self):
         connecting = enumerate_connecting_set(prefix_moving_cycles(7, 4, 2))
-        assert hplus_matrix((7,), connecting)[0, 0] == pytest.approx(len(connecting))
+        assert hplus_matrix((7,), 4, 2)[0, 0] == pytest.approx(len(connecting))
 
 
 class TestFullSpectra:
@@ -175,9 +186,10 @@ class TestFullSpectra:
         by_char = char_spectrum(6, (5, 1))
         assert irrep.eigenvalues == by_char.eigenvalues
 
-    def test_rejects_identity_in_set(self):
-        with pytest.raises(ValueError):
-            full_spectrum_via_irreps(4, [Permutation.identity(4)])
+    def test_rejects_identity_in_set(self, no_block_assembled):
+        for connecting in ([Permutation.identity(4)], []):
+            with pytest.raises(ValueError, match=r"^connecting set is not C\(4,k\) or C\(4,k;r\)"):
+                full_spectrum_via_irreps(4, connecting)
 
     @pytest.mark.parametrize("kind", ["symmetric", "alternating"])
     def test_rejects_set_of_another_degree(self, kind):
@@ -185,10 +197,10 @@ class TestFullSpectra:
         with pytest.raises(DegreeMismatchError, match="degrees 4 != 6"):
             full_spectrum_via_irreps(6, transpositions, kind)
 
-    def test_alternating_rejects_odd_set(self):
-        connecting = enumerate_connecting_set(full_cycles(6, 4))
-        with pytest.raises(ValueError, match="odd permutations"):
-            full_spectrum_via_irreps(6, connecting, "alternating")
+    def test_alternating_rejects_odd_set(self, no_block_assembled):
+        for spec in (full_cycles(6, 4), prefix_moving_cycles(6, 4, 3)):
+            with pytest.raises(ValueError, match="odd permutations"):
+                full_spectrum_via_irreps(6, enumerate_connecting_set(spec), "alternating")
         with pytest.raises(ValueError, match="odd permutations"):
             char_spectrum(6, (4, 1, 1), "alternating")
 
@@ -270,6 +282,11 @@ def union_of_two_classes():
     )
 
 
+def refused_set():
+    with pytest.raises(ValueError):
+        full_spectrum_via_irreps(6, union_of_two_classes())
+
+
 class TestClassSumAssembly:
     def test_matches_word_walk_on_every_small_spec(self):
         blocks = 0
@@ -281,44 +298,47 @@ class TestClassSumAssembly:
                 r = spec.n if spec.k == spec.n else 0
             assert _class_sum_parameters(image_array(connecting, spec.n)) == (spec.k, r)
             for shape in partitions_of(spec.n):
-                walked = _word_walk_matrix(shape, connecting)
-                assert np.abs(hplus_matrix(shape, connecting) - walked).max() < 1e-10, (spec, shape)
+                walked = word_walk_matrix(shape, connecting)
+                assert np.abs(hplus_matrix(shape, spec.k, r) - walked).max() < 1e-10, (spec, shape)
                 blocks += 1
         assert blocks == 591
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            subset_of_prefix_set,
-            prefix_set_with_repeat,
-            transpositions_with_repeat,
-            cycles_moving_2_and_3,
-            union_of_two_classes,
-        ],
-    )
-    def test_other_sets_fall_through_to_the_word_walk(self, make, monkeypatch):
+    ODD_SETS = [
+        subset_of_prefix_set,
+        prefix_set_with_repeat,
+        transpositions_with_repeat,
+        cycles_moving_2_and_3,
+        union_of_two_classes,
+    ]
+
+    @pytest.mark.parametrize("make", ODD_SETS)
+    def test_other_sets_fall_through_to_the_word_walk(self, make):
+        # Only the reference walk takes these sets; it agrees with the dense oracle.
         connecting = make()
         n = connecting[0].degree
         assert _class_sum_parameters(image_array(connecting, n)) is None
-        for shape in partitions_of(n):
-            assert np.array_equal(hplus_matrix(shape, connecting), _word_walk_matrix(shape, connecting))
-
-        def refuse(*args):
-            raise AssertionError("class-sum path taken")
-
-        monkeypatch.setattr(yor, "_class_sum_matrix", refuse)
-        irrep = full_spectrum_via_irreps(n, connecting)
         dense = dense_spectrum(from_explicit_set("symmetric", n, connecting))
-        assert irrep.eigenvalues == [(pytest.approx(v, abs=1e-8), m) for v, m in dense.eigenvalues]
+        walked = word_walk_spectrum(n, connecting)
+        assert walked == [(pytest.approx(v, abs=1e-8), m) for v, m in dense.eigenvalues]
+
+    @pytest.mark.parametrize("make", ODD_SETS)
+    def test_other_sets_are_refused(self, make, no_block_assembled):
+        connecting = make()
+        n = connecting[0].degree
+        with pytest.raises(
+            ValueError, match=rf"^connecting set is not C\({n},k\) or C\({n},k;r\) for any k, r$"
+        ):
+            full_spectrum_via_irreps(n, connecting)
 
     def test_split_parts_fall_through_and_add_up(self):
+        # The parts are no C(n,k;r); their reference walks add up to the class-sum block.
         connecting = enumerate_connecting_set(prefix_moving_cycles(7, 3, 2))
         fixing, moving = split_by_last_point(connecting)
         assert _class_sum_parameters(image_array(fixing, 7)) is None
         assert _class_sum_parameters(image_array(moving, 7)) is None
         for shape in partitions_of(7):
-            parts = hplus_matrix(shape, fixing) + hplus_matrix(shape, moving)
-            assert np.abs(parts - hplus_matrix(shape, connecting)).max() < 1e-10
+            parts = word_walk_matrix(shape, fixing) + word_walk_matrix(shape, moving)
+            assert np.abs(parts - hplus_matrix(shape, 3, 2)).max() < 1e-10
 
 
 class TestRecognizeOnce:
@@ -346,9 +366,9 @@ class TestRecognizeOnce:
         dense = dense_spectrum(from_explicit_set("symmetric", spec.n, connecting))
         assert report.eigenvalues == [(pytest.approx(v, abs=1e-8), m) for v, m in dense.eigenvalues]
 
-    def test_word_walk_set(self, calls):
-        connecting = union_of_two_classes()
-        full_spectrum_via_irreps(6, connecting)
+    def test_refused_set(self, calls, no_block_assembled):
+        with pytest.raises(ValueError, match="is not C"):
+            full_spectrum_via_irreps(6, union_of_two_classes())
         assert calls == [6]
 
     def test_theorem_65(self, calls):
@@ -357,14 +377,13 @@ class TestRecognizeOnce:
         assert len(rows) == sum(dimension(shape) > 6 for shape in partitions_of(7))
 
     def test_given_parameters_are_used_as_they_are(self, calls):
+        # The block functions build C(n,k;r) from the given (k, r) and recognize no set.
         connecting = enumerate_connecting_set(prefix_moving_cycles(6, 3, 2))
         for shape in partitions_of(6):
-            walked = _word_walk_matrix(shape, connecting)
-            assert np.abs(hplus_matrix(shape, connecting, (3, 2)) - walked).max() < 1e-10
-            assert np.array_equal(hplus_matrix(shape, connecting, None), walked)
+            walked = word_walk_matrix(shape, connecting)
+            assert np.abs(hplus_matrix(shape, 3, 2) - walked).max() < 1e-10
+            hplus_block_spectrum(shape, 3, 2)
         assert calls == []
-        hplus_matrix((5, 1), connecting)
-        assert calls == [6]
 
 
 class TestOneImageArray:
@@ -388,10 +407,10 @@ class TestOneImageArray:
         [
             lambda: full_spectrum_via_irreps(6, enumerate_connecting_set(prefix_moving_cycles(6, 3, 2))),
             lambda: full_spectrum_via_irreps(5, enumerate_connecting_set(full_cycles(5, 3)), "alternating"),
-            lambda: full_spectrum_via_irreps(6, union_of_two_classes()),
+            refused_set,
             lambda: verify.theorem_65_max_block_eigenvalues(7, 3),
         ],
-        ids=["prefix", "alternating", "word-walk", "theorem_65"],
+        ids=["prefix", "alternating", "refused", "theorem_65"],
     )
     def test_one_array_per_set(self, image_arrays, recognized, run):
         run()
