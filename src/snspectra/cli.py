@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import characters, equitable, graphs, verify
+from . import characters, equitable, graphs, permutations, verify
 from .diagrams import parse_diagram
 from .permutations import cycle_string, enumerate_connecting_set, parse_spec
 
@@ -66,6 +66,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 def _cmd_quotient(args: argparse.Namespace) -> int:
     fn = equitable.quotient_B1 if args.which == "B1" else equitable.quotient_B2
     matrix = fn(args.n, args.k, args.r)
+    # The root scan tries every integer up to the row sum |H|.
+    permutations.check_set_cap(permutations.prefix_moving_cycles(args.n, args.k, args.r))
     values = equitable.quotient_eigenvalues(matrix)
     payload = {"which": args.which, "matrix": matrix, "eigenvalues": values}
     if args.csv:

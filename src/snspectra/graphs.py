@@ -36,7 +36,6 @@ from .permutations import (
     even_rows,
     group_images,
     image_array,
-    prefix_moving_cycles,
 )
 
 DENSE_CAP = 5040
@@ -263,10 +262,3 @@ def natural_module_spectrum(spec: ConnectingSetSpec) -> SpectrumReport:
     """Exact integer spectrum of the connecting-set sum on the natural module."""
     return SpectrumReport(exact_integer_eigenvalues(natural_module_matrix(spec)), "natural")
 
-
-def multiplicity_table(n: int, r: int) -> list[tuple[int, int]]:
-    """(eigenvalue, multiplicity) pairs on the natural module for the
-    prefix-moving set with k = r + 1, computed from the operator itself."""
-    if not 2 <= r <= n - 2:
-        raise ValueError(f"need 2 <= r <= n-2, got r={r}, n={n}")
-    return exact_integer_eigenvalues(natural_module_matrix(prefix_moving_cycles(n, r + 1, r)))

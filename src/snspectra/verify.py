@@ -82,15 +82,14 @@ class Outcome:
         return self.outcome in ("match", "documented-discrepancy", "skipped")
 
 
-def _ms_since(start: float) -> float:
-    return round((time.perf_counter() - start) * 1000.0, 3)
-
-
-def _timed(fn: Callable[[], Outcome]) -> Outcome:
+def _timed(run: Callable[[], list[Outcome]]) -> list[Outcome]:
+    """The outcomes of run(), each stamped with the call's elapsed ms."""
     start = time.perf_counter()
-    out = fn()
-    out.runtime_ms = _ms_since(start)
-    return out
+    outcomes = run()
+    runtime_ms = round((time.perf_counter() - start) * 1000.0, 3)
+    for outcome in outcomes:
+        outcome.runtime_ms = runtime_ms
+    return outcomes
 
 
 def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
@@ -137,23 +136,12 @@ def _lambda_outcome(
     """Compare lambda1 and lambda2 of Cay(G, H), G the group H generates,
     with the closed forms."""
     expected = {"lambda1": lambda1, "lambda2": lambda2}
-
-    def run() -> Outcome:
-        report = spectrum(spec, generated_subgroup_kind(spec), method)
-        computed = {"lambda1": report.lambda1, "lambda2": report.lambda2}
-        match = all(
-            abs(computed[key] - value) <= CLUSTER_TOL for key, value in expected.items()
-        )
-        return Outcome(
-            theorem,
-            params,
-            expected,
-            computed,
-            report.method,
-            "match" if match else "mismatch",
-        )
-
-    return _timed(run)
+    report = spectrum(spec, generated_subgroup_kind(spec), method)
+    computed = {"lambda1": report.lambda1, "lambda2": report.lambda2}
+    match = all(abs(computed[key] - value) <= CLUSTER_TOL for key, value in expected.items())
+    return Outcome(
+        theorem, params, expected, computed, report.method, "match" if match else "mismatch"
+    )
 
 
 def verify_T1A(n: int, method: str = "auto") -> Outcome:
@@ -188,68 +176,52 @@ def verify_T52(n: int, k: int, r: int) -> Outcome:
     """Natural-module eigenvalues equal the four closed-form values; when the
     published scalar expression for mu2 deviates from the operator (it does
     for k - r >= 2) the case is recorded as a documented discrepancy."""
-
-    def run() -> Outcome:
-        params = {"n": n, "k": k, "r": r}
-        mus = formulas.mu_values(n, k, r)
-        report = graphs.natural_module_spectrum(prefix_moving_cycles(n, k, r))
-        computed = [v for v, _ in report.eigenvalues]
-        expected = sorted(set(mus), reverse=True)
-        if computed != expected:
-            return Outcome("52", params, expected, computed, "natural", "mismatch")
-        printed = formulas.printed_mu2_variant(n, k, r)
-        if printed == mus[1]:
-            return Outcome("52", params, expected, computed, "natural", "match")
-        return Outcome(
-            "52", params, expected, computed, "natural", "documented-discrepancy",
-            detail=(
-                "published mu2 expression gives "
-                f"{printed}, but the operator (and the published B1 matrix) "
-                f"give {mus[1]} = (k-1)!C(n-r-1,k-r) - (k-2)!C(n-r-2,k-r-2)"
-            ),
-        )
-
-    return _timed(run)
+    params = {"n": n, "k": k, "r": r}
+    mus = formulas.mu_values(n, k, r)
+    report = graphs.natural_module_spectrum(prefix_moving_cycles(n, k, r))
+    computed = [v for v, _ in report.eigenvalues]
+    expected = sorted(set(mus), reverse=True)
+    if computed != expected:
+        return Outcome("52", params, expected, computed, "natural", "mismatch")
+    printed = formulas.printed_mu2_variant(n, k, r)
+    if printed == mus[1]:
+        return Outcome("52", params, expected, computed, "natural", "match")
+    return Outcome(
+        "52", params, expected, computed, "natural", "documented-discrepancy",
+        detail=(
+            "published mu2 expression gives "
+            f"{printed}, but the operator (and the published B1 matrix) "
+            f"give {mus[1]} = (k-1)!C(n-r-1,k-r) - (k-2)!C(n-r-2,k-r-2)"
+        ),
+    )
 
 
 def verify_L61(n: int, r: int) -> list[Outcome]:
     """Multiplicity table on the natural module for k = r + 1, plus the
     documented discrepancy of the published third eigenvalue."""
-    table: list[tuple[int, int]] = []  # built by run_table, read by run_variant
-
-    def run_table() -> Outcome:
-        params = {"n": n, "r": r}
-        mus = formulas.mu_values(n, r + 1, r)
-        mults = formulas.natural_multiplicities(n, r)
-        expected = sorted(
-            ((v, m) for v, m in zip(mus, mults) if m > 0), key=lambda p: -p[0]
-        )
-        table.extend(graphs.multiplicity_table(n, r))
-        trace_ok = sum(v * m for v, m in table) == formulas.natural_trace(n, r)
-        outcome = "match" if table == expected and trace_ok else "mismatch"
-        return Outcome("61", params, expected, table, "natural", outcome)
-
-    def run_variant() -> Outcome:
-        params = {"n": n, "r": r}
-        printed = formulas.printed_third_eigenvalue_variant(n, r)
-        mu3 = formulas.mu3_closed_form(n, r)
-        values = [v for v, _ in table]
-        if printed == mu3:
-            return Outcome(
-                "61", params, mu3, printed, "natural", "match",
-                detail="printed third eigenvalue agrees at these parameters",
-            )
+    params = {"n": n, "r": r}
+    mus = formulas.mu_values(n, r + 1, r)
+    mults = formulas.natural_multiplicities(n, r)
+    expected = sorted(((v, m) for v, m in zip(mus, mults) if m > 0), key=lambda p: -p[0])
+    table = graphs.natural_module_spectrum(prefix_moving_cycles(n, r + 1, r)).eigenvalues
+    trace_ok = sum(v * m for v, m in table) == formulas.natural_trace(n, r)
+    table_outcome = "match" if table == expected and trace_ok else "mismatch"
+    printed = formulas.printed_third_eigenvalue_variant(n, r)
+    mu3 = formulas.mu3_closed_form(n, r)
+    values = [v for v, _ in table]
+    if printed == mu3:
+        outcome, detail = "match", "printed third eigenvalue agrees at these parameters"
+    else:
         outcome = "documented-discrepancy" if mu3 in values and printed not in values else "mismatch"
-        return Outcome(
-            "61", params, mu3, printed, "natural", outcome,
-            detail=(
-                "published table's third eigenvalue (r-1)(r-1)!(n-r-1)-r! is "
-                "inconsistent with the trace identity; the operator has "
-                f"(r-1)!((r-1)(n-r-1)-1) = {mu3} instead"
-            ),
+        detail = (
+            "published table's third eigenvalue (r-1)(r-1)!(n-r-1)-r! is "
+            "inconsistent with the trace identity; the operator has "
+            f"(r-1)!((r-1)(n-r-1)-1) = {mu3} instead"
         )
-
-    return [_timed(run_table), _timed(run_variant)]
+    return [
+        Outcome("61", params, expected, table, "natural", table_outcome),
+        Outcome("61", params, mu3, printed, "natural", outcome, detail=detail),
+    ]
 
 
 def _ratio_outcome(
@@ -265,20 +237,16 @@ def _ratio_outcome(
     if n <= 4:
         raise ValueError(f"theorem {theorem} needs n > 4, got n={n}")
     ratio = Fraction(numerator, denominator)
-
-    def run() -> Outcome:
-        winners, best = max_ratio_diagram(n, ctype)
-        ok = diagram in winners and best == ratio
-        return Outcome(
-            theorem,
-            {"n": n},
-            {"diagram": diagram, "ratio": str(ratio)},
-            {"diagrams": winners, "ratio": str(best)},
-            "char",
-            "match" if ok else "mismatch",
-        )
-
-    return _timed(run)
+    winners, best = max_ratio_diagram(n, ctype)
+    ok = diagram in winners and best == ratio
+    return Outcome(
+        theorem,
+        {"n": n},
+        {"diagram": diagram, "ratio": str(ratio)},
+        {"diagrams": winners, "ratio": str(best)},
+        "char",
+        "match" if ok else "mismatch",
+    )
 
 
 def verify_L42(n: int) -> Outcome:
@@ -299,14 +267,12 @@ def verify_L43(n: int) -> Outcome:
 def _quotient_outcomes(n: int, k: int, r: int, theorems: Sequence[str]) -> list[Outcome]:
     """Lemma 53 (B1) and/or 54 (B2) at one (n, k, r): each closed-form
     quotient matrix against the neighbor-counted oracle, and its exact
-    eigenvalue set against the closed-form values. H is counted once, by
-    the first case, for both quotients."""
-    counted: dict[str, tuple[bool, list[list[int]]]] = {}
-
-    def run(theorem: str) -> Outcome:
-        if not counted:
-            counted.update(counted_quotient(n, k, r))
-        mu1, mu2, mu3, mu4 = formulas.mu_values(n, k, r)
+    eigenvalue set against the closed-form values. H is counted once for
+    both quotients."""
+    counted = counted_quotient(n, k, r)
+    mu1, mu2, mu3, mu4 = formulas.mu_values(n, k, r)
+    outcomes = []
+    for theorem in theorems:
         if theorem == "53":
             which, closed, expected = "B1", quotient_B1(n, k, r), {mu1, mu2, mu3}
         else:
@@ -314,16 +280,16 @@ def _quotient_outcomes(n: int, k: int, r: int, theorems: Sequence[str]) -> list[
         params = {"n": n, "k": k, "r": r, "which": which}
         equitable, quotient = counted[which]
         ok = equitable and quotient == closed and set(quotient_eigenvalues(closed)) == expected
-        return Outcome(
-            theorem, params, closed, quotient, "quotient", "match" if ok else "mismatch"
+        outcomes.append(
+            Outcome(theorem, params, closed, quotient, "quotient", "match" if ok else "mismatch")
         )
-
-    return [_timed(lambda: run(theorem)) for theorem in theorems]
+    return outcomes
 
 
 def verify_quotients(n: int, k: int, r: int) -> list[Outcome]:
-    """Lemmas 53 and 54 at one (n, k, r), from one count of H."""
-    return _quotient_outcomes(n, k, r, ("53", "54"))
+    """Lemmas 53 and 54 at one (n, k, r), from one count of H; both outcomes
+    carry the time of the whole call."""
+    return _timed(lambda: _quotient_outcomes(n, k, r, ("53", "54")))
 
 
 def theorem_65_max_block_eigenvalues(
@@ -345,14 +311,10 @@ def theorem_65_max_block_eigenvalues(
 def verify_T65(n: int, r: int) -> Outcome:
     """No block of dimension > n-1 of C(n, r+1; r) has an eigenvalue above
     r!(n-r-1)."""
-
-    def run() -> Outcome:
-        expected = formulas.prefix_lambda2(n, r)
-        computed = max(top for _, _, top in theorem_65_max_block_eigenvalues(n, r))
-        outcome = "match" if computed <= expected + CLUSTER_TOL else "mismatch"
-        return Outcome("65", {"n": n, "r": r}, expected, computed, "irrep", outcome)
-
-    return _timed(run)
+    expected = formulas.prefix_lambda2(n, r)
+    computed = max(top for _, _, top in theorem_65_max_block_eigenvalues(n, r))
+    outcome = "match" if computed <= expected + CLUSTER_TOL else "mismatch"
+    return Outcome("65", {"n": n, "r": r}, expected, computed, "irrep", outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -382,8 +344,8 @@ def run_cases(
     method: str = "auto",
 ) -> list[Outcome]:
     """Every case of the theorem's domain at these values, by this method; a
-    case refused by a size cap is recorded as "skipped" with the refusal and
-    the time up to it."""
+    case refused by a size cap is recorded as "skipped" with the refusal.
+    Each outcome carries the time of the case that produced it."""
     if theorem not in THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}")
     accepted, least_n, takes, runner = THEOREMS[theorem]
@@ -401,14 +363,16 @@ def run_cases(
     outcomes: list[Outcome] = []
     for case in cases:
         for m in ["dense", "irrep"] if method == "all" else [method]:
-            start = time.perf_counter()
-            try:
-                outcomes.extend(runner(m, **case))
-            except CapExceededError as exc:
-                outcomes.append(
-                    Outcome(theorem, case, None, None, m, "skipped", _ms_since(start), str(exc))
-                )
+            outcomes += _timed(lambda: _run_case(theorem, runner, m, case))
     return outcomes
+
+
+def _run_case(theorem: str, runner: Callable, method: str, case: dict) -> list[Outcome]:
+    """The outcomes of one case, or one "skipped" outcome with a size cap's refusal."""
+    try:
+        return runner(method, **case)
+    except CapExceededError as exc:
+        return [Outcome(theorem, case, None, None, method, "skipped", detail=str(exc))]
 
 
 def exit_code(outcomes: Sequence[Outcome]) -> int:

@@ -283,6 +283,27 @@ class TestQuotientCommand:
         assert code == 0
         assert target.exists()
 
+    def test_admitted_set_prints_as_before(self, capsys):
+        code, out = run_cli(
+            capsys, "quotient", "--n", "8", "--k", "5", "--r", "3", "--which", "B1"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "which": "B1",
+            "matrix": [[144, 72, 24], [24, 120, 96], [6, 72, 162]],
+            "eigenvalues": [240, 138, 48],
+        }
+
+    def test_set_above_the_cap_refused_before_the_root_scan(self, capsys):
+        start = time.perf_counter()
+        code = main(["quotient", "--n", "18", "--k", "9", "--r", "2", "--which", "B1"])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "snspectra quotient: error: |C(18,9;2)| = 461260800 exceeds set cap 1000000\n"
+        )
+
 
 class TestUnwritableCsv:
     """An output file that cannot be opened is bad input: one line, exit 2."""

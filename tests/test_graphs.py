@@ -13,7 +13,6 @@ from snspectra.graphs import (
     characters,
     check_dense_cap,
     dense_spectrum,
-    multiplicity_table,
     natural_module_matrix,
     natural_module_spectrum,
     sign_blocks,
@@ -321,7 +320,7 @@ class TestNaturalModule:
 
     @pytest.mark.parametrize("n,r", [(6, 2), (7, 3), (8, 4), (9, 2)])
     def test_multiplicity_table_trace(self, n, r):
-        table = multiplicity_table(n, r)
+        table = natural_module_spectrum(prefix_moving_cycles(n, r + 1, r)).eigenvalues
         assert sum(m for _, m in table) == n
         assert sum(v * m for v, m in table) == natural_trace(n, r)
 

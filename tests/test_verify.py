@@ -190,15 +190,16 @@ class TestTheoremRunners:
     def test_L61_computes_the_table_once(self, monkeypatch):
         calls = []
 
-        def multiplicity_table(n, r):
-            calls.append((n, r))
-            return real(n, r)
+        def natural_module_matrix(spec):
+            calls.append(spec)
+            return real(spec)
 
-        real = graphs.multiplicity_table
-        monkeypatch.setattr(graphs, "multiplicity_table", multiplicity_table)
+        real = graphs.natural_module_matrix
+        monkeypatch.setattr(graphs, "natural_module_matrix", natural_module_matrix)
         table, variant = verify.verify_L61(7, 2)
-        assert calls == [(7, 2)]
-        assert table.computed == real(7, 2)
+        spec = prefix_moving_cycles(7, 3, 2)
+        assert calls == [spec]
+        assert table.computed == graphs.natural_module_spectrum(spec).eigenvalues
         assert variant.outcome == "documented-discrepancy"
 
     def test_L42_L43(self):
@@ -367,6 +368,26 @@ class TestOrchestration:
                 assert 2 <= o.params["r"] <= o.params["n"] - 2
             if "k" in takes:
                 assert o.params["r"] < o.params["k"] < o.params["n"]
+
+    def test_every_case_outcome_carries_its_case_time(self):
+        outcomes = verify.run_cases("61", [7], [2]) + verify.run_cases("61", [13], [11])
+        assert [(o.params, o.outcome) for o in outcomes] == [
+            ({"n": 7, "r": 2}, "match"),
+            ({"n": 7, "r": 2}, "documented-discrepancy"),
+            ({"n": 13, "r": 11}, "skipped"),
+        ]
+        assert all(o.runtime_ms > 0 for o in outcomes)
+        assert outcomes[0].runtime_ms == outcomes[1].runtime_ms
+
+    def test_quotient_pair_shares_its_call_time(self):
+        outcomes = verify.verify_quotients(6, 3, 2)
+        assert len(outcomes) == 2
+        assert outcomes[0].runtime_ms > 0
+        assert outcomes[0].runtime_ms == outcomes[1].runtime_ms
+
+    def test_runner_called_directly_is_not_timed(self):
+        assert verify.verify_T1A(5).runtime_ms == 0.0
+        assert [o.runtime_ms for o in verify.verify_L61(7, 2)] == [0.0, 0.0]
 
     def test_run_cases_and_exit_code(self):
         outcomes = verify.run_cases("42", [5, 6])
