@@ -1,6 +1,7 @@
 """
 Eigenvalue machinery: multiplicity clustering with integer snapping, and
-exact integer characteristic polynomials with integer root extraction.
+exact integer characteristic polynomials whose integer roots an integer
+Newton descent finds.
 """
 
 from __future__ import annotations
@@ -142,11 +143,13 @@ def charpoly_int(matrix: Sequence[Sequence[int]]) -> list[int]:
     return coeffs
 
 
-def _eval_poly(coeffs: list[int], x: int) -> int:
-    acc = 0
+def _eval_poly(coeffs: list[int], x: int) -> tuple[int, int]:
+    """p(x) and p'(x) from one Horner pass."""
+    value = slope = 0
     for c in coeffs:
-        acc = acc * x + c
-    return acc
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
 
 
 def _deflate(coeffs: list[int], root: int) -> list[int]:
@@ -157,47 +160,38 @@ def _deflate(coeffs: list[int], root: int) -> list[int]:
     return out
 
 
-def integer_roots(coeffs: Sequence[int], bound: int | None = None) -> dict[int, int]:
+def integer_roots(coeffs: Sequence[int]) -> dict[int, int]:
     """Roots with multiplicity of a monic integer polynomial, all of which
-    must be integers; raises NonIntegerSpectrumError otherwise.
+    must be integers, keyed largest first; raises NonIntegerSpectrumError
+    otherwise.
 
-    One scan over d = 1, 2, ... up to ``bound`` (or the Cauchy root bound
-    when absent, or when smaller) tries d and -d where d divides the
-    constant term of what is left, and deflates each candidate out as often
-    as it is a root.  Pass a sharp bound when available -- the constant term
-    can be enormous and trial division up to its square root is hopeless,
-    while any a-priori root bound keeps the scan tiny.
+    An integer Newton descent x <- x - max(p(x) // p'(x), 1) starts at
+    2^(1 + max ceil(bits(c_i) / i)), above the Fujiwara bound on every root.
+    When the roots are all integers, each step lands at or above the largest
+    one, so the descent stops on it; the root is deflated out and the descent
+    resumes from it.  Otherwise the descent meets p(x) < 0 or p'(x) <= 0
+    first, and raises there.
     """
     poly = list(coeffs)
     if not poly or poly[0] != 1:
         raise ValueError("polynomial must be monic")
     roots: dict[int, int] = {}
-    while len(poly) > 1 and poly[-1] == 0:
-        roots[0] = roots.get(0, 0) + 1
-        poly = poly[:-1]
-    cauchy = 1 + max((abs(c) for c in poly[1:]), default=0)
-    limit = min(bound, cauchy) if bound is not None else cauchy
-    for d in range(1, limit + 1):
-        if len(poly) == 1:
-            break
-        if poly[-1] % d:
-            continue
-        for candidate in (d, -d):
-            while len(poly) > 1 and _eval_poly(poly, candidate) == 0:
-                roots[candidate] = roots.get(candidate, 0) + 1
-                poly = _deflate(poly, candidate)
-    if len(poly) > 1:
-        raise NonIntegerSpectrumError(
-            f"no integer root of degree-{len(poly) - 1} factor {poly}"
-        )
+    x = 2 << max((-(-abs(c).bit_length() // i) for i, c in enumerate(poly[1:], 1)), default=0)
+    while len(poly) > 1:
+        value, slope = _eval_poly(poly, x)
+        if value == 0:
+            roots[x] = roots.get(x, 0) + 1
+            poly = _deflate(poly, x)
+        elif value < 0 or slope <= 0:
+            raise NonIntegerSpectrumError(
+                f"degree-{len(poly) - 1} factor {poly} has a root that is not an integer"
+            )
+        else:
+            x -= max(value // slope, 1)
     return roots
 
 
 def exact_integer_eigenvalues(matrix: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     """(eigenvalue, multiplicity) pairs, descending, for an integer matrix
-    whose spectrum is known to be integral.  The Gershgorin row-sum bound
-    limits the root search."""
-    rows = [[int(v) for v in row] for row in matrix]
-    bound = max((sum(abs(v) for v in row) for row in rows), default=0)
-    roots = integer_roots(charpoly_int(rows), bound)
-    return sorted(roots.items(), key=lambda kv: -kv[0])
+    whose spectrum is known to be integral."""
+    return list(integer_roots(charpoly_int(matrix)).items())

@@ -29,7 +29,6 @@ from .permutations import (
     full_cycles,
     generated_subgroup_kind,
     group_order,
-    image_array,
     prefix_moving_cycles,
 )
 
@@ -295,16 +294,16 @@ def verify_quotients(n: int, k: int, r: int) -> list[Outcome]:
 def theorem_65_max_block_eigenvalues(
     n: int, r: int
 ) -> list[tuple[tuple[int, ...], int, float]]:
-    """(shape, dim, max eigenvalue) for every block of dimension > n-1 of the
-    prefix-moving set with k = r + 1.  Raises CapExceededError as
-    verify.spectrum's irrep route does."""
+    """(shape, dim, max eigenvalue) for every block of dimension > n-1 of H+
+    of C(n, r+1; r), built from (k, r) = (r+1, r) with no element of H made.
+    Raises CapExceededError as verify.spectrum's irrep route does."""
     from . import yor
 
     shapes = [shape for shape in yor.block_shapes(n) if dimension(shape) > n - 1]
-    connecting = enumerate_connecting_set(prefix_moving_cycles(n, r + 1, r))
-    _, spectra = yor.block_spectra(image_array(connecting, n), shapes)
+    spec = prefix_moving_cycles(n, r + 1, r)  # refuses r outside 1..n-2
     return [
-        (shape, dimension(shape), spectrum[0][0]) for shape, spectrum in zip(shapes, spectra)
+        (shape, dimension(shape), yor.hplus_block_spectrum(shape, spec.k, spec.r)[0][0])
+        for shape in shapes
     ]
 
 

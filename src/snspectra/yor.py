@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import cache
 from math import comb, factorial
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import characters
 from ._numpy import np
@@ -298,41 +298,29 @@ def block_shapes(n: int) -> tuple[tuple[int, ...], ...]:
     return partitions_of(n)
 
 
-def block_spectra(
-    images: np.ndarray, shapes: Sequence[tuple[int, ...]]
-) -> tuple[tuple[int, int], Iterator[list[tuple[float, int]]]]:
-    """(k, r) of H = C(n,k;r), recognized once from ``images``, its image
-    array, and shape by shape the clustered spectrum of H+ on its block: the
-    one block loop of the irrep route.  Any other set is refused with
-    ValueError; the blocks are built only as the iterator is read, so a
-    caller can check (k, r) before the first one."""
-    params = _class_sum_parameters(images)
-    if params is None:
-        n = images.shape[1]
-        raise ValueError(f"connecting set is not C({n},k) or C({n},k;r) for any k, r")
-    return params, (hplus_block_spectrum(shape, *params) for shape in shapes)
-
-
 def full_spectrum_via_irreps(
     n: int, connecting_set: Sequence[Permutation], group_kind: str = "symmetric"
 ) -> SpectrumReport:
     """Cayley spectrum of C(n,k) or C(n,k;r) as the union of block spectra
     over all diagrams of n.
 
-    Each block value counts dim(shape) times, matching the regular
-    representation of Sym(1..n); for ``group_kind`` "alternating" the
-    multiplicities are halved to those of Cay(Alt, H).  An n with a block
-    above BLOCK_CAP rows is refused first, by block_shapes; then any other
-    set, and a set of odd k-cycles on Alt, before any block is built.
+    (k, r) is recognized once from the image array of H.  Each block value
+    counts dim(shape) times, matching the regular representation of
+    Sym(1..n); for ``group_kind`` "alternating" the multiplicities are halved
+    to those of Cay(Alt, H).  An n with a block above BLOCK_CAP rows is
+    refused first, by block_shapes; then any other set (ValueError), and a
+    set of odd k-cycles on Alt, before any block is built.
     """
     shapes = block_shapes(n)
     images = image_array(connecting_set, n)
-    (k, _), spectra = block_spectra(images, shapes)
-    check_group(group_kind, k % 2 == 1)  # a k-cycle is even iff k is odd
+    params = _class_sum_parameters(images)
+    if params is None:
+        raise ValueError(f"connecting set is not C({n},k) or C({n},k;r) for any k, r")
+    check_group(group_kind, params[0] % 2 == 1)  # a k-cycle is even iff k is odd
     pairs = [
         (value, mult * dimension(shape))
-        for shape, spectrum in zip(shapes, spectra)
-        for value, mult in spectrum
+        for shape in shapes
+        for value, mult in hplus_block_spectrum(shape, *params)
     ]
     # Recognition has refused repeated elements, so |H| is the row count.
     return _group_report(pairs, "irrep", group_kind, n, len(images))

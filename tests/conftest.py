@@ -2,7 +2,7 @@ import types
 
 import pytest
 
-from snspectra import characters, diagrams, graphs, permutations, verify, yor
+from snspectra import characters, diagrams, graphs, permutations, yor
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def image_arrays(monkeypatch):
         made.append(image_array(perms, n))
         return made[-1]
 
-    for module in (permutations, graphs, verify, yor):
+    for module in (permutations, graphs, yor):
         monkeypatch.setattr(module, "image_array", recorded)
     return made
 

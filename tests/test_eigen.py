@@ -1,5 +1,7 @@
 import contextlib
 import io
+import random
+from collections import Counter
 from math import factorial
 
 import numpy as np
@@ -152,6 +154,11 @@ class TestCharpolyAgainstDeterminants:
                 assert value == bareiss_determinant(shifted), (m, x)
 
 
+def poly_at(coeffs, x):
+    """p(x) by the power sum, leading coefficient first."""
+    return sum(c * x ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs))
+
+
 def from_roots(roots, factor=(1,)):
     """Coefficients of factor * prod(x - root), leading term first."""
     poly = list(factor)
@@ -175,21 +182,45 @@ class TestIntegerRoots:
     def test_repeated_negative_and_zero_roots(self):
         roots = [0, 0, -2, -2, -2, 5, 5, 1, -7]
         assert integer_roots(from_roots(roots)) == {0: 2, 1: 1, -2: 3, 5: 2, -7: 1}
-        assert integer_roots(from_roots(roots), bound=7) == {0: 2, 1: 1, -2: 3, 5: 2, -7: 1}
 
     def test_non_integer_factor_left_after_the_integer_roots_raises(self):
-        # (x - 3)^2 (x + 1) (x^2 - 2): the integer roots deflate out first.
+        # (x - 3)^2 (x + 1) (x^2 - 2): the descent deflates out 3 twice, then
+        # steps past sqrt(2) before it reaches -1.
         coeffs = from_roots([3, 3, -1], factor=(1, 0, -2))
-        with pytest.raises(NonIntegerSpectrumError, match=r"degree-2 factor \[1, 0, -2\]$"):
+        with pytest.raises(
+            NonIntegerSpectrumError,
+            match=r"^degree-3 factor \[1, 1, -2, -2\] has a root that is not an integer$",
+        ):
             integer_roots(coeffs)
 
-    def test_root_beyond_the_bound_raises(self):
-        with pytest.raises(NonIntegerSpectrumError, match=r"degree-1 factor \[1, -9\]$"):
-            integer_roots(from_roots([2, 9]), bound=8)
+    @pytest.mark.parametrize("seed", range(40))
+    def test_roots_of_integer_products(self, seed):
+        rng = random.Random(seed)
+        pool = [0, 1, -1, factorial(40), -factorial(40)] + [
+            rng.randint(-(10 ** rng.randint(1, 30)), 10 ** rng.randint(1, 30)) for _ in range(4)
+        ]
+        roots = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+        found = integer_roots(from_roots(roots))
+        assert found == Counter(roots)
+        assert list(found) == sorted(found, reverse=True)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_non_integer_roots_raise(self, seed):
+        # A monic factor none of whose constant term's divisors is a root has
+        # no integer root (rational root theorem).
+        rng = random.Random(seed)
+        while True:
+            factor = [1] + [rng.randint(-20, 20) for _ in range(rng.randint(1, 4))]
+            c0 = abs(factor[-1])
+            divisors = [d for d in range(1, c0 + 1) if c0 % d == 0]
+            if c0 and all(poly_at(factor, x) for d in divisors for x in (d, -d)):
+                break
+        roots = [rng.randint(-50, 50) for _ in range(rng.randint(0, 6))]
+        with pytest.raises(NonIntegerSpectrumError):
+            integer_roots(from_roots(roots, factor))
 
     def test_one_scan_on_theorem_52(self, monkeypatch):
-        # The divisors are scanned once, each candidate deflated as often as
-        # it is a root; restarting the scan after every root made 12794 calls.
+        # Each call gives p and p' at one point of the Newton descent.
         calls = []
         evaluate = eigen._eval_poly
         monkeypatch.setattr(eigen, "_eval_poly", lambda *args: calls.append(1) or evaluate(*args))

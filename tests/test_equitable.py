@@ -170,6 +170,15 @@ class TestClosedFormQuotients:
         assert set(quotient_eigenvalues(quotient_B1(n, k, r))) == {mu1, mu2, mu3}
         assert set(quotient_eigenvalues(quotient_B2(n, k, r))) == {mu1, mu3, mu4}
 
+    def test_eigenvalues_are_mu_values_to_n_30(self):
+        # Lemmas 53/54 on every 2 <= r < k < n <= 30; mu1 = |H| reaches 28 * 28!.
+        for n in range(4, 31):
+            for k in range(3, n):
+                for r in range(2, k):
+                    mu1, mu2, mu3, mu4 = mu_values(n, k, r)
+                    assert set(quotient_eigenvalues(quotient_B1(n, k, r))) == {mu1, mu2, mu3}
+                    assert set(quotient_eigenvalues(quotient_B2(n, k, r))) == {mu1, mu3, mu4}
+
     def test_quotient_spectrum_inside_graph_spectrum(self):
         graph = build("symmetric", prefix_moving_cycles(5, 3, 2))
         spectrum = {v for v, _ in dense_spectrum(graph).eigenvalues}

@@ -371,9 +371,10 @@ class TestRecognizeOnce:
             full_spectrum_via_irreps(6, union_of_two_classes())
         assert calls == [6]
 
-    def test_theorem_65(self, calls):
+    def test_theorem_65(self, calls, no_element_made):
+        # The blocks are built from (k, r) = (r+1, r); no set is made or recognized.
         rows = verify.theorem_65_max_block_eigenvalues(7, 3)
-        assert calls == [7]
+        assert calls == []
         assert len(rows) == sum(dimension(shape) > 6 for shape in partitions_of(7))
 
     def test_given_parameters_are_used_as_they_are(self, calls):
@@ -388,7 +389,7 @@ class TestRecognizeOnce:
 
 class TestOneImageArray:
     """The irrep route reads H into one image array, and recognition reads
-    that same array."""
+    that same array; Theorem 65 builds its blocks from (k, r) and reads none."""
 
     @pytest.fixture
     def recognized(self, monkeypatch):
@@ -403,19 +404,19 @@ class TestOneImageArray:
         return seen
 
     @pytest.mark.parametrize(
-        "run",
+        "run, arrays",
         [
-            lambda: full_spectrum_via_irreps(6, enumerate_connecting_set(prefix_moving_cycles(6, 3, 2))),
-            lambda: full_spectrum_via_irreps(5, enumerate_connecting_set(full_cycles(5, 3)), "alternating"),
-            refused_set,
-            lambda: verify.theorem_65_max_block_eigenvalues(7, 3),
+            (lambda: full_spectrum_via_irreps(6, enumerate_connecting_set(prefix_moving_cycles(6, 3, 2))), 1),
+            (lambda: full_spectrum_via_irreps(5, enumerate_connecting_set(full_cycles(5, 3)), "alternating"), 1),
+            (refused_set, 1),
+            (lambda: verify.theorem_65_max_block_eigenvalues(7, 3), 0),
         ],
         ids=["prefix", "alternating", "refused", "theorem_65"],
     )
-    def test_one_array_per_set(self, image_arrays, recognized, run):
+    def test_one_array_per_set(self, image_arrays, recognized, run, arrays):
         run()
-        assert len(image_arrays) == 1
-        assert len(recognized) == 1 and recognized[0] is image_arrays[0]
+        assert len(image_arrays) == len(recognized) == arrays
+        assert all(seen is made for seen, made in zip(recognized, image_arrays))
 
 
 class TestPartitionScans:
