@@ -191,22 +191,37 @@ def sign_blocks(graph: CayleyGraph) -> Iterator[np.ndarray]:
     has entry (i, c) = sum of chi(k) over the neighbours rep_c k of rep_i.
     """
     k, exponents, orders = translation_subgroup(graph.group_kind, graph.n)
-    # right[b, g] is the vertex g k_b^-1; a coset's representative is its
-    # least vertex, and g = rep k_position(g).
-    right = np.stack([graph.ranks(graph.vertex_images[:, np.argsort(kb)]) for kb in k])
-    rep, position = right.min(axis=0), right.argmin(axis=0)
+    # A coset's representative is its least vertex, and g = rep k_position(g):
+    # a running minimum of the vertex g k_b^-1 over the rows b of K, row 0
+    # being the identity.
+    rep = np.arange(graph.size)
+    position = np.zeros(graph.size, dtype=np.min_scalar_type(len(k) - 1))
+    for b in range(1, len(k)):
+        right = graph.ranks(graph.vertex_images[:, np.argsort(k[b])])
+        less = right < rep
+        rep[less], position[less] = right[less], b
     reps = np.flatnonzero(position == 0)
     m = len(reps)
-    coset = np.empty(graph.size, dtype=np.intp)
+    key_dtype = np.min_scalar_type(m * m - 1)
+    coset = np.empty(graph.size, dtype=key_dtype)
     coset[reps] = np.arange(m)
+    coset = coset[rep]
+    # Edge (i, j) from rep_i to its j-th neighbour rep_c k_b has the key
+    # i m + c; the edges of one position b have distinct keys, since the
+    # neighbour fixes (c, b).  Only the keys, grouped by b, are kept.
     neighbors = graph.neighbors_of(reps)
-    flat = (np.arange(m)[:, None] * m + coset[rep[neighbors]]).ravel()
-    neighbor_position = position[neighbors].ravel()
+    keys = np.arange(m)[:, None] * m + coset[neighbors]
+    edge_position = position[neighbors]
+    del neighbors
+    segments = [keys[edge_position == b].astype(key_dtype) for b in range(len(k))]
+    del keys, edge_position
 
-    def block(values: np.ndarray) -> np.ndarray:
-        # Sum values[position] over the neighbours of each (rep, coset) pair;
-        # the per-edge weights are freed before the block is diagonalized.
-        return np.bincount(flat, values[neighbor_position], m * m).reshape(m, m)
+    def block(chi: np.ndarray) -> np.ndarray:
+        # Add chi(k_b) once at the key of every edge through position b.
+        out = np.zeros(m * m, dtype=chi.dtype)
+        for value, segment in zip(chi.tolist(), segments):
+            np.add.at(out, segment, value)
+        return out.reshape(m, m)
 
     # chi_e(k_b) = exp(2 pi i t_b / L), t = sum_j e_j x_j L / m_j mod L.
     period = lcm(*orders)
@@ -215,8 +230,7 @@ def sign_blocks(graph: CayleyGraph) -> Iterator[np.ndarray]:
         if (2 * t % period == 0).all():  # a real chi takes the values +-1
             yield block(np.where(t == 0, 1.0, -1.0))
         else:
-            chi = np.exp(2j * np.pi / period * t)
-            yield block(chi.real) + 1j * block(chi.imag)
+            yield block(np.exp(2j * np.pi / period * t))
 
 
 def dense_spectrum(graph: CayleyGraph) -> SpectrumReport:

@@ -385,7 +385,8 @@ def check_group(kind: str, inside_alt: bool) -> None:
 def group_images(kind: str, n: int) -> np.ndarray:
     """Sym(1..n) for kind "symmetric", else Alt(1..n), as 0-based images,
     rows in lexicographic order; check_group decides which kinds exist."""
-    images = np.array(list(itertools.permutations(range(n))), dtype=np.min_scalar_type(n))
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    images = np.fromiter(flat, np.min_scalar_type(n), factorial(n) * n).reshape(factorial(n), n)
     return images if kind == "symmetric" else images[even_rows(images)]
 
 

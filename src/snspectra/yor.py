@@ -26,7 +26,8 @@ from .permutations import (
 
 SYMMETRY_TOL = 1e-9
 # The largest block of S12, (5,3,2,1,1): assembling and diagonalizing it
-# peaks at 2.8 GiB. S13's largest, (5,4,2,1,1), has 21450 rows.
+# peaks at 944 MiB, about two copies of its 452 MiB. S13's largest,
+# (5,4,2,1,1), has 21450 rows.
 BLOCK_CAP = 7700
 # One class of S40 by characters: 0.9 s, 34 MB resident; of S45: 2.5 s, 63 MB.
 CHAR_CAP = 40
@@ -89,12 +90,24 @@ class _Generator(NamedTuple):
     q: np.ndarray
     coeff: np.ndarray
 
-    def apply_left(self, m: np.ndarray) -> np.ndarray:
-        out = self.diag[:, None] * m
-        if len(self.p):
-            out[self.p] += self.coeff[:, None] * m[self.q]
-            out[self.q] += self.coeff[:, None] * m[self.p]
-        return out
+    def conjugate(self, m: np.ndarray) -> None:
+        """Replace the square matrix m by g m g in place (g is symmetric):
+        columns first, then rows.  The pair rows are rewritten a few at a
+        time, so what is held beside m is a few times 2^16 entries."""
+        unpaired = self.diag.copy()
+        unpaired[self.p] = unpaired[self.q] = 1.0
+        dp, dq, c = self.diag[self.p, None], self.diag[self.q, None], self.coeff[:, None]
+        step = max(1, 2**16 // len(m))
+        for side in (m.T, m):
+            side *= unpaired[:, None]
+            for s in range(0, len(self.p), step):
+                chunk = slice(s, s + step)
+                p, q = self.p[chunk], self.q[chunk]
+                at_p, at_q = side[p], side[q]
+                side[p] = at_p * dp[chunk] + at_q * c[chunk]
+                at_q *= dq[chunk]
+                at_q += at_p * c[chunk]
+                side[q] = at_q
 
     def apply_right(self, m: np.ndarray) -> np.ndarray:
         out = m * self.diag[None, :]
@@ -247,14 +260,16 @@ def hplus_matrix(shape: Sequence[int], k: int, r: int) -> np.ndarray:
         diag.append(eigenvalue[nu])
     y = np.diag(np.array(diag, dtype=float))
     for i in range(k + 1, n + 1):
-        w, acc = y, y.copy()
+        # y itself walks the chain of conjugates; one accumulator sums them.
+        acc = y.copy()
         for j in range(i - 1, r, -1):
-            g = _generator(shape, j)
-            w = g.apply_left(g.apply_right(w))
-            acc += w
-        y = acc / (i - k)
-    asym = np.abs(y - y.T).max()
-    if asym > SYMMETRY_TOL:
+            _generator(shape, j).conjugate(y)
+            acc += y
+        acc /= i - k
+        y = acc
+    diff = y - y.T
+    asym = np.abs(diff, out=diff).max()
+    if not asym <= SYMMETRY_TOL:  # a NaN is refused too
         raise ArithmeticError(f"H+ block for {shape} asymmetric by {asym:.3e}")
     return y
 

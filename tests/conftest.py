@@ -1,8 +1,25 @@
+import tracemalloc
 import types
 
 import pytest
 
 from snspectra import characters, diagrams, graphs, permutations, yor
+
+
+@pytest.fixture
+def traced_peak():
+    """Peak bytes held at once while a call runs, counted from its start:
+    numpy reports its array buffers to tracemalloc."""
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture

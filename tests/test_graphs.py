@@ -1,4 +1,6 @@
+import collections
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -428,6 +430,35 @@ class TestSignBlocksFromRepresentatives:
         g = CayleyGraph("alternating", 5, group_images("alternating", 5), transpositions)
         with pytest.raises(ValueError, match="not inside the alternating group"):
             list(sign_blocks(g))
+
+
+class TestSignBlocksWorkingSet:
+    """sign_blocks holds its per-edge keys and about one block at a time: no
+    (|K|, N) coset stack, no weight per edge and block, no block kept after
+    it is handed out."""
+
+    @pytest.mark.parametrize(
+        "kind, spec, limit_mb",
+        # 630-row real blocks of 3.2 MB, 529 200 edges; 210-row complex
+        # blocks of 0.7 MB, 2100 edges.
+        [
+            ("symmetric", full_cycles(7, 6), 15),
+            ("alternating", prefix_moving_cycles(7, 3, 2), 1.5),
+        ],
+        ids=["Sym7-C(7,6)", "Alt7-C(7,3;2)"],
+    )
+    def test_peak(self, traced_peak, kind, spec, limit_mb):
+        g = build(kind, spec)
+        peak = traced_peak(lambda: collections.deque(sign_blocks(g), maxlen=0))
+        assert peak <= limit_mb * 1e6
+
+    def test_no_block_kept_after_it_is_yielded(self):
+        blocks = sign_blocks(build("alternating", full_cycles(7, 3)))
+        block = next(blocks)
+        buffer = weakref.ref(block if block.base is None else block.base)
+        del block
+        assert buffer() is None
+        assert len(list(blocks)) == 7
 
 
 class TestOneImageArray:

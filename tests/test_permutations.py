@@ -367,6 +367,11 @@ def test_group_enumerations_match_itertools(n):
         assert images.tolist() == [[i - 1 for i in g.images] for g in expected]
 
 
+def test_group_of_degree_0_is_one_empty_row():
+    for kind in ("symmetric", "alternating"):
+        assert group_images(kind, 0).shape == (1, 0)
+
+
 class TestImageArray:
     """image_array fills one flat buffer; it must equal the array of a list of
     image rows in dtype, shape, row order and the refusal of another degree."""

@@ -166,6 +166,36 @@ class TestBlockSums:
         connecting = enumerate_connecting_set(prefix_moving_cycles(7, 4, 2))
         assert hplus_matrix((7,), 4, 2)[0, 0] == pytest.approx(len(connecting))
 
+    def test_corrupted_generator_is_refused(self, monkeypatch):
+        # A finite change to a coefficient keeps the generator symmetric, and
+        # so the block; a NaN compares false with any tolerance.
+        real = yor._generator
+
+        def corrupted(shape, i):
+            g = real(shape, i)
+            if i == 3:
+                g = g._replace(coeff=g.coeff.copy())
+                g.coeff[0] = np.nan
+            return g
+
+        monkeypatch.setattr(yor, "_generator", corrupted)
+        message = r"^H\+ block for \(4, 3, 2, 1\) asymmetric by nan$"
+        with pytest.raises(ArithmeticError, match=message):
+            hplus_matrix((4, 3, 2, 1), 3, 2)
+
+
+class TestBlockWorkingSet:
+    """hplus_matrix conjugates in place: the running conjugate, one
+    accumulator and a few pair rows at a time."""
+
+    @pytest.mark.parametrize("k, r", [(3, 2), (9, 8), (5, 0)])
+    def test_peak_within_three_blocks(self, traced_peak, k, r):
+        shape = (4, 3, 2, 1)
+        for i in range(1, 10):
+            yor._generator(shape, i)  # cached tableaux and generators
+        block = dimension(shape) ** 2 * 8
+        assert traced_peak(lambda: hplus_matrix(shape, k, r)) <= 3 * block
+
 
 class TestFullSpectra:
     def test_eigenvalue_count_is_group_order(self):
