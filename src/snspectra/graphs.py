@@ -28,14 +28,13 @@ from .eigen import (
 from .permutations import (
     CapExceededError,
     ConnectingSetSpec,
+    DegreeMismatchError,
     Permutation,
     as_permutations,
     check_group,
     connecting_cycles,
-    enumerate_connecting_set,
-    even_rows,
+    connecting_images,
     group_images,
-    image_array,
 )
 
 DENSE_CAP = 5040
@@ -50,7 +49,8 @@ class CayleyGraph:
     that subgroup; this is allowed.
 
     ``vertex_images`` and ``connecting_images`` hold G and H as 0-based image
-    arrays, one row per element, the vertex rows in lexicographic order.
+    arrays, one row per element: the vertex rows in lexicographic order,
+    the rows of H in any order (each vertex's neighbours are sorted).
     """
 
     def __init__(
@@ -58,13 +58,14 @@ class CayleyGraph:
         group_kind: str,
         n: int,
         vertex_images: np.ndarray,
-        connecting_set: tuple[Permutation, ...],
+        connecting_images: np.ndarray,
     ) -> None:
+        if connecting_images.shape[1:] != (n,):
+            raise DegreeMismatchError(f"degrees {connecting_images.shape[-1]} != {n}")
         self.group_kind = group_kind
         self.n = n
         self.vertex_images = vertex_images
-        self.connecting_set = connecting_set
-        self.connecting_images = image_array(connecting_set, n)
+        self.connecting_images = connecting_images
         self._codes = self._code(vertex_images)
         self._neighbors: np.ndarray | None = None
 
@@ -86,7 +87,7 @@ class CayleyGraph:
 
     @property
     def degree(self) -> int:
-        return len(self.connecting_set)
+        return len(self.connecting_images)
 
     @property
     def vertices(self) -> tuple[Permutation, ...]:
@@ -124,12 +125,12 @@ class CayleyGraph:
 
 
 def build(group_kind: str, spec: ConnectingSetSpec) -> CayleyGraph:
-    """Construct the Cayley graph for a connecting-set spec."""
-    graph = CayleyGraph(
-        group_kind, spec.n, group_images(group_kind, spec.n), enumerate_connecting_set(spec)
+    """Construct the Cayley graph for a connecting-set spec, H made as an
+    image array from its cycles; a k-cycle is even iff k is odd."""
+    check_group(group_kind, spec.k % 2 == 1)
+    return CayleyGraph(
+        group_kind, spec.n, group_images(group_kind, spec.n), connecting_images(spec)
     )
-    check_group(group_kind, bool(even_rows(graph.connecting_images).all()))
-    return graph
 
 
 def check_dense_cap(size: int) -> None:

@@ -294,17 +294,6 @@ def parse_spec(text: str) -> ConnectingSetSpec:
     return prefix_moving_cycles(n, k, int(r))
 
 
-def image_array(perms: Sequence[Permutation], n: int) -> np.ndarray:
-    """The ``(len(perms), n)`` array of 0-based images of degree-n permutations;
-    a permutation of another degree raises DegreeMismatchError."""
-    rows = [p.images for p in perms]
-    for row in rows:
-        if len(row) != n:
-            raise DegreeMismatchError(f"degrees {len(row)} != {n}")
-    flat = itertools.chain.from_iterable(rows)
-    return np.fromiter(flat, np.min_scalar_type(n), len(rows) * n).reshape(len(rows), n) - 1
-
-
 def as_permutations(images: np.ndarray) -> tuple[Permutation, ...]:
     """One ``Permutation`` per row of an array of 0-based images of bijections."""
     return tuple(Permutation._trusted(tuple(row)) for row in (images + 1).tolist())
@@ -388,6 +377,19 @@ def group_images(kind: str, n: int) -> np.ndarray:
     flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
     images = np.fromiter(flat, np.min_scalar_type(n), factorial(n) * n).reshape(factorial(n), n)
     return images if kind == "symmetric" else images[even_rows(images)]
+
+
+def connecting_images(spec: ConnectingSetSpec) -> np.ndarray:
+    """H = spec as 0-based images, one row per element in the order of
+    connecting_cycles; check_set_cap refuses a set above SET_CAP."""
+    cycles = connecting_cycles(spec)
+    count, n, k = spec.cardinality(), spec.n, spec.k
+    flat = itertools.chain.from_iterable(cycles)
+    points = np.fromiter(flat, np.intp, count * k).reshape(count, k) - 1
+    images = np.tile(np.arange(n, dtype=np.min_scalar_type(n)), (count, 1))
+    # cycle[i] -> cycle[i+1]: each row sends its points one place along.
+    images[np.arange(count)[:, None], points] = np.roll(points, -1, axis=1)
+    return images
 
 
 def group_order(kind: str, n: int) -> int:

@@ -25,7 +25,6 @@ from .graphs import build, check_dense_cap, dense_spectrum
 from .permutations import (
     CapExceededError,
     ConnectingSetSpec,
-    enumerate_connecting_set,
     full_cycles,
     generated_subgroup_kind,
     group_order,
@@ -95,12 +94,14 @@ def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
     """Spectrum of Cay(G, H) for the group of this kind and H = spec, by the
     dense oracle, the irrep blocks or the characters; "auto" takes char for a
     conjugacy class, else dense up to DENSE_AUTO_LIMIT vertices, else irrep.
-    Only the irrep and char routes import yor.
+    Only the irrep and char routes import yor. Every route takes the spec:
+    dense makes H as an image array from its cycles, and irrep and char make
+    no element of H.
     Raises CapExceededError before the large allocation: for dense above
     graphs.DENSE_CAP vertices; for irrep when the largest block has more than
     yor.BLOCK_CAP rows, then when H has more than permutations.SET_CAP
-    elements, both before any element of H is made; for char above
-    degree yor.CHAR_CAP, before the diagrams of n are listed."""
+    elements; for char above degree yor.CHAR_CAP, before the diagrams of n
+    are listed."""
     if method == "auto":
         if spec.family == "full":
             method = "char"
@@ -112,8 +113,7 @@ def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
     if method == "irrep":
         from . import yor
 
-        yor.block_shapes(spec.n)
-        return yor.full_spectrum_via_irreps(spec.n, enumerate_connecting_set(spec), kind)
+        return yor.full_spectrum_via_irreps(spec, kind)
     if method == "char":
         if spec.family != "full":
             raise ValueError("char method needs a conjugacy-class connecting set")

@@ -21,10 +21,14 @@ from ._numpy import np
 from .diagrams import dimension, partitions_of, validate_diagram
 from .eigen import SpectrumReport, check_cayley_invariants, cluster_eigenvalues
 from .permutations import (
-    CapExceededError, Permutation, check_group, group_order, image_array
+    CapExceededError, ConnectingSetSpec, Permutation, check_group, check_set_cap, group_order
 )
 
 SYMMETRY_TOL = 1e-9
+# |trace - |H| chi(k-cycle)| relative to |H|, which bounds every entry: at
+# n = 10 the worst block reads 2.5e-14. Relative to the block's own largest
+# entry it reads 5.5e-11 and grows about sevenfold per n (blocks cancel).
+TRACE_TOL = 1e-9
 # The largest block of S12, (5,3,2,1,1): assembling and diagonalizing it
 # peaks at 944 MiB, about two copies of its 452 MiB. S13's largest,
 # (5,4,2,1,1), has 21450 rows.
@@ -192,50 +196,10 @@ def yor_image(shape: Sequence[int], g: Permutation) -> np.ndarray:
     return mat
 
 
-def _class_sum_parameters(images: np.ndarray) -> tuple[int, int] | None:
-    """(k, r) when the rows of ``images``, the image array of a set of
-    permutations of 1..n, are exactly C(n,k;r), every k-cycle of Sym(1..n)
-    moving all of {1..r}; r = 0 for C(n,k) with k < n, and r = n for C(n,n).
-
-    Every row being one k-cycle, the points they all move being exactly
-    {1..r}, the rows being distinct and their number being
-    (k-1)! C(n-r, k-r) together force the set to be C(n,k;r).  Returns None
-    for any other set.
-    """
-    count, n = images.shape
-    if not count:
-        return None
-    moved = images != np.arange(n)
-    k = int(moved[0].sum())
-    if k < 2 or not (moved.sum(axis=1) == k).all():
-        return None
-    common = moved.all(axis=0)
-    r = int(common.sum())
-    if not common[:r].all():
-        return None
-    if count != factorial(k - 1) * comb(n - r, k - r):
-        return None
-    # A row moving exactly k points is one k-cycle iff the orbit of its first
-    # moved point does not close within k - 1 steps.
-    each = np.arange(count)
-    start = moved.argmax(axis=1)
-    point = start
-    for _ in range(k - 1):
-        point = images[each, point]
-        if (point == start).any():
-            return None
-    # Distinct rows: sort the rows as opaque n-item records (np.unique
-    # would also load numpy.ma, 1.3 MB) and compare neighbours.
-    rows = np.sort(images.view(np.dtype((np.void, images.itemsize * n))).ravel())
-    if (rows[1:] == rows[:-1]).any():
-        return None
-    return k, r
-
-
 def hplus_matrix(shape: Sequence[int], k: int, r: int) -> np.ndarray:
     """H+ of C(n,k;r) on the block labeled by ``shape``, n = |shape|: the sum
     of the images of the k-cycles of Sym(1..n) that move all of {1..r}, with
-    r = 0 for C(n,k) and r = n for C(n,n).
+    r = 0 for C(n,k); at k = n every r gives C(n,n).
 
     It is built from the class sum of the k-cycles on {1..k}.  That sum is
     central in Sym(1..k), so in this Gelfand-Tsetlin basis it is diagonal:
@@ -245,7 +209,9 @@ def hplus_matrix(shape: Sequence[int], k: int, r: int) -> np.ndarray:
     s_j ... s_{i-1} (j = r+1..i) reaches every support inside {1..i} exactly
     i - k times, so Y_i is that sum of conjugates of Y_{i-1} divided by
     i - k, and H+ = Y_n.  H is inverse-closed, so the result must be
-    symmetric, and asymmetry beyond tolerance signals an assembly bug.
+    symmetric, and every element of H is a k-cycle, so its trace must be
+    |H| chi(k-cycle); either failing beyond tolerance signals an assembly
+    bug.
     """
     shape = validate_diagram(shape)
     n = sum(shape)
@@ -271,6 +237,11 @@ def hplus_matrix(shape: Sequence[int], k: int, r: int) -> np.ndarray:
     asym = np.abs(diff, out=diff).max()
     if not asym <= SYMMETRY_TOL:  # a NaN is refused too
         raise ArithmeticError(f"H+ block for {shape} asymmetric by {asym:.3e}")
+    size = factorial(k - 1) * comb(n - r, k - r)
+    exact = size * characters.character_column((k,) + (1,) * (n - k)).get(shape, 0)
+    trace = float(np.trace(y))
+    if not abs(trace - exact) <= TRACE_TOL * size:
+        raise ArithmeticError(f"H+ block for {shape} has trace {trace:.6g}, not {exact}")
     return y
 
 
@@ -314,31 +285,30 @@ def block_shapes(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def full_spectrum_via_irreps(
-    n: int, connecting_set: Sequence[Permutation], group_kind: str = "symmetric"
+    spec: ConnectingSetSpec, group_kind: str = "symmetric"
 ) -> SpectrumReport:
-    """Cayley spectrum of C(n,k) or C(n,k;r) as the union of block spectra
-    over all diagrams of n.
+    """Cayley spectrum of H = spec, C(n,k) or C(n,k;r), as the union of block
+    spectra over all diagrams of n, each block built from (k, r) with no
+    element of H made.
 
-    (k, r) is recognized once from the image array of H.  Each block value
-    counts dim(shape) times, matching the regular representation of
-    Sym(1..n); for ``group_kind`` "alternating" the multiplicities are halved
-    to those of Cay(Alt, H).  An n with a block above BLOCK_CAP rows is
-    refused first, by block_shapes; then any other set (ValueError), and a
-    set of odd k-cycles on Alt, before any block is built.
+    Each block value counts dim(shape) times, matching the regular
+    representation of Sym(1..n); for ``group_kind`` "alternating" the
+    multiplicities are halved to those of Cay(Alt, H).  Refused before any
+    block is built: an n with a block above BLOCK_CAP rows, by block_shapes;
+    then a set above SET_CAP elements, by check_set_cap; then a set of odd
+    k-cycles on Alt.
     """
-    shapes = block_shapes(n)
-    images = image_array(connecting_set, n)
-    params = _class_sum_parameters(images)
-    if params is None:
-        raise ValueError(f"connecting set is not C({n},k) or C({n},k;r) for any k, r")
-    check_group(group_kind, params[0] % 2 == 1)  # a k-cycle is even iff k is odd
+    shapes = block_shapes(spec.n)
+    check_set_cap(spec)
+    check_group(group_kind, spec.k % 2 == 1)  # a k-cycle is even iff k is odd
+    # r = 0 for C(n,k); at k = n the conjugations, and so r, play no part.
+    k, r = spec.k, spec.r or 0
     pairs = [
         (value, mult * dimension(shape))
         for shape in shapes
-        for value, mult in hplus_block_spectrum(shape, *params)
+        for value, mult in hplus_block_spectrum(shape, k, r)
     ]
-    # Recognition has refused repeated elements, so |H| is the row count.
-    return _group_report(pairs, "irrep", group_kind, n, len(images))
+    return _group_report(pairs, "irrep", group_kind, spec.n, spec.cardinality())
 
 
 def char_spectrum(

@@ -3,7 +3,7 @@ import types
 
 import pytest
 
-from snspectra import characters, diagrams, graphs, permutations, yor
+from snspectra import characters, diagrams, permutations, yor
 
 
 @pytest.fixture
@@ -36,6 +36,17 @@ def no_element_made(monkeypatch):
 
 
 @pytest.fixture
+def no_permutation_made(monkeypatch):
+    """Fail the test if any ``Permutation`` is made, checked or trusted."""
+
+    def refuse(*args):
+        raise AssertionError("a Permutation was made")
+
+    monkeypatch.setattr(permutations.Permutation, "__init__", refuse)
+    monkeypatch.setattr(permutations.Permutation, "_trusted", classmethod(refuse))
+
+
+@pytest.fixture
 def no_block_assembled(monkeypatch):
     """Fail the test if any irrep block is assembled."""
 
@@ -43,22 +54,6 @@ def no_block_assembled(monkeypatch):
         raise AssertionError("a block was assembled")
 
     monkeypatch.setattr(yor, "hplus_matrix", refuse)
-
-
-@pytest.fixture
-def image_arrays(monkeypatch):
-    """The arrays that permutations.image_array makes, in order, from every
-    module of the package that calls it."""
-    made = []
-    image_array = permutations.image_array
-
-    def recorded(perms, n):
-        made.append(image_array(perms, n))
-        return made[-1]
-
-    for module in (permutations, graphs, yor):
-        monkeypatch.setattr(module, "image_array", recorded)
-    return made
 
 
 @pytest.fixture

@@ -1,9 +1,10 @@
 """Numeric checks that only the tests call: interlacing after deleting the
 edges at one vertex, the Weyl inequalities on a split of H, the relations of
 Young's orthogonal generators, and the split sizes of C(n, r+1; r).  Beside
-them are reference implementations the tests compare against: the Cayley
-graph and the H+ blocks of any inverse-closed set, orbit and singleton
-partitions, and the sign of a cycle type.
+them are reference implementations the tests compare against: the image
+array of a list of permutations, the Cayley graph and the H+ blocks of any
+inverse-closed set, orbit and singleton partitions, and the sign of a cycle
+type.
 
 They compare the package against classical facts; no command or ``verify``
 row reaches them, so they live beside the tests and not in the package.
@@ -11,6 +12,7 @@ row reaches them, so they live beside the tests and not in the package.
 
 from __future__ import annotations
 
+import itertools
 from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
@@ -22,12 +24,30 @@ from snspectra.eigen import CLUSTER_TOL, SpectrumReport, cluster_eigenvalues
 from snspectra.equitable import VertexPartition, is_equitable
 from snspectra.graphs import CayleyGraph, dense_spectrum
 from snspectra.permutations import (
-    Permutation, check_group, conjugate, even_rows, group_images, image_array
+    DegreeMismatchError,
+    Permutation,
+    as_permutations,
+    check_group,
+    conjugate,
+    even_rows,
+    group_images,
 )
 
 
 # ---------------------------------------------------------------------------
-# Any inverse-closed set: the explicit Cayley graph and the H+ blocks
+# Any inverse-closed set: its image array, the explicit Cayley graph and the
+# H+ blocks
+
+
+def image_array(perms: Sequence[Permutation], n: int) -> np.ndarray:
+    """The ``(len(perms), n)`` array of 0-based images of degree-n permutations;
+    a permutation of another degree raises DegreeMismatchError."""
+    rows = [p.images for p in perms]
+    for row in rows:
+        if len(row) != n:
+            raise DegreeMismatchError(f"degrees {len(row)} != {n}")
+    flat = itertools.chain.from_iterable(rows)
+    return np.fromiter(flat, np.min_scalar_type(n), len(rows) * n).reshape(len(rows), n) - 1
 
 
 def from_explicit_set(
@@ -38,9 +58,9 @@ def from_explicit_set(
         raise ValueError("connecting set contains the identity")
     if set(connecting) != {h.inverse() for h in connecting}:
         raise ValueError("connecting set is not inverse-closed")
-    graph = CayleyGraph(group_kind, n, group_images(group_kind, n), connecting)
-    check_group(group_kind, bool(even_rows(graph.connecting_images).all()))
-    return graph
+    images = image_array(connecting, n)
+    check_group(group_kind, bool(even_rows(images).all()))
+    return CayleyGraph(group_kind, n, group_images(group_kind, n), images)
 
 
 def _inverse_representatives(
@@ -276,7 +296,7 @@ def orbit_partition(
     connecting set; this is checked and a failing generator raises.
     The orbit partition is guaranteed equitable (and asserted so).
     """
-    hset = set(graph.connecting_set)
+    hset = set(as_permutations(graph.connecting_images))
     actions = []
     for f, g in generators:
         if {conjugate(h, f.inverse()) for h in hset} != hset:

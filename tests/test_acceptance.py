@@ -69,9 +69,7 @@ def timed_lambda2(spec_text, kind, method, budget_s):
     if method == "dense":
         report = dense_spectrum(build(kind, spec))
     else:
-        report = full_spectrum_via_irreps(
-            spec.n, enumerate_connecting_set(spec), kind
-        )
+        report = full_spectrum_via_irreps(spec, kind)
     elapsed = time.perf_counter() - start
     assert elapsed < budget_s, f"{spec_text} {method} took {elapsed:.1f}s"
     return report.lambda2
@@ -217,9 +215,8 @@ def test_criterion_07_property_suites(capfd):
             ("alternating", "C(6,5)"),
         ):
             spec = parse_spec(spec_text)
-            connecting = enumerate_connecting_set(spec)
             dense = dense_spectrum(build(kind, spec))
-            irrep = full_spectrum_via_irreps(spec.n, connecting, kind)
+            irrep = full_spectrum_via_irreps(spec, kind)
             assert len(dense.eigenvalues) == len(irrep.eigenvalues)
             for (dv, dm), (iv, im) in zip(dense.eigenvalues, irrep.eigenvalues):
                 assert abs(dv - iv) <= SPECTRUM_TOL and dm == im

@@ -19,12 +19,11 @@ from snspectra.permutations import (
     Permutation,
     enumerate_connecting_set,
     full_cycles,
-    image_array,
     parse_cycles,
     prefix_moving_cycles,
 )
 
-from reference_checks import orbit_partition, singleton_partition
+from reference_checks import image_array, orbit_partition, singleton_partition
 
 
 def bincount_quotient_reference(n, k, r, which):

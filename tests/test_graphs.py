@@ -26,11 +26,11 @@ from snspectra.permutations import (
     Permutation,
     alternating_group,
     compose,
+    connecting_images,
     enumerate_connecting_set,
     full_cycles,
     generated_subgroup_kind,
     group_images,
-    image_array,
     parity,
     parse_cycles,
     parse_spec,
@@ -41,6 +41,7 @@ from snspectra.permutations import (
 from reference_checks import (
     delete_vertex_edges,
     from_explicit_set,
+    image_array,
     interlacing_check,
     split_by_last_point,
     split_sizes,
@@ -118,6 +119,28 @@ class TestConstruction:
         assert (g.adjacency_matrix() == expected).all()
         assert (g.neighbor_table() == np.nonzero(expected)[1].reshape(g.size, g.degree)).all()
 
+    @pytest.mark.parametrize(
+        "kind, spec",
+        [("alternating", prefix_moving_cycles(6, 3, 2)), ("symmetric", full_cycles(5, 4))],
+        ids=["Alt6-C(6,3;2)", "Sym5-C(5,4)"],
+    )
+    def test_build_makes_no_permutation(self, no_permutation_made, kind, spec):
+        # H is made as one image array from its cycles, and G from its images.
+        graph = build(kind, spec)
+        assert graph.degree == len(graph.connecting_images) == spec.cardinality()
+        assert dense_spectrum(graph).lambda1 == spec.cardinality()
+
+    @pytest.mark.parametrize(
+        "kind, spec_text", [("symmetric", "C(5,4;2)"), ("alternating", "C(6,3)")]
+    )
+    def test_rows_of_H_in_any_order(self, kind, spec_text):
+        spec = parse_spec(spec_text)
+        graph = build(kind, spec)
+        reversed_rows = graph.connecting_images[::-1]
+        other = CayleyGraph(kind, spec.n, graph.vertex_images, reversed_rows)
+        assert (other.neighbor_table() == graph.neighbor_table()).all()
+        assert dense_spectrum(other).eigenvalues == dense_spectrum(graph).eigenvalues
+
     def test_explicit_set_validation(self):
         with pytest.raises(ValueError):
             from_explicit_set("symmetric", 3, [parse_cycles("(1,2,3)", 3)])
@@ -125,6 +148,10 @@ class TestConstruction:
     def test_set_of_another_degree_refused(self):
         with pytest.raises(DegreeMismatchError, match="degrees 4 != 6"):
             from_explicit_set("symmetric", 6, enumerate_connecting_set(full_cycles(4, 2)))
+        with pytest.raises(DegreeMismatchError, match="degrees 4 != 6"):
+            CayleyGraph(
+                "symmetric", 6, group_images("symmetric", 6), connecting_images(full_cycles(4, 2))
+            )
 
     def test_explicit_odd_set_rejected_on_alternating(self):
         with pytest.raises(ValueError, match="odd permutations"):
@@ -426,7 +453,7 @@ class TestSignBlocksFromRepresentatives:
         assert checked == specs
 
     def test_set_outside_the_group_still_refused(self):
-        transpositions = enumerate_connecting_set(full_cycles(5, 2))
+        transpositions = connecting_images(full_cycles(5, 2))
         g = CayleyGraph("alternating", 5, group_images("alternating", 5), transpositions)
         with pytest.raises(ValueError, match="not inside the alternating group"):
             list(sign_blocks(g))
@@ -459,21 +486,3 @@ class TestSignBlocksWorkingSet:
         del block
         assert buffer() is None
         assert len(list(blocks)) == 7
-
-
-class TestOneImageArray:
-    """The dense route reads H into one image array: the graph's own."""
-
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: build("alternating", prefix_moving_cycles(6, 3, 2)),
-            lambda: from_explicit_set("symmetric", 5, enumerate_connecting_set(full_cycles(5, 2))),
-        ],
-        ids=["build", "from_explicit_set"],
-    )
-    def test_one_array_per_set(self, image_arrays, make):
-        graph = make()
-        dense_spectrum(graph)
-        assert len(image_arrays) == 1
-        assert graph.connecting_images is image_arrays[0]

@@ -18,13 +18,13 @@ from snspectra.permutations import (
     compose,
     conjugate,
     connecting_cycles,
+    connecting_images,
     cycle_string,
     cycle_type,
     enumerate_connecting_set,
     full_cycles,
     generated_subgroup_kind,
     group_images,
-    image_array,
     parity,
     parse_cycles,
     parse_spec,
@@ -33,6 +33,7 @@ from snspectra.permutations import (
 )
 
 import reference_checks
+from reference_checks import image_array
 
 
 def apply_pointwise(g: Permutation, h: Permutation, x: int) -> int:
@@ -372,9 +373,28 @@ def test_group_of_degree_0_is_one_empty_row():
         assert group_images(kind, 0).shape == (1, 0)
 
 
+class TestConnectingImages:
+    """connecting_images makes H as one array straight from its cycles: the
+    rows of enumerate_connecting_set, unsorted, in the group's dtype."""
+
+    @pytest.mark.parametrize("spec_text", ["C(4,2)", "C(5,5)", "C(7,5;2)", "C(8,3;1)"])
+    def test_rows_are_the_enumerated_set(self, spec_text):
+        spec = parse_spec(spec_text)
+        images = connecting_images(spec)
+        assert images.dtype == np.min_scalar_type(spec.n)
+        assert images.shape == (spec.cardinality(), spec.n)
+        rows = sorted(map(tuple, (images + 1).tolist()))
+        assert rows == [h.images for h in enumerate_connecting_set(spec)]
+
+    def test_set_cap_refuses_before_making_an_element(self, no_element_made):
+        with pytest.raises(CapExceededError, match=r"^\|C\(13,13\)\| = 479001600 exceeds set cap"):
+            connecting_images(full_cycles(13, 13))
+
+
 class TestImageArray:
-    """image_array fills one flat buffer; it must equal the array of a list of
-    image rows in dtype, shape, row order and the refusal of another degree."""
+    """reference_checks.image_array fills one flat buffer; it must equal the
+    array of a list of image rows in dtype, shape, row order and the refusal
+    of another degree."""
 
     @staticmethod
     def rows_reference(perms, n):
@@ -416,9 +436,7 @@ class TestOneMembershipRule:
         "explicit": lambda kind, spec: reference_checks.from_explicit_set(
             kind, spec.n, enumerate_connecting_set(spec)
         ),
-        "irrep": lambda kind, spec: yor.full_spectrum_via_irreps(
-            spec.n, enumerate_connecting_set(spec), kind
-        ),
+        "irrep": lambda kind, spec: yor.full_spectrum_via_irreps(spec, kind),
         "char": lambda kind, spec: yor.char_spectrum(
             spec.n, (spec.k,) + (1,) * (spec.n - spec.k), kind
         ),

@@ -222,12 +222,8 @@ class TestTheoremRunners:
         assert all(o.outcome == "match" for o in verify.verify_quotients(7, 4, 2))
         assert counted == [prefix_moving_cycles(7, 4, 2)]
 
-    def test_natural_rows_count_H_without_enumerating(self, monkeypatch):
-        def refuse(spec):
-            raise AssertionError(f"{spec} was enumerated")
-
-        monkeypatch.setattr(verify, "enumerate_connecting_set", refuse)
-        monkeypatch.setattr(graphs, "enumerate_connecting_set", refuse)
+    def test_natural_rows_count_H_without_enumerating(self, no_permutation_made):
+        # They count the cycles of H, making no permutation of it.
         for theorem in ("52", "53", "54", "61"):
             assert all(o.ok for o in verify.run_cases(theorem, [6]))
 
@@ -273,24 +269,17 @@ class TestTheoremRunners:
         assert out.detail == "|C(13,12;11)| = 79833600 exceeds set cap 1000000"
         assert out.runtime_ms > 0
 
-    def test_T13_refused_on_the_block_cap_before_enumerating(self, monkeypatch, no_block_assembled):
-        def refuse(spec):
-            raise AssertionError(f"{spec} was enumerated")
-
-        monkeypatch.setattr(verify, "enumerate_connecting_set", refuse)
+    @pytest.mark.usefixtures("no_element_made", "no_block_assembled")
+    def test_T13_refused_on_the_block_cap_before_enumerating(self):
         [out] = verify.run_cases("13", [13], [8], "irrep")
         assert (out.outcome, out.expected, out.params) == ("skipped", None, {"n": 13, "r": 8})
         assert out.detail == "21450-row block (5, 4, 2, 1, 1) of S13 exceeds block cap 7700"
 
-    def test_admitted_irrep_case_enumerates_through_verify(self, monkeypatch):
-        enumerated = []
-        enumerate_once = verify.enumerate_connecting_set
-        monkeypatch.setattr(
-            verify, "enumerate_connecting_set", lambda spec: enumerated.append(spec) or enumerate_once(spec)
-        )
-        [out] = verify.run_cases("13", [6], [2], "irrep")
-        assert out.outcome == "match"
-        assert enumerated == [prefix_moving_cycles(6, 3, 2)]
+    def test_admitted_irrep_case_makes_no_element(self, no_element_made):
+        [out] = verify.run_cases("13", [8], [5], "irrep")
+        assert (out.outcome, out.method) == ("match", "irrep")
+        report = verify.spectrum(parse_spec("C(7,5;2)"), "alternating", "irrep")
+        assert report.lambda1 == 240  # 4! C(5, 3)
 
     @pytest.mark.parametrize("theorem", ["42", "43"])
     def test_L42_L43_reach(self, theorem):

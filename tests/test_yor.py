@@ -8,20 +8,17 @@ from snspectra.diagrams import dimension, partitions_of
 from snspectra.graphs import dense_spectrum
 from snspectra.permutations import (
     CapExceededError,
-    DegreeMismatchError,
     Permutation,
     compose,
     cycle_type,
     enumerate_connecting_set,
     full_cycles,
-    image_array,
     parse_cycles,
     prefix_moving_cycles,
     symmetric_group,
 )
 from snspectra import verify, yor
 from snspectra.yor import (
-    _class_sum_parameters,
     adjacent_word,
     full_spectrum_via_irreps,
     char_spectrum,
@@ -150,10 +147,8 @@ class TestBlockSums:
         spectrum = hplus_block_spectrum((5, 1), 3, 2)
         assert spectrum == [(6.0, 3), (2.0, 1), (-4.0, 1)]
 
-    def test_rejects_non_inverse_closed(self, no_block_assembled):
+    def test_rejects_non_inverse_closed(self):
         half = [parse_cycles("(1,2,3)", 4)]
-        with pytest.raises(ValueError, match=r"^connecting set is not C\(4,k\) or C\(4,k;r\)"):
-            full_spectrum_via_irreps(4, half)
         with pytest.raises(ValueError, match="not inverse-closed"):
             word_walk_matrix((3, 1), half)
 
@@ -183,6 +178,28 @@ class TestBlockSums:
         with pytest.raises(ArithmeticError, match=message):
             hplus_matrix((4, 3, 2, 1), 3, 2)
 
+    @pytest.mark.parametrize("shape, k", [((3, 1), 3), ((5, 1, 1), 5), ((6, 1), 6)])
+    def test_block_that_cancels_to_zero_passes_the_trace_check(self, shape, k):
+        # chi(k-cycle) = 0 here. The rounded trace can exceed the block's
+        # largest entry (-8.9e-14 against 3.2e-14 for (6, 1)), so the
+        # tolerance is scaled by |H|, which bounds every entry.
+        assert mn_character(shape, (k,) + (1,) * (sum(shape) - k)) == 0
+        assert np.abs(hplus_matrix(shape, k, 0)).max() < 1e-12
+
+    def test_wrong_coefficient_is_refused_by_the_trace(self, monkeypatch):
+        # Scaling one generator's couplings keeps the block symmetric, but
+        # moves its trace off |H| chi(3-cycle) = 16 * -48 = -768.
+        real = yor._generator
+
+        def scaled(shape, i):
+            g = real(shape, i)
+            return g._replace(coeff=g.coeff * 1.1) if i == 3 else g
+
+        monkeypatch.setattr(yor, "_generator", scaled)
+        message = r"^H\+ block for \(4, 3, 2, 1\) has trace -633\.16\d*, not -768$"
+        with pytest.raises(ArithmeticError, match=message):
+            hplus_matrix((4, 3, 2, 1), 3, 2)
+
 
 class TestBlockWorkingSet:
     """hplus_matrix conjugates in place: the running conjugate, one
@@ -199,38 +216,52 @@ class TestBlockWorkingSet:
 
 class TestFullSpectra:
     def test_eigenvalue_count_is_group_order(self):
-        connecting = enumerate_connecting_set(prefix_moving_cycles(5, 3, 2))
-        report = full_spectrum_via_irreps(5, connecting)
+        report = full_spectrum_via_irreps(prefix_moving_cycles(5, 3, 2))
         assert report.size == factorial(5)
         assert report.method == "irrep"
 
     def test_full_cycle_spectrum(self):
-        connecting = enumerate_connecting_set(full_cycles(5, 5))
-        report = full_spectrum_via_irreps(5, connecting)
+        report = full_spectrum_via_irreps(full_cycles(5, 5))
         assert report.eigenvalues == [(24.0, 2), (4.0, 36), (0.0, 50), (-6.0, 32)]
         assert report.lambda2 == 4.0
 
     def test_agrees_with_char_spectrum(self):
-        connecting = enumerate_connecting_set(full_cycles(6, 5))
-        irrep = full_spectrum_via_irreps(6, connecting)
+        irrep = full_spectrum_via_irreps(full_cycles(6, 5))
         by_char = char_spectrum(6, (5, 1))
         assert irrep.eigenvalues == by_char.eigenvalues
 
-    def test_rejects_identity_in_set(self, no_block_assembled):
-        for connecting in ([Permutation.identity(4)], []):
-            with pytest.raises(ValueError, match=r"^connecting set is not C\(4,k\) or C\(4,k;r\)"):
-                full_spectrum_via_irreps(4, connecting)
+    @pytest.mark.parametrize(
+        "spec", [prefix_moving_cycles(7, 3, 2), full_cycles(6, 5), prefix_moving_cycles(6, 4, 1)]
+    )
+    def test_matches_dense(self, spec):
+        report = full_spectrum_via_irreps(spec)
+        connecting = enumerate_connecting_set(spec)
+        dense = dense_spectrum(from_explicit_set("symmetric", spec.n, connecting))
+        assert report.eigenvalues == [(pytest.approx(v, abs=1e-8), m) for v, m in dense.eigenvalues]
 
-    @pytest.mark.parametrize("kind", ["symmetric", "alternating"])
-    def test_rejects_set_of_another_degree(self, kind):
-        transpositions = enumerate_connecting_set(full_cycles(4, 2))
-        with pytest.raises(DegreeMismatchError, match="degrees 4 != 6"):
-            full_spectrum_via_irreps(6, transpositions, kind)
+    @pytest.mark.parametrize(
+        "kind, spec",
+        [
+            ("symmetric", prefix_moving_cycles(7, 4, 2)),
+            ("symmetric", full_cycles(6, 6)),
+            ("alternating", full_cycles(7, 5)),
+            ("alternating", prefix_moving_cycles(8, 5, 4)),
+        ],
+    )
+    def test_makes_no_element(self, no_element_made, kind, spec):
+        # The blocks are built from (k, r), and |H| is read from the spec.
+        report = full_spectrum_via_irreps(spec, kind)
+        assert report.lambda1 == spec.cardinality()
+
+    def test_theorem_65_makes_no_element(self, no_element_made):
+        # The blocks are built from (k, r) = (r+1, r).
+        rows = verify.theorem_65_max_block_eigenvalues(7, 3)
+        assert len(rows) == sum(dimension(shape) > 6 for shape in partitions_of(7))
 
     def test_alternating_rejects_odd_set(self, no_block_assembled):
         for spec in (full_cycles(6, 4), prefix_moving_cycles(6, 4, 3)):
             with pytest.raises(ValueError, match="odd permutations"):
-                full_spectrum_via_irreps(6, enumerate_connecting_set(spec), "alternating")
+                full_spectrum_via_irreps(spec, "alternating")
         with pytest.raises(ValueError, match="odd permutations"):
             char_spectrum(6, (4, 1, 1), "alternating")
 
@@ -248,9 +279,7 @@ class TestBlockCap:
         "refused",
         [
             lambda: yor.block_shapes(13),
-            lambda: full_spectrum_via_irreps(
-                13, enumerate_connecting_set(prefix_moving_cycles(13, 3, 2))
-            ),
+            lambda: full_spectrum_via_irreps(prefix_moving_cycles(13, 3, 2)),
             lambda: verify.theorem_65_max_block_eigenvalues(13, 2),
         ],
         ids=["shapes", "full_spectrum", "theorem_65"],
@@ -312,21 +341,12 @@ def union_of_two_classes():
     )
 
 
-def refused_set():
-    with pytest.raises(ValueError):
-        full_spectrum_via_irreps(6, union_of_two_classes())
-
-
 class TestClassSumAssembly:
     def test_matches_word_walk_on_every_small_spec(self):
         blocks = 0
         for spec in every_spec(7):
             connecting = enumerate_connecting_set(spec)
-            if spec.family == "prefix":
-                r = spec.r
-            else:
-                r = spec.n if spec.k == spec.n else 0
-            assert _class_sum_parameters(image_array(connecting, spec.n)) == (spec.k, r)
+            r = spec.r or 0
             for shape in partitions_of(spec.n):
                 walked = word_walk_matrix(shape, connecting)
                 assert np.abs(hplus_matrix(shape, spec.k, r) - walked).max() < 1e-10, (spec, shape)
@@ -346,107 +366,17 @@ class TestClassSumAssembly:
         # Only the reference walk takes these sets; it agrees with the dense oracle.
         connecting = make()
         n = connecting[0].degree
-        assert _class_sum_parameters(image_array(connecting, n)) is None
         dense = dense_spectrum(from_explicit_set("symmetric", n, connecting))
         walked = word_walk_spectrum(n, connecting)
         assert walked == [(pytest.approx(v, abs=1e-8), m) for v, m in dense.eigenvalues]
-
-    @pytest.mark.parametrize("make", ODD_SETS)
-    def test_other_sets_are_refused(self, make, no_block_assembled):
-        connecting = make()
-        n = connecting[0].degree
-        with pytest.raises(
-            ValueError, match=rf"^connecting set is not C\({n},k\) or C\({n},k;r\) for any k, r$"
-        ):
-            full_spectrum_via_irreps(n, connecting)
 
     def test_split_parts_fall_through_and_add_up(self):
         # The parts are no C(n,k;r); their reference walks add up to the class-sum block.
         connecting = enumerate_connecting_set(prefix_moving_cycles(7, 3, 2))
         fixing, moving = split_by_last_point(connecting)
-        assert _class_sum_parameters(image_array(fixing, 7)) is None
-        assert _class_sum_parameters(image_array(moving, 7)) is None
         for shape in partitions_of(7):
             parts = word_walk_matrix(shape, fixing) + word_walk_matrix(shape, moving)
             assert np.abs(parts - hplus_matrix(shape, 3, 2)).max() < 1e-10
-
-
-class TestRecognizeOnce:
-    """H is recognized once per spectrum, not once per diagram."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = []
-        recognize = yor._class_sum_parameters
-
-        def counted(images):
-            calls.append(images.shape[1])
-            return recognize(images)
-
-        monkeypatch.setattr(yor, "_class_sum_parameters", counted)
-        return calls
-
-    @pytest.mark.parametrize(
-        "spec", [prefix_moving_cycles(7, 3, 2), full_cycles(6, 5), prefix_moving_cycles(6, 4, 1)]
-    )
-    def test_full_spectrum(self, calls, spec):
-        connecting = enumerate_connecting_set(spec)
-        report = full_spectrum_via_irreps(spec.n, connecting)
-        assert calls == [spec.n]
-        dense = dense_spectrum(from_explicit_set("symmetric", spec.n, connecting))
-        assert report.eigenvalues == [(pytest.approx(v, abs=1e-8), m) for v, m in dense.eigenvalues]
-
-    def test_refused_set(self, calls, no_block_assembled):
-        with pytest.raises(ValueError, match="is not C"):
-            full_spectrum_via_irreps(6, union_of_two_classes())
-        assert calls == [6]
-
-    def test_theorem_65(self, calls, no_element_made):
-        # The blocks are built from (k, r) = (r+1, r); no set is made or recognized.
-        rows = verify.theorem_65_max_block_eigenvalues(7, 3)
-        assert calls == []
-        assert len(rows) == sum(dimension(shape) > 6 for shape in partitions_of(7))
-
-    def test_given_parameters_are_used_as_they_are(self, calls):
-        # The block functions build C(n,k;r) from the given (k, r) and recognize no set.
-        connecting = enumerate_connecting_set(prefix_moving_cycles(6, 3, 2))
-        for shape in partitions_of(6):
-            walked = word_walk_matrix(shape, connecting)
-            assert np.abs(hplus_matrix(shape, 3, 2) - walked).max() < 1e-10
-            hplus_block_spectrum(shape, 3, 2)
-        assert calls == []
-
-
-class TestOneImageArray:
-    """The irrep route reads H into one image array, and recognition reads
-    that same array; Theorem 65 builds its blocks from (k, r) and reads none."""
-
-    @pytest.fixture
-    def recognized(self, monkeypatch):
-        seen = []
-        recognize = yor._class_sum_parameters
-
-        def recorded(images):
-            seen.append(images)
-            return recognize(images)
-
-        monkeypatch.setattr(yor, "_class_sum_parameters", recorded)
-        return seen
-
-    @pytest.mark.parametrize(
-        "run, arrays",
-        [
-            (lambda: full_spectrum_via_irreps(6, enumerate_connecting_set(prefix_moving_cycles(6, 3, 2))), 1),
-            (lambda: full_spectrum_via_irreps(5, enumerate_connecting_set(full_cycles(5, 3)), "alternating"), 1),
-            (refused_set, 1),
-            (lambda: verify.theorem_65_max_block_eigenvalues(7, 3), 0),
-        ],
-        ids=["prefix", "alternating", "refused", "theorem_65"],
-    )
-    def test_one_array_per_set(self, image_arrays, recognized, run, arrays):
-        run()
-        assert len(image_arrays) == len(recognized) == arrays
-        assert all(seen is made for seen, made in zip(recognized, image_arrays))
 
 
 class TestPartitionScans:
