@@ -5,8 +5,10 @@ rule, one whole class column at a time.
 All values are exact integers; class-invariant eigenvalues are exact
 rationals asserted to be integers.  ``character_column`` builds the nonzero
 values of one class bottom up and caches them in process; at the n-cycle and
-(n-1)-cycle classes only O(n) shapes are nonzero, so ``max_ratio_diagram``
-scans only those.
+(n-1)-cycle classes only O(n) shapes are nonzero.  It is the one reader of a
+class column: ``max_ratio_diagram``, ``mn_character`` and the char route in
+``yor`` read only its support, and COLUMN_CAP, checked from the cycle type
+before anything is built, prices every read.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .diagrams import (
     diagram_string,
     hook_leg,
     is_hook,
+    partition_count,
     partitions_of,
     validate_diagram,
 )
@@ -30,6 +33,13 @@ from .permutations import CapExceededError, validate_cycle_type
 
 # The S18 table, 385^2 values: 0.8 s, 35 MB resident; the S20 table: 2.1 s, 66 MB.
 TABLE_CAP = 18
+# Reading one class column costs about n^3 p(n - largest part): each of the
+# p(n - k) shapes below gains up to n rim hooks, each new shape and its
+# dimension taking O(n) big-int steps. The cap is that work at C(40,2), so
+# every k-cycle class of S40 passes. At the edge, column then char spectrum,
+# in process: C(40,2) 6.0 s then 7.8 s, 69 MB resident; C(100,80) 1.2 s then
+# 7.4 s, 73 MB; the n-cycles of S1183 0.3 s then 6.5 s, 24 MB.
+COLUMN_CAP = 40**3 * 26015  # 40^3 p(38)
 
 
 def class_size(ctype: Sequence[int]) -> int:
@@ -52,9 +62,23 @@ def _shape_from_beta(beta: list[int]) -> tuple[int, ...]:
     return tuple(p for p in rows if p > 0)
 
 
+def check_column_cap(ctype: tuple[int, ...]) -> None:
+    """Refuse, with CapExceededError, the column of a cycle type whose work
+    n^3 p(n - largest part) exceeds COLUMN_CAP.  n^3 is tested alone first,
+    so a huge n is refused before any partition is counted."""
+    n = sum(ctype)
+    rest = n - max(ctype, default=0)
+    if n**3 > COLUMN_CAP or n**3 * partition_count(rest) > COLUMN_CAP:
+        raise CapExceededError(
+            f"the S{n} column with largest part {ctype[0]} costs n^3 p({rest}), "
+            f"more than column cap {COLUMN_CAP}"
+        )
+
+
 @cache
 def character_column(ctype: tuple[int, ...]) -> Mapping[tuple[int, ...], int]:
-    """{shape: chi^shape(ctype)} over the shapes where the value is nonzero.
+    """{shape: chi^shape(ctype)} over the shapes where the value is nonzero;
+    refused by check_column_cap before anything is built.
 
     Murnaghan-Nakayama bottom up: the column of the smaller parts ctype[1:]
     gets one rim hook of length ctype[0] added to each of its shapes.  On
@@ -64,6 +88,7 @@ def character_column(ctype: tuple[int, ...]) -> Mapping[tuple[int, ...], int]:
     are dropped, so the column holds only the support.
     """
     ctype = validate_cycle_type(ctype, sum(ctype))
+    check_column_cap(ctype)
     if not ctype:
         return MappingProxyType({(): 1})
     p, rest = ctype[0], ctype[1:]

@@ -49,6 +49,19 @@ def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(gen(n, n))
 
 
+def partition_count(m: int) -> int:
+    """p(m) by Euler's pentagonal recurrence, without listing the partitions."""
+    counts = [1]
+    for i in range(1, m + 1):
+        total, j = 0, 1
+        while (g := j * (3 * j - 1) // 2) <= i:  # the pentagonal numbers g and g + j
+            terms = counts[i - g] + (counts[i - g - j] if g + j <= i else 0)
+            total += terms if j % 2 else -terms
+            j += 1
+        counts.append(total)
+    return counts[m]
+
+
 def transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
     """Conjugate diagram (reflect across the main diagonal)."""
     return tuple(sum(1 for p in rows if p > j) for j in range(rows[0]))

@@ -100,8 +100,8 @@ def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
     Raises CapExceededError before the large allocation: for dense above
     graphs.DENSE_CAP vertices; for irrep when the largest block has more than
     yor.BLOCK_CAP rows, then when H has more than permutations.SET_CAP
-    elements; for char above degree yor.CHAR_CAP, before the diagrams of n
-    are listed."""
+    elements; for char when reading the class column costs more than
+    characters.COLUMN_CAP."""
     if method == "auto":
         if spec.family == "full":
             method = "char"

@@ -21,7 +21,8 @@ from ._numpy import np
 from .diagrams import dimension, partitions_of, validate_diagram
 from .eigen import SpectrumReport, check_cayley_invariants, cluster_eigenvalues
 from .permutations import (
-    CapExceededError, ConnectingSetSpec, Permutation, check_group, check_set_cap, group_order
+    CapExceededError, ConnectingSetSpec, Permutation, check_group, check_set_cap, group_order,
+    validate_cycle_type,
 )
 
 SYMMETRY_TOL = 1e-9
@@ -33,8 +34,6 @@ TRACE_TOL = 1e-9
 # peaks at 944 MiB, about two copies of its 452 MiB. S13's largest,
 # (5,4,2,1,1), has 21450 rows.
 BLOCK_CAP = 7700
-# One class of S40 by characters: 0.9 s, 34 MB resident; of S45: 2.5 s, 63 MB.
-CHAR_CAP = 40
 
 # Tableau = tuple of row tuples, e.g. ((1, 2), (3,)) for shape [2, 1].
 Tableau = tuple[tuple[int, ...], ...]
@@ -314,15 +313,23 @@ def full_spectrum_via_irreps(
 def char_spectrum(
     n: int, ctype: Sequence[int], group_kind: str = "symmetric"
 ) -> SpectrumReport:
-    """Spectrum of a full-conjugacy-class connecting set from exact character
-    scalars: the block of each diagram is the int |H| chi(h)/chi(1), with
-    multiplicity dim^2 in the regular representation; n > CHAR_CAP is refused."""
-    if n > CHAR_CAP:
-        raise CapExceededError(f"degree {n} exceeds char cap {CHAR_CAP}")
+    """Spectrum of a full-conjugacy-class connecting set from one character
+    column, refused by characters.check_column_cap before it is built; no
+    diagram of n is listed.  Each diagram on the support gives the int
+    |H| chi(h)/chi(1), with multiplicity dim^2; those off it give 0, with the
+    rest of n!.  So sum m = n! holds by construction (a support whose dim^2
+    pass n! raises ArithmeticError), and sum v m = 0 and sum v^2 m = n! |H|
+    check the column."""
+    ctype = validate_cycle_type(ctype, n)
     # A permutation is even iff n minus its number of cycles is even.
     check_group(group_kind, (n - len(ctype)) % 2 == 0)
     pairs = [
         (characters.class_eigenvalue(shape, ctype), dimension(shape) ** 2)
-        for shape in partitions_of(n)
+        for shape in characters.character_column(ctype)
     ]
+    rest = factorial(n) - sum(m for _, m in pairs)
+    if rest < 0:
+        raise ArithmeticError(f"the support of the {ctype} column has sum dim^2 above {n}!")
+    if rest:
+        pairs.append((0, rest))
     return _group_report(pairs, "char", group_kind, n, characters.class_size(ctype))

@@ -56,16 +56,25 @@ def no_block_assembled(monkeypatch):
     monkeypatch.setattr(yor, "hplus_matrix", refuse)
 
 
-@pytest.fixture
-def no_partitions_of_200(monkeypatch):
-    """Fail the test if the diagrams of 200 are listed, from any module of
-    the package that lists diagrams."""
+def refuse_partitions_of(monkeypatch, refused):
+    """Fail the test if the diagrams of any n with refused(n) are listed,
+    from any module of the package that lists diagrams."""
     partitions_of = diagrams.partitions_of
 
     def guarded(n):
-        if n == 200:
-            raise AssertionError("the partitions of 200 were listed")
+        if refused(n):
+            raise AssertionError(f"the partitions of {n} were listed")
         return partitions_of(n)
 
     for module in (diagrams, characters, yor):
         monkeypatch.setattr(module, "partitions_of", guarded)
+
+
+@pytest.fixture
+def no_partitions_of_200(monkeypatch):
+    refuse_partitions_of(monkeypatch, lambda n: n == 200)
+
+
+@pytest.fixture
+def no_partitions_past_40(monkeypatch):
+    refuse_partitions_of(monkeypatch, lambda n: n > 40)

@@ -3,8 +3,8 @@ edges at one vertex, the Weyl inequalities on a split of H, the relations of
 Young's orthogonal generators, and the split sizes of C(n, r+1; r).  Beside
 them are reference implementations the tests compare against: the image
 array of a list of permutations, the Cayley graph and the H+ blocks of any
-inverse-closed set, orbit and singleton partitions, and the sign of a cycle
-type.
+inverse-closed set, the class-sum spectrum from every diagram of n, orbit
+and singleton partitions, and the sign of a cycle type.
 
 They compare the package against classical facts; no command or ``verify``
 row reaches them, so they live beside the tests and not in the package.
@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from snspectra import yor
+from snspectra.characters import class_eigenvalue, class_size
 from snspectra.diagrams import dimension, partitions_of, validate_diagram
 from snspectra.eigen import CLUSTER_TOL, SpectrumReport, cluster_eigenvalues
 from snspectra.equitable import VertexPartition, is_equitable
@@ -119,6 +120,18 @@ def word_walk_spectrum(n: int, connecting_set: Sequence[Permutation]) -> list[tu
         for value in np.linalg.eigvalsh(word_walk_matrix(shape, connecting_set)).tolist()
     ]
     return cluster_eigenvalues(pairs)
+
+
+def diagram_scan_char_spectrum(
+    n: int, ctype: Sequence[int], group_kind: str = "symmetric"
+) -> SpectrumReport:
+    """The class-sum spectrum scored on all p(n) diagrams of n, off the
+    character's support as well as on it: each block is the int
+    |H| chi(h)/chi(1), with multiplicity dim^2."""
+    pairs = [
+        (class_eigenvalue(shape, ctype), dimension(shape) ** 2) for shape in partitions_of(n)
+    ]
+    return yor._group_report(pairs, "char", group_kind, n, class_size(ctype))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from snspectra.diagrams import (
     dimension,
     is_hook,
     parse_diagram,
+    partition_count,
     partitions_of,
     transpose,
     validate_diagram,
@@ -64,6 +65,10 @@ class TestDiagrams:
     def test_partitions_count(self):
         assert len(partitions_of(6)) == 11
         assert partitions_of(6)[0] == (6,)
+
+    def test_pentagonal_count_equals_the_listed_partitions(self):
+        assert [partition_count(m) for m in range(31)] == [len(partitions_of(m)) for m in range(31)]
+        assert partition_count(100) == 190569292
 
     def test_transpose(self):
         assert transpose((4, 2)) == (2, 2, 1, 1)

@@ -392,20 +392,26 @@ class TestCharacterCommand:
 
 @pytest.mark.usefixtures("no_partitions_of_200")
 class TestPartitionCaps:
-    """Every route that lists the diagrams of n refuses n = 200 before it
-    lists them, within a second."""
+    """Each cap refuses within a second, before its large allocation, and no
+    route lists the diagrams of 200: the char route reads one column."""
 
     BLOCK = (
         "21450-row block (5, 4, 2, 1, 1) of S13 exceeds block cap 7700, "
         "so S200 has one at least as large"
     )
+    ONES_80 = f"[{','.join('1' * 80)}]"
+    COLUMN = "the S{} column with largest part {} costs n^3 p({}), more than column cap 1664960000"
 
     @pytest.mark.parametrize(
         "argv, detail",
         [
             (("13", "--n", "200", "--r", "2"), BLOCK),
             (("65", "--n", "200", "--r", "2"), BLOCK),
-            (("1A", "--n", "200", "--method", "char"), "degree 200 exceeds char cap 40"),
+            pytest.param(
+                ("1A", "--n", "2000", "--method", "char"), COLUMN.format(2000, 2000, 0), id="1A-2000"
+            ),
+            pytest.param(("42", "--n", "100000"), COLUMN.format(100000, 100000, 0), id="42-100000"),
+            pytest.param(("43", "--n", "100000"), COLUMN.format(100000, 99999, 1), id="43-100000"),
         ],
     )
     def test_verify_reports_skipped(self, capsys, argv, detail):
@@ -418,16 +424,28 @@ class TestPartitionCaps:
             "skipped", None, detail,
         )
 
+    def test_char_route_matches_at_200(self, capsys):
+        start = time.perf_counter()
+        argv = ("verify", "--theorem", "1A", "--n", "200", "--method", "char", "--format", "json")
+        code, out = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        [outcome] = json.loads(out)
+        assert (code, outcome["outcome"], outcome["method"]) == (0, "match", "char")
+
     @pytest.mark.parametrize(
         "argv, message",
         [
             (("character", "--n", "200"), "degree 200 exceeds table cap 18"),
             (
-                ("spectrum", "--group", "S", "--n", "200", "--set", "C(200,200)", "--method", "char"),
-                "degree 200 exceeds char cap 40",
+                ("spectrum", "--group", "S", "--n", "400", "--set", "C(400,2)", "--method", "char"),
+                COLUMN.format(400, 2, 398),
+            ),
+            (
+                ("character", "--n", "80", "--diagram", "[80]", "--class", ONES_80),
+                COLUMN.format(80, 1, 79),
             ),
         ],
-        ids=["character", "spectrum"],
+        ids=["character", "spectrum", "character-value"],
     )
     def test_one_line_error_and_exit_code_2(self, capsys, argv, message):
         start = time.perf_counter()

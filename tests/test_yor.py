@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from snspectra.characters import class_eigenvalue, mn_character
-from snspectra.diagrams import dimension, partitions_of
+from snspectra.diagrams import dimension, partition_count, partitions_of
 from snspectra.graphs import dense_spectrum
 from snspectra.permutations import (
     CapExceededError,
@@ -17,7 +17,7 @@ from snspectra.permutations import (
     prefix_moving_cycles,
     symmetric_group,
 )
-from snspectra import verify, yor
+from snspectra import characters, verify, yor
 from snspectra.yor import (
     adjacent_word,
     full_spectrum_via_irreps,
@@ -30,6 +30,7 @@ from snspectra.yor import (
 )
 
 from reference_checks import (
+    diagram_scan_char_spectrum,
     from_explicit_set,
     relation_residual,
     split_by_last_point,
@@ -304,6 +305,36 @@ class TestCharSpectrum:
         alt = char_spectrum(7, (7,), "alternating")
         assert alt.eigenvalues == [(v, m // 2) for v, m in sym.eigenvalues]
 
+    @pytest.mark.parametrize("n", range(5, 15))
+    def test_support_equals_the_diagram_scan(self, n):
+        for k in range(2, n + 1):
+            ctype = (k,) + (1,) * (n - k)
+            for kind in ["symmetric", "alternating"] if k % 2 else ["symmetric"]:
+                pairs = char_spectrum(n, ctype, kind).eigenvalues
+                assert pairs == diagram_scan_char_spectrum(n, ctype, kind).eigenvalues
+                assert all(type(v) is int for v, _ in pairs)
+
+    @pytest.mark.parametrize("n", [50, 100, 200, 300])
+    def test_theorem_1_without_listing_the_diagrams(self, n, no_partitions_past_40):
+        for run in (verify.verify_T1A, verify.verify_T1B):
+            assert run(n, "char").outcome == "match"
+
+    def test_full_support_adds_no_zero_pair(self):
+        # Every character of S3 is nonzero on the 3-cycles.
+        assert char_spectrum(3, (3,)).eigenvalues == [(2, 2), (-1, 4)]
+
+    def test_wrong_column_value_fails_the_invariants(self, monkeypatch):
+        column = dict(characters.character_column((7,)))
+        column[(6, 1)] = -2  # the hook (6,1) has value -1 on the 7-cycles
+        monkeypatch.setattr(characters, "character_column", lambda ctype: column)
+        with pytest.raises(ArithmeticError, match=r"^Cayley spectrum invariants fail: sum v m = "):
+            char_spectrum(7, (7,))
+
+    def test_support_past_n_factorial_is_refused(self, monkeypatch):
+        monkeypatch.setattr(yor, "dimension", lambda shape: 100)
+        with pytest.raises(ArithmeticError, match=r"sum dim\^2 above 7!$"):
+            char_spectrum(7, (7,))
+
 
 def every_spec(max_n):
     """Every full and prefix connecting-set spec with n <= max_n."""
@@ -392,6 +423,20 @@ class TestPartitionScans:
         ):
             yor.block_shapes(14)
 
-    def test_char_cap(self):
-        with pytest.raises(CapExceededError, match=r"^degree 41 exceeds char cap 40$"):
-            char_spectrum(yor.CHAR_CAP + 1, (yor.CHAR_CAP + 1,))
+    def test_column_cap_boundary(self, monkeypatch):
+        # The cap is the work of C(40,2); no column is built on either side.
+        def refuse(beta):
+            raise AssertionError("a column was built")
+
+        monkeypatch.setattr(characters, "_shape_from_beta", refuse)
+        assert characters.COLUMN_CAP == 40**3 * partition_count(38)
+        for k in range(2, 41):
+            characters.check_column_cap((k,) + (1,) * (40 - k))
+        refused = (
+            r"^the S{} column with largest part 2 costs n\^3 p\({}\), more than column cap {}$"
+        )
+        with pytest.raises(CapExceededError, match=refused.format(41, 39, characters.COLUMN_CAP)):
+            char_spectrum(41, (2,) + (1,) * 39)
+        monkeypatch.setattr(characters, "COLUMN_CAP", characters.COLUMN_CAP - 1)
+        with pytest.raises(CapExceededError, match=refused.format(40, 38, characters.COLUMN_CAP)):
+            characters.check_column_cap((2,) + (1,) * 38)
