@@ -4,23 +4,16 @@ dense/natural-module/quotient spectra, and theorem verification runs."""
 
 from .permutations import (
     ConnectingSetSpec,
-    Permutation,
-    compose,
-    conjugate,
-    cycle_type,
-    enumerate_connecting_set,
     full_cycles,
     generated_subgroup_kind,
-    parity,
-    parse_cycles,
     parse_spec,
     prefix_moving_cycles,
 )
-from .diagrams import branch_restrict, dimension, partitions_of, transpose
+from .diagrams import dimension, partitions_of, transpose
 from .characters import class_eigenvalue, hook_value_on_ncycle, max_ratio_diagram, mn_character
 from .graphs import CayleyGraph, build, dense_spectrum, natural_module_spectrum
 from .eigen import SpectrumReport
-from .equitable import is_equitable, partition_P1, partition_P2, quotient_B1, quotient_B2
+from .equitable import quotient_B1, quotient_B2
 
 # The yor exports load Young's orthogonal form on first access, so a run that
 # takes neither the irrep nor the char route never imports it.
@@ -28,8 +21,6 @@ _YOR_EXPORTS = (
     "full_spectrum_via_irreps",
     "hplus_block_spectrum",
     "standard_tableaux",
-    "yor_generator",
-    "yor_image",
 )
 
 
@@ -44,37 +35,24 @@ def __getattr__(name: str):
 __all__ = [
     "CayleyGraph",
     "ConnectingSetSpec",
-    "Permutation",
     "SpectrumReport",
-    "branch_restrict",
     "build",
     "class_eigenvalue",
-    "compose",
-    "conjugate",
-    "cycle_type",
     "dense_spectrum",
     "dimension",
-    "enumerate_connecting_set",
     "full_cycles",
     "full_spectrum_via_irreps",
     "generated_subgroup_kind",
     "hook_value_on_ncycle",
     "hplus_block_spectrum",
-    "is_equitable",
     "max_ratio_diagram",
     "mn_character",
     "natural_module_spectrum",
-    "parity",
-    "parse_cycles",
     "parse_spec",
-    "partition_P1",
-    "partition_P2",
     "partitions_of",
     "prefix_moving_cycles",
     "quotient_B1",
     "quotient_B2",
     "standard_tableaux",
     "transpose",
-    "yor_generator",
-    "yor_image",
 ]

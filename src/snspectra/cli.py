@@ -17,7 +17,7 @@ import sys
 
 from . import characters, equitable, graphs, permutations, verify
 from .diagrams import parse_diagram
-from .permutations import cycle_string, enumerate_connecting_set, parse_spec
+from .permutations import parse_spec
 
 
 def _parse_range(text: str) -> list[int]:
@@ -99,9 +99,18 @@ def _cmd_character(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    """Print each element of H one line, as its cycle "(a,b,c)", in the
+    order of the elements' image tuples."""
     spec = parse_spec(args.set)
-    for h in enumerate_connecting_set(spec):
-        print(cycle_string(h))
+    lines = []
+    for cycle in permutations.connecting_cycles(spec):
+        images = list(range(1, spec.n + 1))
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            images[a - 1] = b
+        lines.append((images, "(" + ",".join(map(str, cycle)) + ")"))
+    assert len(lines) == spec.cardinality()
+    for _, text in sorted(lines):
+        print(text)
     return 0
 
 

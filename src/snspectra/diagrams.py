@@ -63,8 +63,13 @@ def partition_count(m: int) -> int:
 
 
 def transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Conjugate diagram (reflect across the main diagonal)."""
-    return tuple(sum(1 for p in rows if p > j) for j in range(rows[0]))
+    """Conjugate diagram (reflect across the main diagonal), in one pass up
+    the rows: the columns that the i-th row reaches past the (i+1)-th hold
+    i boxes, so each column length is set once."""
+    cols: list[int] = []
+    for i in range(len(rows), 0, -1):
+        cols += [i] * (rows[i - 1] - len(cols))
+    return tuple(cols)
 
 
 def hook_lengths(rows: tuple[int, ...]) -> list[list[int]]:
@@ -99,20 +104,3 @@ def hook_leg(rows: tuple[int, ...]) -> int:
         raise ValueError(f"{rows} is not a hook")
     return len(rows) - 1
 
-
-def branch_restrict(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Diagrams obtained by removing one removable corner box.
-
-    These label the irreducible constituents of the restriction to the
-    point-stabilizer subgroup one degree down; each occurs exactly once.
-    """
-    rows = validate_diagram(rows)
-    if sum(rows) < 2:
-        raise ValueError("need n >= 2 to remove a box")
-    children = []
-    for i, part in enumerate(rows):
-        below = rows[i + 1] if i + 1 < len(rows) else 0
-        if part > below:
-            child = rows[:i] + ((part - 1,) if part > 1 else ()) + rows[i + 1:]
-            children.append(child)
-    return tuple(children)

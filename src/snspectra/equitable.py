@@ -1,7 +1,6 @@
 """
-Equitable partitions: the full per-vertex check, and the two 3-block
-partitions of the prefix-moving Cayley graphs with their exact quotient
-matrices.
+The two 3-block partitions of the prefix-moving Cayley graphs: their exact
+closed-form quotient matrices, and a quotient oracle counted from H.
 
 The closed-form quotient matrices B1 (blocks by the image of the last point)
 and B2 (blocks by the image of the first point) have exact integer entries;
@@ -13,76 +12,10 @@ from __future__ import annotations
 from math import factorial
 from typing import Sequence
 
-from ._numpy import np
 from .eigen import exact_integer_eigenvalues
 from .formulas import binom
-from .graphs import CayleyGraph, natural_module_matrix
+from .graphs import natural_module_matrix
 from .permutations import prefix_moving_cycles
-
-VertexPartition = list[list[int]]
-
-
-class MalformedPartitionError(ValueError):
-    pass
-
-
-def _check_partition(graph: CayleyGraph, blocks: VertexPartition) -> None:
-    seen: set[int] = set()
-    for block in blocks:
-        if not block:
-            raise MalformedPartitionError("empty block")
-        if seen & set(block):
-            raise MalformedPartitionError("blocks overlap")
-        seen.update(block)
-    if seen != set(range(graph.size)):
-        raise MalformedPartitionError("blocks do not cover the vertex set")
-
-
-def is_equitable(
-    graph: CayleyGraph, blocks: VertexPartition
-) -> tuple[bool, list[list[int]] | None]:
-    """Full per-vertex equitability check; returns the quotient on success.
-
-    Every vertex of every block is examined, not just one representative.
-    """
-    _check_partition(graph, blocks)
-    block_of = np.empty(graph.size, dtype=np.intp)
-    for b, block in enumerate(blocks):
-        block_of[block] = b
-    # counts[v, b] = number of neighbours of vertex v in block b
-    keys = np.arange(graph.size)[:, None] * len(blocks) + block_of[graph.neighbor_table()]
-    counts = np.bincount(keys.ravel(), minlength=graph.size * len(blocks))
-    counts = counts.reshape(graph.size, len(blocks))
-    quotient: list[list[int]] = []
-    for block in blocks:
-        rows = counts[block]
-        if (rows != rows[0]).any():
-            return False, None
-        quotient.append(rows[0].tolist())
-    return True, quotient
-
-
-def _three_blocks(graph: CayleyGraph, point: int, r: int) -> VertexPartition:
-    if not 2 <= r < graph.n:
-        raise ValueError(f"need 2 <= r < n, got r={r}")
-    image = graph.vertex_images[:, point - 1] + 1
-    fixed = image == point
-    masks = (fixed, ~fixed & (image <= r), ~fixed & (image > r))
-    return [np.flatnonzero(mask).tolist() for mask in masks]
-
-
-def partition_P1(graph: CayleyGraph, r: int) -> VertexPartition:
-    """Blocks by the image of the last point: fixed, in {1..r}, in {r+1..n-1}."""
-    return _three_blocks(graph, graph.n, r)
-
-
-def partition_P2(graph: CayleyGraph, r: int) -> VertexPartition:
-    """Blocks by the image of the first point: fixed, in {2..r}, in {r+1..n}."""
-    return _three_blocks(graph, 1, r)
-
-
-# ---------------------------------------------------------------------------
-# Closed-form quotients
 
 
 def quotient_B1(n: int, k: int, r: int) -> list[list[int]]:

@@ -29,8 +29,6 @@ from .permutations import (
     CapExceededError,
     ConnectingSetSpec,
     DegreeMismatchError,
-    Permutation,
-    as_permutations,
     check_group,
     connecting_cycles,
     connecting_images,
@@ -89,19 +87,20 @@ class CayleyGraph:
     def degree(self) -> int:
         return len(self.connecting_images)
 
-    @property
-    def vertices(self) -> tuple[Permutation, ...]:
-        return as_permutations(self.vertex_images)
-
     def neighbors_of(self, rows: np.ndarray) -> np.ndarray:
         """(len(rows), degree) array; row i lists the neighbours h g of
         vertex g = rows[i], one column per element h of the connecting set.
-        A product outside the group can only come from an h outside it, so
-        any set of rows detects that."""
+        A chunk of H is composed with every row at once and ranked in one
+        call: at most 2^16 products a chunk, or one element of H when the
+        rows alone are more.  A product outside the group can only come
+        from an h outside it, so any set of rows detects that."""
         table = np.empty((len(rows), self.degree), dtype=np.int32)
         vertices = self.vertex_images[rows]
-        for j, h in enumerate(self.connecting_images):
-            table[:, j] = self.ranks(h[vertices])
+        step = max(1, 2**16 // max(1, len(rows)))
+        for s in range(0, self.degree, step):
+            products = self.connecting_images[s : s + step, vertices]  # [j, i] = h_j g_i
+            ranks = self.ranks(products.reshape(-1, self.n))
+            table[:, s : s + step] = ranks.reshape(len(products), len(rows)).T
         if (table < 0).any():
             raise ValueError(f"the connecting set is not inside the {self.group_kind} group")
         return table

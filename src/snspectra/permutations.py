@@ -1,17 +1,18 @@
 """
-Permutations of {1..n} and enumeration of cycle connecting sets.
+Cycle connecting sets of Sym(1..n), and the groups they live in.
 
-A permutation is stored as a tuple ``images`` where ``images[j-1]`` is the
-image of the point ``j``.  Points are 1-based everywhere in the public API.
-The composition convention is fixed repo-wide as ``(g * h)(x) = g(h(x))``,
-i.e. ``h`` acts first.  Cayley adjacency elsewhere uses ``u ~ v`` iff
-``u * v.inverse()`` is in the connecting set.
+A connecting set is held three ways, and nothing else: as a
+``ConnectingSetSpec`` (family, n, k, r), which the irrep and char routes
+read; as the cycles of its elements, which ``connecting_cycles`` draws and
+the natural and quotient routes count; and as an ``(N, n)`` small-int array
+of 0-based images, one row per element, which ``connecting_images`` writes
+for the dense route.  Groups are image arrays too, from ``group_images``.
+Points are 1-based in cycles and 0-based in image rows.  Products act right
+to left, ``(g h)(x) = g(h(x))``: on image rows ``g h`` is ``g[h]``.  Cayley
+adjacency elsewhere uses ``u ~ v`` iff ``u v^-1`` is in the connecting set.
 
 Groups and connecting sets share one enumerator, ``itertools.permutations``,
-whose lexicographic order is the order of group rows.  The array routes hold
-groups and connecting sets as ``(N, n)`` small-int arrays of 0-based images,
-one row per element; ``Permutation`` objects are made from them only at the
-public boundary.
+whose lexicographic order is the order of group rows.
 
 Connecting sets:
 
@@ -25,7 +26,7 @@ from __future__ import annotations
 import itertools
 import re
 from math import comb, factorial
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from ._numpy import np
 
@@ -34,7 +35,7 @@ SET_CAP = 10**6  # the most elements connecting_cycles makes
 
 
 class DegreeMismatchError(ValueError):
-    """Raised when two permutations of different degree are combined."""
+    """Raised when a connecting set's degree differs from its group's."""
 
 
 class CapExceededError(RuntimeError):
@@ -77,122 +78,6 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Permutation(_Value):
-    """A bijection of {1..n}, immutable and hashable, ordered by ``images``."""
-
-    __slots__ = ("images",)
-
-    def __init__(self, images: tuple[int, ...]) -> None:
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection of 1..{n}: {images}")
-        self._set(images)
-
-    @classmethod
-    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
-        # For images already known to be a bijection of 1..n; skips the check.
-        p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
-        return p
-
-    # Equality and hash as _Value gives them, without its generic field walk.
-    def __eq__(self, other):
-        return self.images == other.images if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.images,))
-
-    def __lt__(self, other):
-        return self.images < other.images if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other):
-        return self.images <= other.images if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other):
-        return self.images > other.images if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self.images >= other.images if other.__class__ is self.__class__ else NotImplemented
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-    @staticmethod
-    def from_cycles(cycles: Iterable[Sequence[int]], degree: int) -> "Permutation":
-        images = list(range(1, degree + 1))
-        for cycle in cycles:
-            for a, b in zip(cycle, cycle[1:] + type(cycle)((cycle[0],))):
-                if not 1 <= a <= degree:
-                    raise ValueError(f"point {a} outside 1..{degree}")
-                images[a - 1] = b
-        return Permutation(tuple(images))
-
-    @property
-    def degree(self) -> int:
-        return len(self.images)
-
-    def __call__(self, point: int) -> int:
-        return self.images[point - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for j, i in enumerate(self.images, start=1):
-            inv[i - 1] = j
-        return Permutation(tuple(inv))
-
-    def is_identity(self) -> bool:
-        return all(i == j for j, i in enumerate(self.images, start=1))
-
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
-        """Disjoint cycle decomposition, each cycle led by its least point."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cycle = [start]
-            seen[start - 1] = True
-            x = self(start)
-            while x != start:
-                cycle.append(x)
-                seen[x - 1] = True
-                x = self(x)
-            if len(cycle) > 1 or include_fixed:
-                out.append(tuple(cycle))
-        return out
-
-    def __str__(self) -> str:
-        return cycle_string(self)
-
-
-def compose(g: Permutation, h: Permutation) -> Permutation:
-    """Product g*h with h applied first: (g*h)(x) = g(h(x))."""
-    if g.degree != h.degree:
-        raise DegreeMismatchError(f"degrees {g.degree} != {h.degree}")
-    return Permutation._trusted(tuple(g.images[x - 1] for x in h.images))
-
-
-def conjugate(g: Permutation, x: Permutation) -> Permutation:
-    """x g x^{-1}; relabels the cycles of g by x, preserving cycle type."""
-    return compose(compose(x, g), x.inverse())
-
-
-def cycle_type(g: Permutation) -> tuple[int, ...]:
-    """Weakly decreasing cycle lengths (including fixed points), summing to n."""
-    lengths = [len(c) for c in g.cycles(include_fixed=True)]
-    return tuple(sorted(lengths, reverse=True))
-
-
-def parity(g: Permutation) -> str:
-    """'even' or 'odd'; a k-cycle is even iff k is odd."""
-    transpositions = sum(len(c) - 1 for c in g.cycles())
-    return "even" if transpositions % 2 == 0 else "odd"
-
-
 def validate_cycle_type(parts: Sequence[int], n: int) -> tuple[int, ...]:
     parts = tuple(parts)
     if sum(parts) != n:
@@ -200,39 +85,6 @@ def validate_cycle_type(parts: Sequence[int], n: int) -> tuple[int, ...]:
     if any(p <= 0 for p in parts) or list(parts) != sorted(parts, reverse=True):
         raise ValueError(f"parts must be weakly decreasing positive: {parts}")
     return parts
-
-
-# ---------------------------------------------------------------------------
-# Cycle notation
-
-
-_CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def parse_cycles(text: str, degree: int) -> Permutation:
-    """Parse cycle notation like "(1,2,5)(3)(4)"; fixed points optional."""
-    stripped = text.replace(" ", "")
-    if stripped in ("", "()", "e", "id"):
-        return Permutation.identity(degree)
-    if not re.fullmatch(r"(\(\d+(,\d+)*\))+", stripped):
-        raise ValueError(f"bad cycle notation: {text!r}")
-    cycles = []
-    for group in _CYCLE_RE.findall(stripped):
-        points = tuple(int(tok) for tok in group.split(","))
-        if len(set(points)) != len(points):
-            raise ValueError(f"repeated point in cycle {group}")
-        cycles.append(points)
-    support = [p for c in cycles for p in c]
-    if len(set(support)) != len(support):
-        raise ValueError(f"cycles are not disjoint: {text!r}")
-    return Permutation.from_cycles(cycles, degree)
-
-
-def cycle_string(g: Permutation) -> str:
-    cycles = g.cycles()
-    if not cycles:
-        return "()"
-    return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +146,6 @@ def parse_spec(text: str) -> ConnectingSetSpec:
     return prefix_moving_cycles(n, k, int(r))
 
 
-def as_permutations(images: np.ndarray) -> tuple[Permutation, ...]:
-    """One ``Permutation`` per row of an array of 0-based images of bijections."""
-    return tuple(Permutation._trusted(tuple(row)) for row in (images + 1).tolist())
-
-
 def check_set_cap(spec: ConnectingSetSpec) -> None:
     """Refuse, with CapExceededError, a set of more than SET_CAP elements."""
     if spec.cardinality() > SET_CAP:
@@ -323,27 +170,6 @@ def connecting_cycles(spec: ConnectingSetSpec) -> Iterator[tuple[int, ...]]:
     return (
         (first,) + tail for first, *rest in supports for tail in itertools.permutations(rest)
     )
-
-
-def enumerate_connecting_set(spec: ConnectingSetSpec) -> tuple[Permutation, ...]:
-    """The explicit connecting set, sorted by image sequence (deterministic).
-
-    The result excludes the identity, is closed under inverse, and every
-    element is a single k-cycle.  A set of more than SET_CAP elements is
-    refused by check_set_cap.
-    """
-    identity = list(range(1, spec.n + 1))
-    rows = []
-    for cycle in connecting_cycles(spec):
-        images = identity.copy()
-        a = cycle[-1]
-        for b in cycle:
-            images[a - 1] = b
-            a = b
-        rows.append(tuple(images))
-    rows.sort()
-    assert len(rows) == spec.cardinality()
-    return tuple(map(Permutation._trusted, rows))
 
 
 def generated_subgroup_kind(spec: ConnectingSetSpec) -> str:
@@ -395,11 +221,3 @@ def connecting_images(spec: ConnectingSetSpec) -> np.ndarray:
 def group_order(kind: str, n: int) -> int:
     return factorial(n) if kind == "symmetric" else factorial(n) // 2
 
-
-def symmetric_group(n: int) -> tuple[Permutation, ...]:
-    """All of Sym(1..n) in lexicographic image order."""
-    return as_permutations(group_images("symmetric", n))
-
-
-def alternating_group(n: int) -> tuple[Permutation, ...]:
-    return as_permutations(group_images("alternating", n))

@@ -21,7 +21,7 @@ from ._numpy import np
 from .diagrams import dimension, partitions_of, validate_diagram
 from .eigen import SpectrumReport, check_cayley_invariants, cluster_eigenvalues
 from .permutations import (
-    CapExceededError, ConnectingSetSpec, Permutation, check_group, check_set_cap, group_order,
+    CapExceededError, ConnectingSetSpec, check_group, check_set_cap, group_order,
     validate_cycle_type,
 )
 
@@ -112,13 +112,6 @@ class _Generator(NamedTuple):
                 at_q += at_p * c[chunk]
                 side[q] = at_q
 
-    def apply_right(self, m: np.ndarray) -> np.ndarray:
-        out = m * self.diag[None, :]
-        if len(self.p):
-            out[:, self.p] += m[:, self.q] * self.coeff[None, :]
-            out[:, self.q] += m[:, self.p] * self.coeff[None, :]
-        return out
-
 
 @cache
 def _generator(shape: tuple[int, ...], i: int) -> _Generator:
@@ -155,44 +148,6 @@ def _generator(shape: tuple[int, ...], i: int) -> _Generator:
         np.asarray(pairs_q, dtype=np.intp),
         np.asarray(coeffs),
     )
-
-
-def yor_generator(shape: Sequence[int], i: int) -> np.ndarray:
-    """Orthogonal matrix of the adjacent transposition (i, i+1)."""
-    g = _generator(validate_diagram(shape), i)
-    mat = np.diag(g.diag)
-    mat[g.p, g.q] = mat[g.q, g.p] = g.coeff
-    return mat
-
-
-def adjacent_word(g: Permutation) -> tuple[int, ...]:
-    """Factor g as a product of adjacent transpositions (i, i+1).
-
-    The returned indices multiply left to right, i.e. g = s_{a1} s_{a2} ...
-    Deterministic bubble-sort factorization.
-    """
-    images = list(g.images)
-    swaps = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(images) - 1):
-            if images[j] > images[j + 1]:
-                images[j], images[j + 1] = images[j + 1], images[j]
-                swaps.append(j + 1)
-                changed = True
-    return tuple(reversed(swaps))
-
-
-def yor_image(shape: Sequence[int], g: Permutation) -> np.ndarray:
-    """Representation matrix of g on the block labeled by ``shape``."""
-    shape = validate_diagram(shape)
-    if g.degree != sum(shape):
-        raise ValueError(f"degree {g.degree} != |{shape}|")
-    mat = np.eye(dimension(shape))
-    for a in adjacent_word(g):
-        mat = _generator(shape, a).apply_right(mat)
-    return mat
 
 
 def hplus_matrix(shape: Sequence[int], k: int, r: int) -> np.ndarray:

@@ -36,17 +36,6 @@ def no_element_made(monkeypatch):
 
 
 @pytest.fixture
-def no_permutation_made(monkeypatch):
-    """Fail the test if any ``Permutation`` is made, checked or trusted."""
-
-    def refuse(*args):
-        raise AssertionError("a Permutation was made")
-
-    monkeypatch.setattr(permutations.Permutation, "__init__", refuse)
-    monkeypatch.setattr(permutations.Permutation, "_trusted", classmethod(refuse))
-
-
-@pytest.fixture
 def no_block_assembled(monkeypatch):
     """Fail the test if any irrep block is assembled."""
 

@@ -1,10 +1,13 @@
 """Numeric checks that only the tests call: interlacing after deleting the
 edges at one vertex, the Weyl inequalities on a split of H, the relations of
 Young's orthogonal generators, and the split sizes of C(n, r+1; r).  Beside
-them are reference implementations the tests compare against: the image
-array of a list of permutations, the Cayley graph and the H+ blocks of any
-inverse-closed set, the class-sum spectrum from every diagram of n, orbit
-and singleton partitions, and the sign of a cycle type.
+them are reference implementations the tests compare against: permutations
+as objects, with their product, cycle notation and the sorted connecting
+set; the image array of a list of permutations, the Cayley graph and the H+
+blocks of any inverse-closed set, the matrix of any permutation in Young's
+orthogonal form, the class-sum spectrum from every diagram of n, the
+per-vertex equitability check with orbit and point-image partitions, the
+branching rule, and the sign of a cycle type.
 
 They compare the package against classical facts; no command or ``verify``
 row reaches them, so they live beside the tests and not in the package.
@@ -13,6 +16,7 @@ row reaches them, so they live beside the tests and not in the package.
 from __future__ import annotations
 
 import itertools
+import re
 from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
@@ -22,17 +26,187 @@ from snspectra import yor
 from snspectra.characters import class_eigenvalue, class_size
 from snspectra.diagrams import dimension, partitions_of, validate_diagram
 from snspectra.eigen import CLUSTER_TOL, SpectrumReport, cluster_eigenvalues
-from snspectra.equitable import VertexPartition, is_equitable
 from snspectra.graphs import CayleyGraph, dense_spectrum
 from snspectra.permutations import (
+    ConnectingSetSpec,
     DegreeMismatchError,
-    Permutation,
-    as_permutations,
+    _Value,
     check_group,
-    conjugate,
+    connecting_cycles,
     even_rows,
     group_images,
 )
+
+
+# ---------------------------------------------------------------------------
+# Permutations as objects: 1-based image tuples, (g * h)(x) = g(h(x))
+
+
+class Permutation(_Value):
+    """A bijection of {1..n}, immutable and hashable, ordered by ``images``."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]) -> None:
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection of 1..{n}: {images}")
+        self._set(images)
+
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        # For images already known to be a bijection of 1..n; skips the check.
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
+    # Equality and hash as _Value gives them, without its generic field walk.
+    def __eq__(self, other):
+        return self.images == other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.images,))
+
+    def __lt__(self, other):
+        return self.images < other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.images <= other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.images > other.images if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.images >= other.images if other.__class__ is self.__class__ else NotImplemented
+
+    @staticmethod
+    def identity(n: int) -> "Permutation":
+        return Permutation(tuple(range(1, n + 1)))
+
+    @staticmethod
+    def from_cycles(cycles: Iterable[Sequence[int]], degree: int) -> "Permutation":
+        images = list(range(1, degree + 1))
+        for cycle in cycles:
+            for a, b in zip(cycle, cycle[1:] + type(cycle)((cycle[0],))):
+                if not 1 <= a <= degree:
+                    raise ValueError(f"point {a} outside 1..{degree}")
+                images[a - 1] = b
+        return Permutation(tuple(images))
+
+    @property
+    def degree(self) -> int:
+        return len(self.images)
+
+    def __call__(self, point: int) -> int:
+        return self.images[point - 1]
+
+    def __mul__(self, other: "Permutation") -> "Permutation":
+        return compose(self, other)
+
+    def inverse(self) -> "Permutation":
+        inv = [0] * self.degree
+        for j, i in enumerate(self.images, start=1):
+            inv[i - 1] = j
+        return Permutation(tuple(inv))
+
+    def is_identity(self) -> bool:
+        return all(i == j for j, i in enumerate(self.images, start=1))
+
+    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
+        """Disjoint cycle decomposition, each cycle led by its least point."""
+        seen = [False] * self.degree
+        out = []
+        for start in range(1, self.degree + 1):
+            if seen[start - 1]:
+                continue
+            cycle = [start]
+            seen[start - 1] = True
+            x = self(start)
+            while x != start:
+                cycle.append(x)
+                seen[x - 1] = True
+                x = self(x)
+            if len(cycle) > 1 or include_fixed:
+                out.append(tuple(cycle))
+        return out
+
+    def __str__(self) -> str:
+        return cycle_string(self)
+
+
+def compose(g: Permutation, h: Permutation) -> Permutation:
+    """Product g*h with h applied first: (g*h)(x) = g(h(x))."""
+    if g.degree != h.degree:
+        raise DegreeMismatchError(f"degrees {g.degree} != {h.degree}")
+    return Permutation._trusted(tuple(g.images[x - 1] for x in h.images))
+
+
+def conjugate(g: Permutation, x: Permutation) -> Permutation:
+    """x g x^{-1}; relabels the cycles of g by x, preserving cycle type."""
+    return compose(compose(x, g), x.inverse())
+
+
+def cycle_type(g: Permutation) -> tuple[int, ...]:
+    """Weakly decreasing cycle lengths (including fixed points), summing to n."""
+    lengths = [len(c) for c in g.cycles(include_fixed=True)]
+    return tuple(sorted(lengths, reverse=True))
+
+
+def parity(g: Permutation) -> str:
+    """'even' or 'odd'; a k-cycle is even iff k is odd."""
+    transpositions = sum(len(c) - 1 for c in g.cycles())
+    return "even" if transpositions % 2 == 0 else "odd"
+
+
+_CYCLE_RE = re.compile(r"\(([^()]*)\)")
+
+
+def parse_cycles(text: str, degree: int) -> Permutation:
+    """Parse cycle notation like "(1,2,5)(3)(4)"; fixed points optional."""
+    stripped = text.replace(" ", "")
+    if stripped in ("", "()", "e", "id"):
+        return Permutation.identity(degree)
+    if not re.fullmatch(r"(\(\d+(,\d+)*\))+", stripped):
+        raise ValueError(f"bad cycle notation: {text!r}")
+    cycles = []
+    for group in _CYCLE_RE.findall(stripped):
+        points = tuple(int(tok) for tok in group.split(","))
+        if len(set(points)) != len(points):
+            raise ValueError(f"repeated point in cycle {group}")
+        cycles.append(points)
+    support = [p for c in cycles for p in c]
+    if len(set(support)) != len(support):
+        raise ValueError(f"cycles are not disjoint: {text!r}")
+    return Permutation.from_cycles(cycles, degree)
+
+
+def cycle_string(g: Permutation) -> str:
+    cycles = g.cycles()
+    if not cycles:
+        return "()"
+    return "".join("(" + ",".join(map(str, c)) + ")" for c in cycles)
+
+
+def as_permutations(images: np.ndarray) -> tuple[Permutation, ...]:
+    """One ``Permutation`` per row of an array of 0-based images of bijections."""
+    return tuple(Permutation._trusted(tuple(row)) for row in (images + 1).tolist())
+
+
+def enumerate_connecting_set(spec: ConnectingSetSpec) -> tuple[Permutation, ...]:
+    """The connecting set as permutations made from ``connecting_cycles``,
+    sorted by image sequence; the set cap refuses it as it refuses the cycles."""
+    identity = list(range(1, spec.n + 1))
+    rows = []
+    for cycle in connecting_cycles(spec):
+        images = identity.copy()
+        a = cycle[-1]
+        for b in cycle:
+            images[a - 1] = b
+            a = b
+        rows.append(tuple(images))
+    rows.sort()
+    assert len(rows) == spec.cardinality()
+    return tuple(map(Permutation._trusted, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +265,8 @@ def word_walk_matrix(shape: tuple[int, ...], connecting_set: Sequence[Permutatio
     involutions, reps = _inverse_representatives(connecting_set)
     total = np.zeros((dim, dim))
     worklist = sorted(
-        [(yor.adjacent_word(h), False) for h in involutions]
-        + [(yor.adjacent_word(h), True) for h in reps]
+        [(adjacent_word(h), False) for h in involutions]
+        + [(adjacent_word(h), True) for h in reps]
     )
     stack = [np.eye(dim)]
     prev: tuple[int, ...] = ()
@@ -104,7 +278,7 @@ def word_walk_matrix(shape: tuple[int, ...], connecting_set: Sequence[Permutatio
             common += 1
         del stack[common + 1:]
         for a in word[common:]:
-            stack.append(yor._generator(shape, a).apply_right(stack[-1]))
+            stack.append(apply_right(yor._generator(shape, a), stack[-1]))
         prev = word
         mat = stack[len(word)]
         total += mat + mat.T if paired else mat
@@ -269,12 +443,59 @@ def split_by_last_point(
 # Young's orthogonal form
 
 
+def yor_generator(shape: Sequence[int], i: int) -> np.ndarray:
+    """Orthogonal matrix of the adjacent transposition (i, i+1)."""
+    g = yor._generator(validate_diagram(shape), i)
+    mat = np.diag(g.diag)
+    mat[g.p, g.q] = mat[g.q, g.p] = g.coeff
+    return mat
+
+
+def apply_right(g: yor._Generator, m: np.ndarray) -> np.ndarray:
+    """m times the matrix of the generator g, without forming that matrix."""
+    out = m * g.diag[None, :]
+    if len(g.p):
+        out[:, g.p] += m[:, g.q] * g.coeff[None, :]
+        out[:, g.q] += m[:, g.p] * g.coeff[None, :]
+    return out
+
+
+def adjacent_word(g: Permutation) -> tuple[int, ...]:
+    """Factor g as a product of adjacent transpositions (i, i+1).
+
+    The returned indices multiply left to right, i.e. g = s_{a1} s_{a2} ...
+    Deterministic bubble-sort factorization.
+    """
+    images = list(g.images)
+    swaps = []
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(images) - 1):
+            if images[j] > images[j + 1]:
+                images[j], images[j + 1] = images[j + 1], images[j]
+                swaps.append(j + 1)
+                changed = True
+    return tuple(reversed(swaps))
+
+
+def yor_image(shape: Sequence[int], g: Permutation) -> np.ndarray:
+    """Representation matrix of g on the block labeled by ``shape``."""
+    shape = validate_diagram(shape)
+    if g.degree != sum(shape):
+        raise ValueError(f"degree {g.degree} != |{shape}|")
+    mat = np.eye(dimension(shape))
+    for a in adjacent_word(g):
+        mat = apply_right(yor._generator(shape, a), mat)
+    return mat
+
+
 def relation_residual(shape: Sequence[int]) -> float:
     """Max residual over the defining relations of the generators:
     orthogonality, involutivity, commutation and braid."""
     shape = validate_diagram(shape)
     n = sum(shape)
-    gens = [yor.yor_generator(shape, i) for i in range(1, n)]
+    gens = [yor_generator(shape, i) for i in range(1, n)]
     eye = np.eye(dimension(shape))
     worst = 0.0
     for q in gens:
@@ -292,7 +513,72 @@ def relation_residual(shape: Sequence[int]) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Orbit partitions and the sign of a cycle type
+# Equitable partitions, checked vertex by vertex
+
+VertexPartition = list[list[int]]
+
+
+class MalformedPartitionError(ValueError):
+    pass
+
+
+def _check_partition(graph: CayleyGraph, blocks: VertexPartition) -> None:
+    seen: set[int] = set()
+    for block in blocks:
+        if not block:
+            raise MalformedPartitionError("empty block")
+        if seen & set(block):
+            raise MalformedPartitionError("blocks overlap")
+        seen.update(block)
+    if seen != set(range(graph.size)):
+        raise MalformedPartitionError("blocks do not cover the vertex set")
+
+
+def is_equitable(
+    graph: CayleyGraph, blocks: VertexPartition
+) -> tuple[bool, list[list[int]] | None]:
+    """Full per-vertex equitability check; returns the quotient on success.
+
+    Every vertex of every block is examined, not just one representative.
+    """
+    _check_partition(graph, blocks)
+    block_of = np.empty(graph.size, dtype=np.intp)
+    for b, block in enumerate(blocks):
+        block_of[block] = b
+    # counts[v, b] = number of neighbours of vertex v in block b
+    keys = np.arange(graph.size)[:, None] * len(blocks) + block_of[graph.neighbor_table()]
+    counts = np.bincount(keys.ravel(), minlength=graph.size * len(blocks))
+    counts = counts.reshape(graph.size, len(blocks))
+    quotient: list[list[int]] = []
+    for block in blocks:
+        rows = counts[block]
+        if (rows != rows[0]).any():
+            return False, None
+        quotient.append(rows[0].tolist())
+    return True, quotient
+
+
+def _three_blocks(graph: CayleyGraph, point: int, r: int) -> VertexPartition:
+    if not 2 <= r < graph.n:
+        raise ValueError(f"need 2 <= r < n, got r={r}")
+    image = graph.vertex_images[:, point - 1] + 1
+    fixed = image == point
+    masks = (fixed, ~fixed & (image <= r), ~fixed & (image > r))
+    return [np.flatnonzero(mask).tolist() for mask in masks]
+
+
+def partition_P1(graph: CayleyGraph, r: int) -> VertexPartition:
+    """Blocks by the image of the last point: fixed, in {1..r}, in {r+1..n-1}."""
+    return _three_blocks(graph, graph.n, r)
+
+
+def partition_P2(graph: CayleyGraph, r: int) -> VertexPartition:
+    """Blocks by the image of the first point: fixed, in {2..r}, in {r+1..n}."""
+    return _three_blocks(graph, 1, r)
+
+
+# ---------------------------------------------------------------------------
+# Orbit partitions, the branching rule and the sign of a cycle type
 
 
 def singleton_partition(graph: CayleyGraph) -> VertexPartition:
@@ -341,6 +627,24 @@ def orbit_partition(
     ok, _ = is_equitable(graph, blocks)
     assert ok, "orbit partition failed the equitability check"
     return blocks
+
+
+def branch_restrict(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Diagrams obtained by removing one removable corner box.
+
+    These label the irreducible constituents of the restriction to the
+    point-stabilizer subgroup one degree down; each occurs exactly once.
+    """
+    rows = validate_diagram(rows)
+    if sum(rows) < 2:
+        raise ValueError("need n >= 2 to remove a box")
+    children = []
+    for i, part in enumerate(rows):
+        below = rows[i + 1] if i + 1 < len(rows) else 0
+        if part > below:
+            child = rows[:i] + ((part - 1,) if part > 1 else ()) + rows[i + 1:]
+            children.append(child)
+    return tuple(children)
 
 
 def class_sign(ctype: Sequence[int]) -> int:

@@ -29,22 +29,19 @@ from snspectra.graphs import (
     dense_spectrum,
     natural_module_spectrum,
 )
-from snspectra.permutations import (
-    cycle_type,
-    enumerate_connecting_set,
-    full_cycles,
-    parse_spec,
-    prefix_moving_cycles,
-    symmetric_group,
-)
-from snspectra.yor import full_spectrum_via_irreps, yor_image
+from snspectra.permutations import full_cycles, group_images, parse_spec, prefix_moving_cycles
+from snspectra.yor import full_spectrum_via_irreps
 
 from reference_checks import (
+    as_permutations,
+    cycle_type,
+    enumerate_connecting_set,
     interlacing_check,
     relation_residual,
     split_by_last_point,
     split_sizes,
     weyl_check,
+    yor_image,
 )
 
 SPECTRUM_TOL = 1e-6
@@ -200,7 +197,7 @@ def test_criterion_07_property_suites(capfd):
             for shape in partitions_of(n):
                 assert relation_residual(shape) < YOR_TOL
         # trace vs exact character
-        reps = {cycle_type(g): g for g in symmetric_group(6)}
+        reps = {cycle_type(g): g for g in as_permutations(group_images("symmetric", 6))}
         for shape in partitions_of(6):
             for ctype, g in reps.items():
                 trace = float(np.trace(yor_image(shape, g)))

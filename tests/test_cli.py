@@ -1,10 +1,18 @@
 import json
 import time
+from pathlib import Path
 
 import pytest
 
 from snspectra import formulas, verify
 from snspectra.cli import main
+from snspectra.permutations import parse_spec
+
+from reference_checks import cycle_string, enumerate_connecting_set
+
+# enumerate --set "C(7,5;2)" as printed when the command still made a
+# Permutation per element; the CI console-script step compares against it too.
+ENUMERATE_C7_5_2 = Path(__file__).parent / "data" / "enumerate_C7_5_2.txt"
 
 
 def run_cli(capsys, *argv):
@@ -456,6 +464,11 @@ class TestPartitionCaps:
         assert captured.err == f"snspectra {argv[0]}: error: {message}\n"
 
 
+ENUMERATED_SPECS = [f"C({n},{k})" for n in range(2, 7) for k in range(2, n + 1)] + [
+    f"C({n},{k};{r})" for n in range(3, 8) for k in range(2, n) for r in range(1, k)
+]
+
+
 class TestEnumerateCommand:
     def test_lists_cycles(self, capsys):
         code, out = run_cli(capsys, "enumerate", "--set", "C(5,3;2)")
@@ -463,3 +476,15 @@ class TestEnumerateCommand:
         lines = out.strip().splitlines()
         assert len(lines) == 6
         assert all(line.startswith("(") for line in lines)
+
+    @pytest.mark.parametrize("spec_text", ENUMERATED_SPECS)
+    def test_lines_are_the_reference_cycles_sorted_by_images(self, capsys, spec_text):
+        code, out = run_cli(capsys, "enumerate", "--set", spec_text)
+        assert code == 0
+        expected = [cycle_string(h) for h in enumerate_connecting_set(parse_spec(spec_text))]
+        assert out == "".join(line + "\n" for line in expected)
+
+    def test_output_is_the_recorded_file(self, capsys):
+        code, out = run_cli(capsys, "enumerate", "--set", "C(7,5;2)")
+        assert code == 0
+        assert out == ENUMERATE_C7_5_2.read_text()

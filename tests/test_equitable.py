@@ -3,27 +3,28 @@ import pytest
 
 from snspectra.eigen import NonIntegerSpectrumError
 from snspectra.equitable import (
-    MalformedPartitionError,
     counted_quotient,
     export_quotient_csv,
-    is_equitable,
-    partition_P1,
-    partition_P2,
     quotient_B1,
     quotient_B2,
     quotient_eigenvalues,
 )
 from snspectra.formulas import mu_values
 from snspectra.graphs import build, dense_spectrum
-from snspectra.permutations import (
+from snspectra.permutations import full_cycles, prefix_moving_cycles
+
+from reference_checks import (
+    MalformedPartitionError,
     Permutation,
     enumerate_connecting_set,
-    full_cycles,
+    image_array,
+    is_equitable,
+    orbit_partition,
     parse_cycles,
-    prefix_moving_cycles,
+    partition_P1,
+    partition_P2,
+    singleton_partition,
 )
-
-from reference_checks import image_array, orbit_partition, singleton_partition
 
 
 def bincount_quotient_reference(n, k, r, which):

@@ -23,26 +23,25 @@ from snspectra.graphs import (
 from snspectra.permutations import (
     CapExceededError,
     DegreeMismatchError,
-    Permutation,
-    alternating_group,
-    compose,
     connecting_images,
-    enumerate_connecting_set,
     full_cycles,
     generated_subgroup_kind,
     group_images,
-    parity,
-    parse_cycles,
     parse_spec,
     prefix_moving_cycles,
-    symmetric_group,
 )
 
 from reference_checks import (
+    Permutation,
+    as_permutations,
+    compose,
     delete_vertex_edges,
+    enumerate_connecting_set,
     from_explicit_set,
     image_array,
     interlacing_check,
+    parity,
+    parse_cycles,
     split_by_last_point,
     split_sizes,
     weyl_check,
@@ -94,7 +93,7 @@ class TestConstruction:
             parse_cycles("(1,3)", 3),
         ]
         g = from_explicit_set("symmetric", 3, connecting)
-        expected = adjacency_oracle(g.vertices, connecting)
+        expected = adjacency_oracle(as_permutations(g.vertex_images), connecting)
         assert (g.adjacency_matrix() == expected).all()
 
     @pytest.mark.parametrize(
@@ -114,7 +113,7 @@ class TestConstruction:
         spec = parse_spec(spec_text)
         g = build(kind, spec)
         vertices = group_oracle(kind, spec.n)
-        assert list(g.vertices) == vertices
+        assert list(as_permutations(g.vertex_images)) == vertices
         expected = adjacency_oracle(vertices, enumerate_connecting_set(spec))
         assert (g.adjacency_matrix() == expected).all()
         assert (g.neighbor_table() == np.nonzero(expected)[1].reshape(g.size, g.degree)).all()
@@ -124,7 +123,7 @@ class TestConstruction:
         [("alternating", prefix_moving_cycles(6, 3, 2)), ("symmetric", full_cycles(5, 4))],
         ids=["Alt6-C(6,3;2)", "Sym5-C(5,4)"],
     )
-    def test_build_makes_no_permutation(self, no_permutation_made, kind, spec):
+    def test_build_makes_no_permutation(self, kind, spec):
         # H is made as one image array from its cycles, and G from its images.
         graph = build(kind, spec)
         assert graph.degree == len(graph.connecting_images) == spec.cardinality()
@@ -223,7 +222,7 @@ class TestDenseSpectrum:
     def test_random_inverse_closed_sets(self, data):
         kind = data.draw(st.sampled_from(("symmetric", "alternating")))
         n = data.draw(st.integers(2, 5) if kind == "symmetric" else st.integers(3, 6))
-        group = symmetric_group(n) if kind == "symmetric" else alternating_group(n)
+        group = as_permutations(group_images(kind, n))
         picks = data.draw(st.lists(st.integers(1, len(group) - 1), min_size=1, max_size=6))
         connecting = {group[i] for i in picks}  # group[0] is the identity
         connecting |= {h.inverse() for h in connecting}
@@ -397,9 +396,30 @@ class TestWeylSplit:
 
 def test_vertex_order_is_lexicographic():
     g = build("symmetric", full_cycles(4, 4))
-    assert list(g.vertices) == sorted(symmetric_group(4))
+    vertices = as_permutations(g.vertex_images)
+    assert list(vertices) == sorted(as_permutations(group_images("symmetric", 4)))
     assert (g.ranks(g.vertex_images) == np.arange(g.size)).all()
-    assert g.ranks(image_array([g.vertices[5]], 4)).tolist() == [5]
+    assert g.ranks(image_array([vertices[5]], 4)).tolist() == [5]
+
+
+def neighbors_loop_reference(graph, rows):
+    """The neighbour table with one rank lookup per element h of H."""
+    vertices = graph.vertex_images[rows]
+    return np.stack([graph.ranks(h[vertices]) for h in graph.connecting_images], axis=1)
+
+
+@pytest.mark.parametrize(
+    "kind, spec",
+    [("symmetric", full_cycles(6, 6)), ("alternating", prefix_moving_cycles(7, 3, 2)),
+     ("symmetric", full_cycles(7, 6))],
+    ids=["Sym6-C(6,6)", "Alt7-C(7,3;2)", "Sym7-C(7,6)"],
+)
+def test_neighbors_of_equals_the_per_element_loop(kind, spec):
+    g = build(kind, spec)
+    for rows in (np.arange(g.size), np.arange(0, g.size, 7)[::-1], np.array([3])):
+        table = g.neighbors_of(rows)
+        assert table.dtype == np.int32
+        assert (table == neighbors_loop_reference(g, rows)).all()
 
 
 def every_spec(n):

@@ -1,39 +1,43 @@
+import ast
 import copy
 import itertools
 import pickle
 from math import factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from snspectra import graphs, permutations, yor
+import snspectra
+from snspectra import diagrams, equitable, graphs, permutations, yor
 from snspectra.permutations import (
     CapExceededError,
     ConnectingSetSpec,
     DegreeMismatchError,
-    Permutation,
-    alternating_group,
     check_group,
-    compose,
-    conjugate,
     connecting_cycles,
     connecting_images,
-    cycle_string,
-    cycle_type,
-    enumerate_connecting_set,
     full_cycles,
     generated_subgroup_kind,
     group_images,
-    parity,
-    parse_cycles,
     parse_spec,
     prefix_moving_cycles,
-    symmetric_group,
 )
 
 import reference_checks
-from reference_checks import image_array
+from reference_checks import (
+    Permutation,
+    as_permutations,
+    compose,
+    conjugate,
+    cycle_string,
+    cycle_type,
+    enumerate_connecting_set,
+    image_array,
+    parity,
+    parse_cycles,
+)
 
 
 def apply_pointwise(g: Permutation, h: Permutation, x: int) -> int:
@@ -351,17 +355,18 @@ class TestGeneratedSubgroup:
 
 
 def test_group_enumerations():
-    assert len(symmetric_group(4)) == 24
-    assert len(alternating_group(4)) == 12
-    assert symmetric_group(3) == tuple(sorted(symmetric_group(3)))
+    assert len(as_permutations(group_images("symmetric", 4))) == 24
+    assert len(as_permutations(group_images("alternating", 4))) == 12
+    sym3 = as_permutations(group_images("symmetric", 3))
+    assert sym3 == tuple(sorted(sym3))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
 def test_group_enumerations_match_itertools(n):
     group = tuple(Permutation(p) for p in itertools.permutations(range(1, n + 1)))
     even = tuple(g for g in group if parity(g) == "even")
-    assert symmetric_group(n) == group
-    assert alternating_group(n) == even
+    assert as_permutations(group_images("symmetric", n)) == group
+    assert as_permutations(group_images("alternating", n)) == even
     for kind, expected in (("symmetric", group), ("alternating", even)):
         images = group_images(kind, n)
         assert images.dtype == np.min_scalar_type(n)
@@ -472,3 +477,56 @@ class TestOneMembershipRule:
     def test_even_set_admitted_on_alt(self, checks, route):
         assert self.ROUTES[route]("alternating", full_cycles(5, 3)) is not None
         assert checks == [("alternating", True)]
+
+
+class TestNoPermutationObjects:
+    """The package holds H and G only as specs, cycles and image arrays: no
+    module of it defines, imports or names a ``Permutation``, and the
+    permutation algebra lives in the test references."""
+
+    EXPORTS = [
+        "CayleyGraph", "ConnectingSetSpec", "SpectrumReport", "build", "class_eigenvalue",
+        "dense_spectrum", "dimension", "full_cycles", "full_spectrum_via_irreps",
+        "generated_subgroup_kind", "hook_value_on_ncycle", "hplus_block_spectrum",
+        "max_ratio_diagram", "mn_character", "natural_module_spectrum", "parse_spec",
+        "partitions_of", "prefix_moving_cycles", "quotient_B1", "quotient_B2",
+        "standard_tableaux", "transpose",
+    ]
+    MOVED = {
+        permutations: [
+            "Permutation", "compose", "conjugate", "cycle_type", "parity", "parse_cycles",
+            "_CYCLE_RE", "cycle_string", "as_permutations", "enumerate_connecting_set",
+            "symmetric_group", "alternating_group",
+        ],
+        yor: ["yor_image", "yor_generator", "adjacent_word", "Permutation"],
+        equitable: [
+            "is_equitable", "partition_P1", "partition_P2", "_three_blocks", "_check_partition",
+            "MalformedPartitionError", "VertexPartition", "np", "CayleyGraph",
+        ],
+        diagrams: ["branch_restrict"],
+    }
+
+    def test_no_module_defines_imports_or_names_it(self):
+        sources = sorted(Path(snspectra.__file__).parent.rglob("*.py"))
+        assert len(sources) >= 10
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sources
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if "Permutation" in (
+                getattr(node, "name", None),  # a class or an imported name
+                getattr(node, "id", None),  # a name read or bound
+                getattr(node, "attr", None),  # module.Permutation
+            )
+        ]
+        assert found == []
+
+    def test_exports(self):
+        assert snspectra.__all__ == self.EXPORTS
+        assert all(getattr(snspectra, name) is not None for name in self.EXPORTS)
+
+    def test_moved_names_are_gone_from_the_package(self):
+        for module, names in self.MOVED.items():
+            assert [name for name in names if hasattr(module, name)] == [], module.__name__
+        assert not hasattr(yor._Generator, "apply_right")
+        assert not hasattr(graphs.CayleyGraph, "vertices")

@@ -222,7 +222,7 @@ class TestTheoremRunners:
         assert all(o.outcome == "match" for o in verify.verify_quotients(7, 4, 2))
         assert counted == [prefix_moving_cycles(7, 4, 2)]
 
-    def test_natural_rows_count_H_without_enumerating(self, no_permutation_made):
+    def test_natural_rows_count_H_without_enumerating(self):
         # They count the cycles of H, making no permutation of it.
         for theorem in ("52", "53", "54", "61"):
             assert all(o.ok for o in verify.run_cases(theorem, [6]))

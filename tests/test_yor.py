@@ -8,34 +8,35 @@ from snspectra.diagrams import dimension, partition_count, partitions_of
 from snspectra.graphs import dense_spectrum
 from snspectra.permutations import (
     CapExceededError,
-    Permutation,
-    compose,
-    cycle_type,
-    enumerate_connecting_set,
     full_cycles,
-    parse_cycles,
+    group_images,
     prefix_moving_cycles,
-    symmetric_group,
 )
 from snspectra import characters, verify, yor
 from snspectra.yor import (
-    adjacent_word,
     full_spectrum_via_irreps,
     char_spectrum,
     hplus_block_spectrum,
     hplus_matrix,
     standard_tableaux,
-    yor_generator,
-    yor_image,
 )
 
 from reference_checks import (
+    Permutation,
+    adjacent_word,
+    as_permutations,
+    compose,
+    cycle_type,
     diagram_scan_char_spectrum,
+    enumerate_connecting_set,
     from_explicit_set,
+    parse_cycles,
     relation_residual,
     split_by_last_point,
     word_walk_matrix,
     word_walk_spectrum,
+    yor_generator,
+    yor_image,
 )
 
 
@@ -72,7 +73,7 @@ class TestWords:
         assert word_oracle(g) == g
 
     def test_exhaustive_degree_4(self):
-        for g in symmetric_group(4):
+        for g in as_permutations(group_images("symmetric", 4)):
             assert word_oracle(g) == g
 
 
