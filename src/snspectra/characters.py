@@ -2,13 +2,11 @@
 Exact irreducible character values of Sym(1..n) by the Murnaghan-Nakayama
 rule, one whole class column at a time.
 
-All values are exact integers; class-invariant eigenvalues are exact
-rationals asserted to be integers.  ``character_column`` builds the nonzero
-values of one class bottom up and caches them in process; at the n-cycle and
-(n-1)-cycle classes only O(n) shapes are nonzero.  It is the one reader of a
-class column: ``max_ratio_diagram``, ``mn_character`` and the char route in
-``yor`` read only its support, and COLUMN_CAP, checked from the cycle type
-before anything is built, prices every read.
+All values are exact integers.  ``character_column``, the one reader of a
+class column, builds its nonzero values bottom up and caches them in process,
+after COLUMN_CAP prices the read from the cycle type.  ``class_eigenvalues``
+turns one column into the class sum's eigenvalues in one pass; the char route
+and the H+ diagonal in ``yor`` read that dict.
 """
 
 from __future__ import annotations
@@ -36,9 +34,9 @@ TABLE_CAP = 18
 # Reading one class column costs about n^3 p(n - largest part): each of the
 # p(n - k) shapes below gains up to n rim hooks, each new shape and its
 # dimension taking O(n) big-int steps. The cap is that work at C(40,2), so
-# every k-cycle class of S40 passes. At the edge, column then char spectrum,
-# in process: C(40,2) 6.0 s then 7.8 s, 69 MB resident; C(100,80) 1.2 s then
-# 7.4 s, 73 MB; the n-cycles of S1183 0.3 s then 6.5 s, 24 MB.
+# every k-cycle class of S40 passes. At the edge, in process, the column, then
+# the char spectrum from it, and the peak: C(40,2) 3.8 s, 0.6 s, 71 MB;
+# C(100,80) 0.7 s, 2.0 s, 75 MB; the n-cycles of S1183 0.3 s, 1.0 s, 23 MB.
 COLUMN_CAP = 40**3 * 26015  # 40^3 p(38)
 
 
@@ -123,16 +121,26 @@ def hook_value_on_ncycle(shape: Sequence[int]) -> int:
     return (-1) ** hook_leg(shape)
 
 
+def class_eigenvalues(ctype: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """{shape: |class| chi^shape(ctype) / chi^shape(1)} over the support of
+    character_column(ctype): the class sum's eigenvalue on each block, zero
+    off the support; raises ArithmeticError if one is not an integer."""
+    column = character_column(tuple(ctype))  # validates ctype and checks the cap
+    size = class_size(ctype)
+    eigenvalues = {}
+    for shape, chi in column.items():
+        value, rest = divmod(size * chi, dimension(shape))
+        if rest:
+            raise ArithmeticError(f"class eigenvalue for {shape} on {ctype} is not integral")
+        eigenvalues[shape] = value
+    return eigenvalues
+
+
 def class_eigenvalue(shape: Sequence[int], ctype: Sequence[int]) -> int:
-    """Eigenvalue |class| * chi(h) / chi(1) of the class sum on the block
-    labeled by ``shape``; raises if it fails to be an integer."""
+    """The class sum's eigenvalue on the block of ``shape``: its entry in
+    class_eigenvalues(ctype), 0 off the support."""
     shape = validate_diagram(shape)
-    value = Fraction(class_size(ctype) * mn_character(shape, ctype), dimension(shape))
-    if value.denominator != 1:
-        raise ArithmeticError(
-            f"class eigenvalue for {shape} on {ctype} is not integral: {value}"
-        )
-    return int(value)
+    return class_eigenvalues(validate_cycle_type(ctype, sum(shape))).get(shape, 0)
 
 
 def _best_ratio(

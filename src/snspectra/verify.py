@@ -94,14 +94,10 @@ def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
     """Spectrum of Cay(G, H) for the group of this kind and H = spec, by the
     dense oracle, the irrep blocks or the characters; "auto" takes char for a
     conjugacy class, else dense up to DENSE_AUTO_LIMIT vertices, else irrep.
-    Only the irrep and char routes import yor. Every route takes the spec:
-    dense makes H as an image array from its cycles, and irrep and char make
-    no element of H.
-    Raises CapExceededError before the large allocation: for dense above
-    graphs.DENSE_CAP vertices; for irrep when the largest block has more than
-    yor.BLOCK_CAP rows, then when H has more than permutations.SET_CAP
-    elements; for char when reading the class column costs more than
-    characters.COLUMN_CAP."""
+    Only the irrep and char routes import yor, and only dense makes H, as an
+    image array from its cycles.  Raises CapExceededError before the large
+    allocation: above graphs.DENSE_CAP vertices (dense), yor.BLOCK_CAP rows in
+    the largest block (irrep) or characters.COLUMN_CAP (char)."""
     if method == "auto":
         if spec.family == "full":
             method = "char"

@@ -21,8 +21,7 @@ from ._numpy import np
 from .diagrams import dimension, partitions_of, validate_diagram
 from .eigen import SpectrumReport, check_cayley_invariants, cluster_eigenvalues
 from .permutations import (
-    CapExceededError, ConnectingSetSpec, check_group, check_set_cap, group_order,
-    validate_cycle_type,
+    CapExceededError, ConnectingSetSpec, check_group, group_order, validate_cycle_type,
 )
 
 SYMMETRY_TOL = 1e-9
@@ -171,13 +170,11 @@ def hplus_matrix(shape: Sequence[int], k: int, r: int) -> np.ndarray:
     n = sum(shape)
     if not (2 <= k <= n and 0 <= r <= k):
         raise ValueError(f"no connecting set C({n},{k};{r})")
-    eigenvalue: dict[tuple[int, ...], int] = {}
+    eigenvalues = characters.class_eigenvalues((k,))
     diag = []
     for tab in standard_tableaux(shape):
         nu = tuple(c for c in (sum(v <= k for v in row) for row in tab) if c)
-        if nu not in eigenvalue:
-            eigenvalue[nu] = characters.class_eigenvalue(nu, (k,))
-        diag.append(eigenvalue[nu])
+        diag.append(eigenvalues.get(nu, 0))
     y = np.diag(np.array(diag, dtype=float))
     for i in range(k + 1, n + 1):
         # y itself walks the chain of conjugates; one accumulator sums them.
@@ -248,12 +245,10 @@ def full_spectrum_via_irreps(
     Each block value counts dim(shape) times, matching the regular
     representation of Sym(1..n); for ``group_kind`` "alternating" the
     multiplicities are halved to those of Cay(Alt, H).  Refused before any
-    block is built: an n with a block above BLOCK_CAP rows, by block_shapes;
-    then a set above SET_CAP elements, by check_set_cap; then a set of odd
-    k-cycles on Alt.
+    block is built: an n with a block above BLOCK_CAP rows, by block_shapes,
+    then a set of odd k-cycles on Alt.
     """
     shapes = block_shapes(spec.n)
-    check_set_cap(spec)
     check_group(group_kind, spec.k % 2 == 1)  # a k-cycle is even iff k is odd
     # r = 0 for C(n,k); at k = n the conjugations, and so r, play no part.
     k, r = spec.k, spec.r or 0
@@ -268,23 +263,23 @@ def full_spectrum_via_irreps(
 def char_spectrum(
     n: int, ctype: Sequence[int], group_kind: str = "symmetric"
 ) -> SpectrumReport:
-    """Spectrum of a full-conjugacy-class connecting set from one character
-    column, refused by characters.check_column_cap before it is built; no
-    diagram of n is listed.  Each diagram on the support gives the int
-    |H| chi(h)/chi(1), with multiplicity dim^2; those off it give 0, with the
-    rest of n!.  So sum m = n! holds by construction (a support whose dim^2
-    pass n! raises ArithmeticError), and sum v m = 0 and sum v^2 m = n! |H|
-    check the column."""
+    """Spectrum of a full-conjugacy-class connecting set from one pass over
+    its character column, characters.class_eigenvalues, refused by
+    characters.check_column_cap before it is built; no diagram of n is
+    listed.  Each diagram on the support gives its int eigenvalue, with
+    multiplicity dim^2; those off it give 0, with the rest of n!.  So
+    sum m = n! holds by construction (a support whose dim^2 pass n! raises
+    ArithmeticError), and sum v m = 0 and sum v^2 m = n! |H| check the
+    column."""
     ctype = validate_cycle_type(ctype, n)
     # A permutation is even iff n minus its number of cycles is even.
     check_group(group_kind, (n - len(ctype)) % 2 == 0)
-    pairs = [
-        (characters.class_eigenvalue(shape, ctype), dimension(shape) ** 2)
-        for shape in characters.character_column(ctype)
-    ]
+    eigenvalues = characters.class_eigenvalues(ctype)
+    pairs = [(value, dimension(shape) ** 2) for shape, value in eigenvalues.items()]
     rest = factorial(n) - sum(m for _, m in pairs)
     if rest < 0:
         raise ArithmeticError(f"the support of the {ctype} column has sum dim^2 above {n}!")
     if rest:
         pairs.append((0, rest))
-    return _group_report(pairs, "char", group_kind, n, characters.class_size(ctype))
+    # The trivial diagram (n) has chi = 1 = dim, so its eigenvalue is |H|.
+    return _group_report(pairs, "char", group_kind, n, eigenvalues[(n,)])

@@ -5,7 +5,8 @@ them are reference implementations the tests compare against: permutations
 as objects, with their product, cycle notation and the sorted connecting
 set; the image array of a list of permutations, the Cayley graph and the H+
 blocks of any inverse-closed set, the matrix of any permutation in Young's
-orthogonal form, the class-sum spectrum from every diagram of n, the
+orthogonal form, each class eigenvalue as a fraction of a character value
+and the class-sum spectrum from every diagram of n, the
 per-vertex equitability check with orbit and point-image partitions, the
 branching rule, and the sign of a cycle type.
 
@@ -17,13 +18,14 @@ from __future__ import annotations
 
 import itertools
 import re
+from fractions import Fraction
 from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from snspectra import yor
-from snspectra.characters import class_eigenvalue, class_size
+from snspectra.characters import class_size, mn_character
 from snspectra.diagrams import dimension, partitions_of, validate_diagram
 from snspectra.eigen import CLUSTER_TOL, SpectrumReport, cluster_eigenvalues
 from snspectra.graphs import CayleyGraph, dense_spectrum
@@ -296,15 +298,23 @@ def word_walk_spectrum(n: int, connecting_set: Sequence[Permutation]) -> list[tu
     return cluster_eigenvalues(pairs)
 
 
+def reference_class_eigenvalue(shape: Sequence[int], ctype: Sequence[int]) -> Fraction:
+    """|class| chi(h) / chi(1), the class sum's eigenvalue on the block of
+    ``shape``, as an exact fraction of one character value."""
+    return Fraction(class_size(ctype) * mn_character(shape, ctype), dimension(tuple(shape)))
+
+
 def diagram_scan_char_spectrum(
     n: int, ctype: Sequence[int], group_kind: str = "symmetric"
 ) -> SpectrumReport:
     """The class-sum spectrum scored on all p(n) diagrams of n, off the
     character's support as well as on it: each block is the int
     |H| chi(h)/chi(1), with multiplicity dim^2."""
-    pairs = [
-        (class_eigenvalue(shape, ctype), dimension(shape) ** 2) for shape in partitions_of(n)
-    ]
+    pairs = []
+    for shape in partitions_of(n):
+        value = reference_class_eigenvalue(shape, ctype)
+        assert value.denominator == 1, f"{shape} on {ctype}: {value}"
+        pairs.append((value.numerator, dimension(shape) ** 2))
     return yor._group_report(pairs, "char", group_kind, n, class_size(ctype))
 
 

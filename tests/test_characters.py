@@ -8,6 +8,7 @@ from snspectra import characters
 from snspectra.characters import (
     character_column,
     class_eigenvalue,
+    class_eigenvalues,
     class_size,
     export_character_table_csv,
     hook_value_on_ncycle,
@@ -26,7 +27,7 @@ from snspectra.diagrams import (
     validate_diagram,
 )
 
-from reference_checks import branch_restrict, class_sign
+from reference_checks import branch_restrict, class_sign, reference_class_eigenvalue
 
 
 def count_standard_fillings(shape):
@@ -192,6 +193,35 @@ class TestClassEigenvalue:
 
     def test_trivial_block_gets_class_size(self):
         assert class_eigenvalue((6,), (6,)) == class_size((6,)) == 120
+
+    @staticmethod
+    def assert_equals_the_fraction_reference(ctype):
+        n = sum(ctype)
+        expected = {}
+        for shape in partitions_of(n):
+            value = reference_class_eigenvalue(shape, ctype)
+            if value:
+                expected[shape] = value
+        got = class_eigenvalues(ctype)
+        assert got == expected
+        assert all(type(v) is int for v in got.values())
+        assert all(class_eigenvalue(shape, ctype) == expected.get(shape, 0) for shape in partitions_of(n))
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_every_class_to_10_equals_the_fraction_reference(self, n):
+        for ctype in partitions_of(n):
+            self.assert_equals_the_fraction_reference(ctype)
+
+    @pytest.mark.parametrize("n", range(11, 15))
+    def test_every_cycle_class_to_14_equals_the_fraction_reference(self, n):
+        for k in range(2, n + 1):
+            self.assert_equals_the_fraction_reference((k,) + (1,) * (n - k))
+
+    def test_non_integral_value_is_refused(self, monkeypatch):
+        # |C(7,2)| = 21 is not a multiple of dim (6,1) = 6.
+        monkeypatch.setattr(characters, "character_column", lambda ctype: {(7,): 1, (6, 1): 1})
+        with pytest.raises(ArithmeticError, match=r"^class eigenvalue for \(6, 1\) on .* is not integral$"):
+            class_eigenvalues((2, 1, 1, 1, 1, 1))
 
 
 class TestMaxRatio:

@@ -130,47 +130,31 @@ class TestBadInput:
 
 @pytest.mark.usefixtures("no_element_made")
 class TestIrrepCap:
-    """The irrep route refuses a huge H before any element of it is made:
-    C(12,12) by the set cap, after the block cap admits S12, and C(13,13) by
-    the block cap, which is checked first."""
+    """The irrep route makes no element of H, so only the block cap refuses
+    it: C(13,13) is refused by S13's largest block, before any block is
+    built."""
+
+    BLOCK = "21450-row block (5, 4, 2, 1, 1) of S13 exceeds block cap 7700"
 
     def test_verify_reports_skipped(self, capsys):
-        code, out = run_cli(
-            capsys, "verify", "--theorem", "1A", "--n", "12", "--method", "irrep",
-            "--format", "json",
-        )
-        assert code == 0
-        [outcome] = json.loads(out)
-        assert outcome["outcome"] == "skipped"
-        assert outcome["expected"] is None
-        assert outcome["detail"] == "|C(12,12)| = 39916800 exceeds set cap 1000000"
-
-    def test_spectrum_one_line_error_and_exit_code_2(self, capsys):
-        code = main(
-            ["spectrum", "--group", "S", "--n", "12", "--set", "C(12,12)", "--method", "irrep"]
-        )
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert captured.err == (
-            "snspectra spectrum: error: |C(12,12)| = 39916800 exceeds set cap 1000000\n"
-        )
-
-    def test_block_cap_comes_first_at_13(self, capsys):
-        block = "21450-row block (5, 4, 2, 1, 1) of S13 exceeds block cap 7700"
         code, out = run_cli(
             capsys, "verify", "--theorem", "1A", "--n", "13", "--method", "irrep",
             "--format", "json",
         )
         assert code == 0
         [outcome] = json.loads(out)
-        assert (outcome["outcome"], outcome["detail"]) == ("skipped", block)
+        assert outcome["outcome"] == "skipped"
+        assert outcome["expected"] is None
+        assert outcome["detail"] == self.BLOCK
+
+    def test_spectrum_one_line_error_and_exit_code_2(self, capsys):
         code = main(
             ["spectrum", "--group", "S", "--n", "13", "--set", "C(13,13)", "--method", "irrep"]
         )
         captured = capsys.readouterr()
-        assert (code, captured.out) == (2, "")
-        assert captured.err == f"snspectra spectrum: error: {block}\n"
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"snspectra spectrum: error: {self.BLOCK}\n"
 
 
 @pytest.mark.usefixtures("no_element_made")

@@ -12,7 +12,7 @@ from snspectra.permutations import (
     group_images,
     prefix_moving_cycles,
 )
-from snspectra import characters, verify, yor
+from snspectra import characters, permutations, verify, yor
 from snspectra.yor import (
     full_spectrum_via_irreps,
     char_spectrum,
@@ -272,6 +272,20 @@ class TestFullSpectra:
             char_spectrum(5, (5,), "cyclic")
 
 
+class TestNoSetCap:
+    """The irrep route and Lemma 65 make no element of H, so the set cap
+    refuses only the routes that make its cycles."""
+
+    def test_irrep_route_ignores_the_set_cap(self, monkeypatch):
+        monkeypatch.setattr(permutations, "SET_CAP", 1)
+        assert verify.verify_T13(6, 2, "irrep").outcome == "match"
+        assert verify.verify_T1A(6, "irrep").outcome == "match"
+        assert verify.verify_T65(6, 2).outcome == "match"
+        for spec in (prefix_moving_cycles(6, 3, 2), full_cycles(6, 6)):
+            with pytest.raises(CapExceededError, match=r"exceeds set cap 1$"):
+                next(permutations.connecting_cycles(spec))
+
+
 class TestBlockCap:
     def test_largest_block_of_S12_is_admitted(self):
         assert max(map(dimension, yor.block_shapes(12))) == yor.BLOCK_CAP == 7700
@@ -330,6 +344,15 @@ class TestCharSpectrum:
         monkeypatch.setattr(characters, "character_column", lambda ctype: column)
         with pytest.raises(ArithmeticError, match=r"^Cayley spectrum invariants fail: sum v m = "):
             char_spectrum(7, (7,))
+
+    @pytest.mark.parametrize("kind", ["symmetric", "alternating"])
+    def test_reads_class_size_once(self, monkeypatch, kind):
+        calls = []
+        size = characters.class_size
+        monkeypatch.setattr(characters, "class_size", lambda ctype: calls.append(ctype) or size(ctype))
+        report = char_spectrum(9, (3,) + (1,) * 6, kind)
+        assert calls == [(3,) + (1,) * 6]
+        assert report.lambda1 == size((3,) + (1,) * 6) == 168
 
     def test_support_past_n_factorial_is_refused(self, monkeypatch):
         monkeypatch.setattr(yor, "dimension", lambda shape: 100)
