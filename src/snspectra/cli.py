@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from . import characters, equitable, graphs, permutations, verify
+from . import characters, equitable, permutations, verify
 from .diagrams import parse_diagram
 from .permutations import parse_spec
 
@@ -161,7 +161,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, graphs.CapExceededError, OSError) as exc:
+    except (ValueError, permutations.CapExceededError, OSError) as exc:
         print(f"snspectra {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,8 +2,9 @@
 Young's orthogonal representation and per-block spectra of connecting sets.
 
 Each irreducible of Sym(1..n) is realized by real orthogonal matrices indexed
-by standard tableaux.  The image of a connecting set C(n,k) or C(n,k;r)
-summed over the block is built from one class sum by conjugations with the
+by standard tableaux, on which each generator s_i acts only through a content
+difference (Okounkov-Vershik 1996).  The image of C(n,k) or C(n,k;r) summed
+over the block is built from one class sum by conjugations with the
 generators; it is symmetric, so its spectrum is computed with LAPACK
 ``eigvalsh``; the union of these block spectra over all diagrams, each value
 repeated dim times, is the Cayley graph spectrum.  Spectra stay (value,
@@ -72,20 +73,27 @@ def standard_tableaux(shape: tuple[int, ...]) -> tuple[Tableau, ...]:
     return tuple(results)
 
 
-def _positions(tableau: Tableau) -> dict[int, tuple[int, int]]:
-    return {
-        value: (i, j)
-        for i, row in enumerate(tableau)
-        for j, value in enumerate(row)
-    }
+@cache
+def _content_index(shape: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Position in standard_tableaux(shape) of each tableau, keyed by its
+    content vector c: entry v at (row, column) has c[v - 1] = column - row.
+    A standard tableau is determined by its content vector."""
+    index = {}
+    for idx, tab in enumerate(standard_tableaux(shape)):
+        contents = [0] * sum(shape)
+        for row, entries in enumerate(tab):
+            for column, v in enumerate(entries):
+                contents[v - 1] = column - row
+        index[tuple(contents)] = idx
+    return index
 
 
 class _Generator(NamedTuple):
-    """Structured form of the orthogonal matrix of one adjacent transposition.
-
-    The matrix is block diagonal over tableaux: diagonal entries ``diag`` and
-    symmetric couplings ``coeff`` between tableau pairs ``(p, q)``.
-    """
+    """Structured form of the orthogonal matrix of one adjacent transposition
+    s_i, read from content vectors c: ``diag`` holds 1/a on a tableau with
+    axial distance a = c_{i+1} - c_i, and ``coeff`` the symmetric couplings
+    sqrt(1 - 1/a^2) between tableau pairs ``(p, q)`` whose content vectors
+    differ by swapping entries i and i+1."""
 
     diag: np.ndarray
     p: np.ndarray
@@ -117,30 +125,18 @@ def _generator(shape: tuple[int, ...], i: int) -> _Generator:
     n = sum(shape)
     if not 1 <= i <= n - 1:
         raise ValueError(f"generator index {i} outside 1..{n - 1}")
-    tableaux = standard_tableaux(shape)
-    index = {t: idx for idx, t in enumerate(tableaux)}
-    dim = len(tableaux)
-    diag = np.zeros(dim)
+    index = _content_index(shape)
+    diag = np.empty(len(index))
     pairs_p, pairs_q, coeffs = [], [], []
-    for t_idx, tab in enumerate(tableaux):
-        pos = _positions(tab)
-        (r1, c1), (r2, c2) = pos[i], pos[i + 1]
-        axial = (c2 - r2) - (c1 - r1)
-        if axial == 1:  # same row
-            diag[t_idx] = 1.0
-        elif axial == -1:  # same column
-            diag[t_idx] = -1.0
-        else:
-            diag[t_idx] = 1.0 / axial
-            swapped = tuple(
-                tuple(i + 1 if v == i else i if v == i + 1 else v for v in row)
-                for row in tab
-            )
-            u_idx = index[swapped]
-            if u_idx > t_idx:
-                pairs_p.append(t_idx)
-                pairs_q.append(u_idx)
-                coeffs.append(np.sqrt(1.0 - 1.0 / axial**2))
+    for c, t_idx in index.items():
+        # Swapping a row or column pair (axial +-1) gives no standard tableau.
+        axial = c[i] - c[i - 1]
+        diag[t_idx] = 1.0 / axial
+        u_idx = index.get(c[: i - 1] + (c[i], c[i - 1]) + c[i + 1 :], -1)
+        if u_idx > t_idx:
+            pairs_p.append(t_idx)
+            pairs_q.append(u_idx)
+            coeffs.append(np.sqrt(1.0 - 1.0 / axial**2))
     return _Generator(
         diag,
         np.asarray(pairs_p, dtype=np.intp),

@@ -4,11 +4,12 @@ Young's orthogonal generators, and the split sizes of C(n, r+1; r).  Beside
 them are reference implementations the tests compare against: permutations
 as objects, with their product, cycle notation and the sorted connecting
 set; the image array of a list of permutations, the Cayley graph and the H+
-blocks of any inverse-closed set, the matrix of any permutation in Young's
-orthogonal form, each class eigenvalue as a fraction of a character value
-and the class-sum spectrum from every diagram of n, the
-per-vertex equitability check with orbit and point-image partitions, the
-branching rule, and the sign of a cycle type.
+blocks of any inverse-closed set, Young's generators built from tableau
+positions and the matrix of any permutation in Young's orthogonal form, each
+class eigenvalue as a fraction of a character value and the class-sum
+spectrum from every diagram of n, the per-vertex equitability check with
+orbit and point-image partitions, the branching rule, and the sign of a cycle
+type.
 
 They compare the package against classical facts; no command or ``verify``
 row reaches them, so they live beside the tests and not in the package.
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from fractions import Fraction
+from functools import cache
 from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
@@ -38,6 +40,7 @@ from snspectra.permutations import (
     even_rows,
     group_images,
 )
+from snspectra.yor import Tableau, _Generator, standard_tableaux
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +464,55 @@ def yor_generator(shape: Sequence[int], i: int) -> np.ndarray:
     return mat
 
 
-def apply_right(g: yor._Generator, m: np.ndarray) -> np.ndarray:
+def _positions(tableau: Tableau) -> dict[int, tuple[int, int]]:
+    return {
+        value: (i, j)
+        for i, row in enumerate(tableau)
+        for j, value in enumerate(row)
+    }
+
+
+@cache
+def position_generator(shape: tuple[int, ...], i: int) -> _Generator:
+    """The generator as built before content vectors: the positions of i and
+    i+1 in each tableau, and the swapped tableau looked up in an index of
+    all of them.  yor._generator must equal it array for array."""
+    n = sum(shape)
+    if not 1 <= i <= n - 1:
+        raise ValueError(f"generator index {i} outside 1..{n - 1}")
+    tableaux = standard_tableaux(shape)
+    index = {t: idx for idx, t in enumerate(tableaux)}
+    dim = len(tableaux)
+    diag = np.zeros(dim)
+    pairs_p, pairs_q, coeffs = [], [], []
+    for t_idx, tab in enumerate(tableaux):
+        pos = _positions(tab)
+        (r1, c1), (r2, c2) = pos[i], pos[i + 1]
+        axial = (c2 - r2) - (c1 - r1)
+        if axial == 1:  # same row
+            diag[t_idx] = 1.0
+        elif axial == -1:  # same column
+            diag[t_idx] = -1.0
+        else:
+            diag[t_idx] = 1.0 / axial
+            swapped = tuple(
+                tuple(i + 1 if v == i else i if v == i + 1 else v for v in row)
+                for row in tab
+            )
+            u_idx = index[swapped]
+            if u_idx > t_idx:
+                pairs_p.append(t_idx)
+                pairs_q.append(u_idx)
+                coeffs.append(np.sqrt(1.0 - 1.0 / axial**2))
+    return _Generator(
+        diag,
+        np.asarray(pairs_p, dtype=np.intp),
+        np.asarray(pairs_q, dtype=np.intp),
+        np.asarray(coeffs),
+    )
+
+
+def apply_right(g: _Generator, m: np.ndarray) -> np.ndarray:
     """m times the matrix of the generator g, without forming that matrix."""
     out = m * g.diag[None, :]
     if len(g.p):

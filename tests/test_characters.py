@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -222,6 +222,23 @@ class TestClassEigenvalue:
         monkeypatch.setattr(characters, "character_column", lambda ctype: {(7,): 1, (6, 1): 1})
         with pytest.raises(ArithmeticError, match=r"^class eigenvalue for \(6, 1\) on .* is not integral$"):
             class_eigenvalues((2, 1, 1, 1, 1, 1))
+
+
+class TestContentPolynomials:
+    """The class sums of 2-, 3- and 4-cycles act on the block of a shape by
+    polynomials in the contents c = column - row of its boxes (Jucys-Murphy):
+    sum c, sum c^2 - C(n, 2) and sum c^3 - (2n - 3) sum c.  This checks the
+    char route without Murnaghan-Nakayama."""
+
+    @pytest.mark.parametrize("n", range(3, 21))
+    def test_class_eigenvalues_are_content_polynomials(self, n):
+        columns = {k: class_eigenvalues((k,) + (1,) * (n - k)) for k in (2, 3, 4) if k <= n}
+        for shape in partitions_of(n):
+            contents = [column - row for row, length in enumerate(shape) for column in range(length)]
+            p1, p2, p3 = (sum(c**e for c in contents) for e in (1, 2, 3))
+            expected = {2: p1, 3: p2 - comb(n, 2), 4: p3 - (2 * n - 3) * p1}
+            for k, column in columns.items():
+                assert column.get(shape, 0) == expected[k], (shape, k)
 
 
 class TestMaxRatio:

@@ -31,6 +31,7 @@ from reference_checks import (
     enumerate_connecting_set,
     from_explicit_set,
     parse_cycles,
+    position_generator,
     relation_residual,
     split_by_last_point,
     word_walk_matrix,
@@ -95,6 +96,16 @@ class TestGenerators:
     def test_index_bounds(self):
         with pytest.raises(ValueError):
             yor_generator((3, 2), 5)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_content_vectors_give_the_position_generators_bit_for_bit(self, n):
+        # The relation and image tests use tolerances; only exact equality
+        # sees a reordered pair or a coefficient rounded another way.
+        for shape in partitions_of(n):
+            for i in range(1, n):
+                got, want = yor._generator(shape, i), position_generator(shape, i)
+                for field, a, b in zip(yor._Generator._fields, got, want):
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (shape, i, field)
 
 
 class TestImages:
