@@ -20,7 +20,6 @@ from .equitable import quotient_B1, quotient_B2
 _YOR_EXPORTS = (
     "full_spectrum_via_irreps",
     "hplus_block_spectrum",
-    "standard_tableaux",
 )
 
 
@@ -53,6 +52,5 @@ __all__ = [
     "prefix_moving_cycles",
     "quotient_B1",
     "quotient_B2",
-    "standard_tableaux",
     "transpose",
 ]

@@ -6,7 +6,8 @@ All values are exact integers.  ``character_column``, the one reader of a
 class column, builds its nonzero values bottom up and caches them in process,
 after COLUMN_CAP prices the read from the cycle type.  ``class_eigenvalues``
 turns one column into the class sum's eigenvalues in one pass; the char route
-and the H+ diagonal in ``yor`` read that dict.
+reads that dict.  The irrep route in ``yor`` reads only ``character_column``,
+to check the trace of each H+ block against its diagonal of contents.
 """
 
 from __future__ import annotations

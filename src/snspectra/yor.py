@@ -2,19 +2,23 @@
 Young's orthogonal representation and per-block spectra of connecting sets.
 
 Each irreducible of Sym(1..n) is realized by real orthogonal matrices indexed
-by standard tableaux, on which each generator s_i acts only through a content
-difference (Okounkov-Vershik 1996).  The image of C(n,k) or C(n,k;r) summed
-over the block is built from one class sum by conjugations with the
-generators; it is symmetric, so its spectrum is computed with LAPACK
-``eigvalsh``; the union of these block spectra over all diagrams, each value
-repeated dim times, is the Cayley graph spectrum.  Spectra stay (value,
-multiplicity) pairs throughout and are never expanded to |G| floats.
+by standard tableaux, each held only as its content vector: a generator s_i
+acts through a content difference, and the class sum of the k-cycles on
+{1..k} acts as a product of contents (Jucys 1974; Okounkov-Vershik 1996).
+The image of C(n,k) or C(n,k;r) summed over the block is built from that
+class sum by conjugations with the generators; Murnaghan-Nakayama is read
+only to check its trace.  It is symmetric, so its spectrum is computed with
+LAPACK ``eigvalsh``; the union of these block spectra over all diagrams,
+each value repeated dim times, is the Cayley graph spectrum.  Spectra stay
+(value, multiplicity) pairs throughout and are never expanded to |G| floats.
+The char route for a whole class, ``char_spectrum``, reads one character
+column and builds no block.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import NamedTuple, Sequence
 
 from . import characters
@@ -35,56 +39,40 @@ TRACE_TOL = 1e-9
 # (5,4,2,1,1), has 21450 rows.
 BLOCK_CAP = 7700
 
-# Tableau = tuple of row tuples, e.g. ((1, 2), (3,)) for shape [2, 1].
-Tableau = tuple[tuple[int, ...], ...]
-
 
 @cache
-def standard_tableaux(shape: tuple[int, ...]) -> tuple[Tableau, ...]:
-    """All standard tableaux of the shape, in a fixed deterministic order.
+def _content_index(shape: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Position of each standard tableau of the shape, keyed by its content
+    vector c: entry v at (row, column) has c[v - 1] = column - row, and a
+    standard tableau is determined by its content vector.
 
-    Entries 1..n are placed in increasing order, branching over the rows that
-    can legally receive the next entry (lowest row first).  The first tableau
-    is always the row-reading filling.
+    Entries 1..n are placed in increasing order, branching over the rows
+    that can legally receive the next entry (lowest row first), so position
+    0 is the row-reading filling.
     """
     shape = validate_diagram(shape)
     n = sum(shape)
-    results: list[Tableau] = []
+    index: dict[tuple[int, ...], int] = {}
     fills = [0] * len(shape)
-    rows: list[list[int]] = [[] for _ in shape]
+    contents: list[int] = []
 
-    def place(value: int) -> None:
-        if value > n:
-            results.append(tuple(tuple(r) for r in rows))
+    def place() -> None:
+        if len(contents) == n:
+            index[tuple(contents)] = len(index)
             return
         for i in range(len(shape)):
             if fills[i] >= shape[i]:
                 continue
             if i > 0 and fills[i] >= fills[i - 1]:
                 continue
-            rows[i].append(value)
+            contents.append(fills[i] - i)
             fills[i] += 1
-            place(value + 1)
+            place()
             fills[i] -= 1
-            rows[i].pop()
+            contents.pop()
 
-    place(1)
-    assert len(results) == dimension(shape)
-    return tuple(results)
-
-
-@cache
-def _content_index(shape: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Position in standard_tableaux(shape) of each tableau, keyed by its
-    content vector c: entry v at (row, column) has c[v - 1] = column - row.
-    A standard tableau is determined by its content vector."""
-    index = {}
-    for idx, tab in enumerate(standard_tableaux(shape)):
-        contents = [0] * sum(shape)
-        for row, entries in enumerate(tab):
-            for column, v in enumerate(entries):
-                contents[v - 1] = column - row
-        index[tuple(contents)] = idx
+    place()
+    assert len(index) == dimension(shape)
     return index
 
 
@@ -151,27 +139,23 @@ def hplus_matrix(shape: Sequence[int], k: int, r: int) -> np.ndarray:
     r = 0 for C(n,k); at k = n every r gives C(n,n).
 
     It is built from the class sum of the k-cycles on {1..k}.  That sum is
-    central in Sym(1..k), so in this Gelfand-Tsetlin basis it is diagonal:
-    on tableau T it is the class eigenvalue of the shape that 1..k fill in T.
+    the product of the Jucys-Murphy elements X_2 ... X_k, and X_i acts on
+    tableau T of this Gelfand-Tsetlin basis as the content c_i(T), so the
+    sum is diagonal, c_2(T) ... c_k(T) on T.
     Let Y_i be the sum over the supports inside {1..i} that contain {1..r};
     it is Sym({r+1..i})-invariant.  Conjugating by the i - r chains
     s_j ... s_{i-1} (j = r+1..i) reaches every support inside {1..i} exactly
     i - k times, so Y_i is that sum of conjugates of Y_{i-1} divided by
     i - k, and H+ = Y_n.  H is inverse-closed, so the result must be
     symmetric, and every element of H is a k-cycle, so its trace must be
-    |H| chi(k-cycle); either failing beyond tolerance signals an assembly
-    bug.
+    |H| chi(k-cycle) by Murnaghan-Nakayama; either failing beyond tolerance
+    signals an assembly bug.
     """
     shape = validate_diagram(shape)
     n = sum(shape)
     if not (2 <= k <= n and 0 <= r <= k):
         raise ValueError(f"no connecting set C({n},{k};{r})")
-    eigenvalues = characters.class_eigenvalues((k,))
-    diag = []
-    for tab in standard_tableaux(shape):
-        nu = tuple(c for c in (sum(v <= k for v in row) for row in tab) if c)
-        diag.append(eigenvalues.get(nu, 0))
-    y = np.diag(np.array(diag, dtype=float))
+    y = np.diag(np.array([prod(c[1:k]) for c in _content_index(shape)], dtype=float))
     for i in range(k + 1, n + 1):
         # y itself walks the chain of conjugates; one accumulator sums them.
         acc = y.copy()

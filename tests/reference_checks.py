@@ -4,8 +4,10 @@ Young's orthogonal generators, and the split sizes of C(n, r+1; r).  Beside
 them are reference implementations the tests compare against: permutations
 as objects, with their product, cycle notation and the sorted connecting
 set; the image array of a list of permutations, the Cayley graph and the H+
-blocks of any inverse-closed set, Young's generators built from tableau
-positions and the matrix of any permutation in Young's orthogonal form, each
+blocks of any inverse-closed set, standard tableaux as row tuples, with
+their content vectors and the class-sum diagonal by Murnaghan-Nakayama,
+Young's generators built from tableau positions and the matrix of any
+permutation in Young's orthogonal form, each
 class eigenvalue as a fraction of a character value and the class-sum
 spectrum from every diagram of n, the per-vertex equitability check with
 orbit and point-image partitions, the branching rule, and the sign of a cycle
@@ -27,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from snspectra import yor
-from snspectra.characters import class_size, mn_character
+from snspectra.characters import class_eigenvalues, class_size, mn_character
 from snspectra.diagrams import dimension, partitions_of, validate_diagram
 from snspectra.eigen import CLUSTER_TOL, SpectrumReport, cluster_eigenvalues
 from snspectra.graphs import CayleyGraph, dense_spectrum
@@ -40,7 +42,7 @@ from snspectra.permutations import (
     even_rows,
     group_images,
 )
-from snspectra.yor import Tableau, _Generator, standard_tableaux
+from snspectra.yor import _Generator
 
 
 # ---------------------------------------------------------------------------
@@ -454,6 +456,63 @@ def split_by_last_point(
 
 # ---------------------------------------------------------------------------
 # Young's orthogonal form
+
+# Tableau = tuple of row tuples, e.g. ((1, 2), (3,)) for shape [2, 1].
+Tableau = tuple[tuple[int, ...], ...]
+
+
+@cache
+def standard_tableaux(shape: tuple[int, ...]) -> tuple[Tableau, ...]:
+    """All standard tableaux of the shape as row tuples, in the order of
+    yor._content_index: entries 1..n are placed in increasing order,
+    branching over the rows that can legally receive the next entry (lowest
+    row first).  The first tableau is always the row-reading filling."""
+    shape = validate_diagram(shape)
+    n = sum(shape)
+    results: list[Tableau] = []
+    fills = [0] * len(shape)
+    rows: list[list[int]] = [[] for _ in shape]
+
+    def place(value: int) -> None:
+        if value > n:
+            results.append(tuple(tuple(r) for r in rows))
+            return
+        for i in range(len(shape)):
+            if fills[i] >= shape[i]:
+                continue
+            if i > 0 and fills[i] >= fills[i - 1]:
+                continue
+            rows[i].append(value)
+            fills[i] += 1
+            place(value + 1)
+            fills[i] -= 1
+            rows[i].pop()
+
+    place(1)
+    assert len(results) == dimension(shape)
+    return tuple(results)
+
+
+def tableau_contents(tableau: Tableau) -> tuple[int, ...]:
+    """The content vector c of a tableau: entry v at (row, column) has
+    c[v - 1] = column - row."""
+    contents = [0] * sum(map(len, tableau))
+    for row, entries in enumerate(tableau):
+        for column, v in enumerate(entries):
+            contents[v - 1] = column - row
+    return tuple(contents)
+
+
+def mn_class_diagonal(shape: tuple[int, ...], k: int) -> list[int]:
+    """The class sum of the k-cycles on {1..k} on each standard tableau T of
+    the shape, by Murnaghan-Nakayama: the class eigenvalue of the shape that
+    1..k fill in T."""
+    eigenvalues = class_eigenvalues((k,))
+    diag = []
+    for tab in standard_tableaux(shape):
+        nu = tuple(c for c in (sum(v <= k for v in row) for row in tab) if c)
+        diag.append(eigenvalues.get(nu, 0))
+    return diag
 
 
 def yor_generator(shape: Sequence[int], i: int) -> np.ndarray:

@@ -489,8 +489,7 @@ class TestNoPermutationObjects:
         "dense_spectrum", "dimension", "full_cycles", "full_spectrum_via_irreps",
         "generated_subgroup_kind", "hook_value_on_ncycle", "hplus_block_spectrum",
         "max_ratio_diagram", "mn_character", "natural_module_spectrum", "parse_spec",
-        "partitions_of", "prefix_moving_cycles", "quotient_B1", "quotient_B2",
-        "standard_tableaux", "transpose",
+        "partitions_of", "prefix_moving_cycles", "quotient_B1", "quotient_B2", "transpose",
     ]
     MOVED = {
         permutations: [
@@ -498,7 +497,10 @@ class TestNoPermutationObjects:
             "_CYCLE_RE", "cycle_string", "as_permutations", "enumerate_connecting_set",
             "symmetric_group", "alternating_group",
         ],
-        yor: ["yor_image", "yor_generator", "adjacent_word", "Permutation"],
+        yor: [
+            "yor_image", "yor_generator", "adjacent_word", "Permutation", "standard_tableaux",
+            "Tableau",
+        ],
         equitable: [
             "is_equitable", "partition_P1", "partition_P2", "_three_blocks", "_check_partition",
             "MalformedPartitionError", "VertexPartition", "np", "CayleyGraph",

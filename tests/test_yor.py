@@ -1,4 +1,4 @@
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from snspectra.yor import (
     char_spectrum,
     hplus_block_spectrum,
     hplus_matrix,
-    standard_tableaux,
 )
 
 from reference_checks import (
@@ -30,15 +29,22 @@ from reference_checks import (
     diagram_scan_char_spectrum,
     enumerate_connecting_set,
     from_explicit_set,
+    mn_class_diagonal,
     parse_cycles,
     position_generator,
     relation_residual,
     split_by_last_point,
+    standard_tableaux,
+    tableau_contents,
     word_walk_matrix,
     word_walk_spectrum,
     yor_generator,
     yor_image,
 )
+
+
+def refuse_class_eigenvalues(ctype):
+    raise AssertionError(f"class_eigenvalues({ctype}) read")
 
 
 def word_oracle(g):
@@ -65,6 +71,28 @@ class TestTableaux:
             assert all(r == sorted(r) for r in rows)
             for i in range(len(rows) - 1):
                 assert all(a < b for a, b in zip(rows[i], rows[i + 1]))
+
+
+class TestContentIndex:
+    def test_first_is_row_reading(self):
+        assert next(iter(yor._content_index((3, 2)))) == (0, 1, 2, -1, 0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_keys_are_the_reference_tableaux_in_order(self, n):
+        for shape in partitions_of(n):
+            index = yor._content_index(shape)
+            assert list(index) == [tableau_contents(t) for t in standard_tableaux(shape)]
+            assert list(index.values()) == list(range(len(index)))
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_jucys_product_is_the_murnaghan_nakayama_diagonal(self, n):
+        # The class sum of the k-cycles on {1..k} is X_2 ... X_k, so on a
+        # tableau it is c_2 ... c_k; by characters, the class eigenvalue of
+        # the shape that 1..k fill.
+        for shape in partitions_of(n):
+            keys = yor._content_index(shape)
+            for k in range(2, n + 1):
+                assert [prod(c[1:k]) for c in keys] == mn_class_diagonal(shape, k), (shape, k)
 
 
 class TestWords:
@@ -199,6 +227,20 @@ class TestBlockSums:
         assert mn_character(shape, (k,) + (1,) * (sum(shape) - k)) == 0
         assert np.abs(hplus_matrix(shape, k, 0)).max() < 1e-12
 
+    def test_wrong_character_is_refused_by_the_trace(self, monkeypatch):
+        # The diagonal is read from contents, the trace from characters, so a
+        # doctored column no longer agrees with the block: the hook (6,1) has
+        # value -1 on the 7-cycles, and |H| = 6! = 720.
+        column = dict(characters.character_column((7,)))
+        column[(6, 1)] = 1
+        real = characters.character_column
+        monkeypatch.setattr(
+            characters, "character_column", lambda ctype: column if ctype == (7,) else real(ctype)
+        )
+        message = r"^H\+ block for \(6, 1\) has trace -720, not 720$"
+        with pytest.raises(ArithmeticError, match=message):
+            hplus_matrix((6, 1), 7, 7)
+
     def test_wrong_coefficient_is_refused_by_the_trace(self, monkeypatch):
         # Scaling one generator's couplings keeps the block symmetric, but
         # moves its trace off |H| chi(3-cycle) = 16 * -48 = -768.
@@ -222,7 +264,7 @@ class TestBlockWorkingSet:
     def test_peak_within_three_blocks(self, traced_peak, k, r):
         shape = (4, 3, 2, 1)
         for i in range(1, 10):
-            yor._generator(shape, i)  # cached tableaux and generators
+            yor._generator(shape, i)  # cached content index and generators
         block = dimension(shape) ** 2 * 8
         assert traced_peak(lambda: hplus_matrix(shape, k, r)) <= 3 * block
 
@@ -238,10 +280,28 @@ class TestFullSpectra:
         assert report.eigenvalues == [(24.0, 2), (4.0, 36), (0.0, 50), (-6.0, 32)]
         assert report.lambda2 == 4.0
 
-    def test_agrees_with_char_spectrum(self):
-        irrep = full_spectrum_via_irreps(full_cycles(6, 5))
-        by_char = char_spectrum(6, (5, 1))
-        assert irrep.eigenvalues == by_char.eigenvalues
+    def test_agrees_with_char_spectrum(self, monkeypatch):
+        # Every C(n,k) with n <= 8, on Alt too where H is even. The irrep
+        # route reads no class eigenvalue: its diagonal is a product of contents.
+        cases = [
+            (n, k, kind)
+            for n in range(2, 9)
+            for k in range(2, n + 1)
+            for kind in (["symmetric", "alternating"] if k % 2 else ["symmetric"])
+        ]
+        with monkeypatch.context() as m:
+            m.setattr(characters, "class_eigenvalues", refuse_class_eigenvalues)
+            irrep = [full_spectrum_via_irreps(full_cycles(n, k), kind) for n, k, kind in cases]
+        assert len(cases) == 40
+        for (n, k, kind), report in zip(cases, irrep):
+            by_char = char_spectrum(n, (k,) + (1,) * (n - k), kind)
+            assert report.eigenvalues == by_char.eigenvalues, (n, k, kind)
+
+    def test_theorems_by_irrep_read_no_class_eigenvalue(self, monkeypatch):
+        monkeypatch.setattr(characters, "class_eigenvalues", refuse_class_eigenvalues)
+        outcomes = [verify.verify_T1A(6, "irrep"), verify.verify_T1B(6, "irrep")]
+        outcomes += [verify.verify_T13(6, r, "irrep") for r in range(2, 5)]
+        assert [o.outcome for o in outcomes] == ["match"] * 5
 
     @pytest.mark.parametrize(
         "spec", [prefix_moving_cycles(7, 3, 2), full_cycles(6, 5), prefix_moving_cycles(6, 4, 1)]
