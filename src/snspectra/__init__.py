@@ -10,7 +10,7 @@ from .permutations import (
     prefix_moving_cycles,
 )
 from .diagrams import dimension, partitions_of, transpose
-from .characters import class_eigenvalue, hook_value_on_ncycle, max_ratio_diagram, mn_character
+from .characters import max_ratio_diagram, mn_character
 from .graphs import CayleyGraph, build, dense_spectrum, natural_module_spectrum
 from .eigen import SpectrumReport
 from .equitable import quotient_B1, quotient_B2
@@ -36,13 +36,11 @@ __all__ = [
     "ConnectingSetSpec",
     "SpectrumReport",
     "build",
-    "class_eigenvalue",
     "dense_spectrum",
     "dimension",
     "full_cycles",
     "full_spectrum_via_irreps",
     "generated_subgroup_kind",
-    "hook_value_on_ncycle",
     "hplus_block_spectrum",
     "max_ratio_diagram",
     "mn_character",

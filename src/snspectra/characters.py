@@ -22,8 +22,6 @@ from typing import Iterable, Mapping, Sequence
 from .diagrams import (
     dimension,
     diagram_string,
-    hook_leg,
-    is_hook,
     partition_count,
     partitions_of,
     validate_diagram,
@@ -114,14 +112,6 @@ def mn_character(shape: Sequence[int], ctype: Sequence[int]) -> int:
     return character_column(ctype).get(shape, 0)
 
 
-def hook_value_on_ncycle(shape: Sequence[int]) -> int:
-    """Character value at the n-cycle class: (-1)**leg for hooks, else 0."""
-    shape = validate_diagram(shape)
-    if not is_hook(shape):
-        return 0
-    return (-1) ** hook_leg(shape)
-
-
 def class_eigenvalues(ctype: Sequence[int]) -> dict[tuple[int, ...], int]:
     """{shape: |class| chi^shape(ctype) / chi^shape(1)} over the support of
     character_column(ctype): the class sum's eigenvalue on each block, zero
@@ -135,13 +125,6 @@ def class_eigenvalues(ctype: Sequence[int]) -> dict[tuple[int, ...], int]:
             raise ArithmeticError(f"class eigenvalue for {shape} on {ctype} is not integral")
         eigenvalues[shape] = value
     return eigenvalues
-
-
-def class_eigenvalue(shape: Sequence[int], ctype: Sequence[int]) -> int:
-    """The class sum's eigenvalue on the block of ``shape``: its entry in
-    class_eigenvalues(ctype), 0 off the support."""
-    shape = validate_diagram(shape)
-    return class_eigenvalues(validate_cycle_type(ctype, sum(shape))).get(shape, 0)
 
 
 def _best_ratio(

@@ -92,15 +92,3 @@ def dimension(rows: tuple[int, ...]) -> int:
     d, rem = divmod(factorial(n), product)
     assert rem == 0
     return d
-
-
-def is_hook(rows: tuple[int, ...]) -> bool:
-    """True for shapes [n-m, 1^m] (including [n] and [1^n])."""
-    return len(rows) == 1 or rows[1] == 1
-
-
-def hook_leg(rows: tuple[int, ...]) -> int:
-    if not is_hook(rows):
-        raise ValueError(f"{rows} is not a hook")
-    return len(rows) - 1
-

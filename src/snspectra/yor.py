@@ -5,12 +5,12 @@ Each irreducible of Sym(1..n) is realized by real orthogonal matrices indexed
 by standard tableaux, each held only as its content vector: a generator s_i
 acts through a content difference, and the class sum of the k-cycles on
 {1..k} acts as a product of contents (Jucys 1974; Okounkov-Vershik 1996).
-The image of C(n,k) or C(n,k;r) summed over the block is built from that
-class sum by conjugations with the generators; Murnaghan-Nakayama is read
-only to check its trace.  It is symmetric, so its spectrum is computed with
-LAPACK ``eigvalsh``; the union of these block spectra over all diagrams,
-each value repeated dim times, is the Cayley graph spectrum.  Spectra stay
-(value, multiplicity) pairs throughout and are never expanded to |G| floats.
+The image of C(n,k;r) on a block is dim(mu) copies of one symmetric image on
+the skew shape shape/mu for each mu |- r, 0 unless mu is a hook, built from
+that class sum by conjugations with the generators; Murnaghan-Nakayama is
+read only to check the traces.  The union of their ``eigvalsh`` spectra over
+all diagrams, each value repeated dim times, is the Cayley graph spectrum.
+Spectra stay (value, multiplicity) pairs and are never expanded to |G| floats.
 The char route for a whole class, ``char_spectrum``, reads one character
 column and builds no block.
 """
@@ -41,23 +41,29 @@ BLOCK_CAP = 7700
 
 
 @cache
-def _content_index(shape: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """Position of each standard tableau of the shape, keyed by its content
-    vector c: entry v at (row, column) has c[v - 1] = column - row, and a
-    standard tableau is determined by its content vector.
+def _content_index(
+    shape: tuple[int, ...], inner: tuple[int, ...] = ()
+) -> dict[tuple[int, ...], int]:
+    """Position of each standard tableau of the skew shape shape/inner, keyed
+    by its content vector: with r = |inner|, entry v at (row, column) has
+    c[v - r - 1] = column - row, and a standard skew tableau is determined by
+    its content vector.  inner = () is the whole shape.
 
-    Entries 1..n are placed in increasing order, branching over the rows
-    that can legally receive the next entry (lowest row first), so position
-    0 is the row-reading filling.
+    Entries r+1..n are placed around inner in increasing order, branching
+    over the rows that can legally receive the next entry (lowest row
+    first), so position 0 is the row-reading filling.
     """
     shape = validate_diagram(shape)
-    n = sum(shape)
+    inner = validate_diagram(inner) if inner else ()
+    if len(inner) > len(shape) or any(a > b for a, b in zip(inner, shape)):
+        raise ValueError(f"{inner} is not inside {shape}")
+    size = sum(shape) - sum(inner)
     index: dict[tuple[int, ...], int] = {}
-    fills = [0] * len(shape)
+    fills = list(inner) + [0] * (len(shape) - len(inner))
     contents: list[int] = []
 
     def place() -> None:
-        if len(contents) == n:
+        if len(contents) == size:
             index[tuple(contents)] = len(index)
             return
         for i in range(len(shape)):
@@ -72,7 +78,6 @@ def _content_index(shape: tuple[int, ...]) -> dict[tuple[int, ...], int]:
             contents.pop()
 
     place()
-    assert len(index) == dimension(shape)
     return index
 
 
@@ -109,11 +114,13 @@ class _Generator(NamedTuple):
 
 
 @cache
-def _generator(shape: tuple[int, ...], i: int) -> _Generator:
-    n = sum(shape)
-    if not 1 <= i <= n - 1:
-        raise ValueError(f"generator index {i} outside 1..{n - 1}")
-    index = _content_index(shape)
+def _generator(shape: tuple[int, ...], i: int, inner: tuple[int, ...] = ()) -> _Generator:
+    """s_i of the skew shape shape/inner, acting on entries |inner| + i and
+    |inner| + i + 1."""
+    size = sum(shape) - sum(inner)
+    if not 1 <= i <= size - 1:
+        raise ValueError(f"generator index {i} outside 1..{size - 1}")
+    index = _content_index(shape, inner)
     diag = np.empty(len(index))
     pairs_p, pairs_q, coeffs = [], [], []
     for c, t_idx in index.items():
@@ -133,53 +140,76 @@ def _generator(shape: tuple[int, ...], i: int) -> _Generator:
     )
 
 
-def hplus_matrix(shape: Sequence[int], k: int, r: int) -> np.ndarray:
-    """H+ of C(n,k;r) on the block labeled by ``shape``, n = |shape|: the sum
-    of the images of the k-cycles of Sym(1..n) that move all of {1..r}, with
-    r = 0 for C(n,k); at k = n every r gives C(n,n).
+def _check_set(n: int, k: int, r: int) -> None:
+    if not (2 <= k <= n and 0 <= r <= k):
+        raise ValueError(f"no connecting set C({n},{k};{r})")
+
+
+def hplus_matrix(shape: Sequence[int], k: int, inner: Sequence[int]) -> np.ndarray:
+    """H+ of C(n,k;r), r = |inner|, on the skew block shape/inner, n = |shape|:
+    the sum of the images of the k-cycles of Sym(1..n) that move all of
+    {1..r}, on the tableaux whose entries 1..r fill inner in one fixed way;
+    inner = () gives C(n,k) on the whole block.
 
     It is built from the class sum of the k-cycles on {1..k}.  That sum is
     the product of the Jucys-Murphy elements X_2 ... X_k, and X_i acts on
     tableau T of this Gelfand-Tsetlin basis as the content c_i(T), so the
-    sum is diagonal, c_2(T) ... c_k(T) on T.
+    sum is diagonal, c_2(T) ... c_k(T) on T; c_2 ... c_r is the product of
+    the contents of inner's cells but (0, 0), 0 unless inner is a hook.
     Let Y_i be the sum over the supports inside {1..i} that contain {1..r};
     it is Sym({r+1..i})-invariant.  Conjugating by the i - r chains
     s_j ... s_{i-1} (j = r+1..i) reaches every support inside {1..i} exactly
     i - k times, so Y_i is that sum of conjugates of Y_{i-1} divided by
-    i - k, and H+ = Y_n.  H is inverse-closed, so the result must be
-    symmetric, and every element of H is a k-cycle, so its trace must be
-    |H| chi(k-cycle) by Murnaghan-Nakayama; either failing beyond tolerance
-    signals an assembly bug.
+    i - k, and H+ = Y_n; s_j is generator j - r of shape/inner.  H is
+    inverse-closed, so an asymmetry beyond tolerance signals an assembly bug.
     """
-    shape = validate_diagram(shape)
-    n = sum(shape)
-    if not (2 <= k <= n and 0 <= r <= k):
-        raise ValueError(f"no connecting set C({n},{k};{r})")
-    y = np.diag(np.array([prod(c[1:k]) for c in _content_index(shape)], dtype=float))
+    shape, inner = validate_diagram(shape), tuple(inner)
+    n, r = sum(shape), sum(inner)
+    _check_set(n, k, r)
+    head = [j - i for i, row in enumerate(inner) for j in range(row)]
+    index = _content_index(shape, inner)
+    y = np.diag(np.array([prod((*head, *c)[1:k]) for c in index], dtype=float))
     for i in range(k + 1, n + 1):
         # y itself walks the chain of conjugates; one accumulator sums them.
         acc = y.copy()
         for j in range(i - 1, r, -1):
-            _generator(shape, j).conjugate(y)
+            _generator(shape, j - r, inner).conjugate(y)
             acc += y
         acc /= i - k
         y = acc
     diff = y - y.T
     asym = np.abs(diff, out=diff).max()
     if not asym <= SYMMETRY_TOL:  # a NaN is refused too
-        raise ArithmeticError(f"H+ block for {shape} asymmetric by {asym:.3e}")
-    size = factorial(k - 1) * comb(n - r, k - r)
-    exact = size * characters.character_column((k,) + (1,) * (n - k)).get(shape, 0)
-    trace = float(np.trace(y))
-    if not abs(trace - exact) <= TRACE_TOL * size:
-        raise ArithmeticError(f"H+ block for {shape} has trace {trace:.6g}, not {exact}")
+        raise ArithmeticError(f"H+ block for {shape}/{inner} asymmetric by {asym:.3e}")
     return y
 
 
 def hplus_block_spectrum(shape: Sequence[int], k: int, r: int) -> list[tuple[float, int]]:
-    """Clustered eigenvalues of H+ of C(n,k;r) on one block."""
-    values = np.linalg.eigvalsh(hplus_matrix(shape, k, r))
-    return cluster_eigenvalues([(v, 1) for v in values.tolist()])
+    """Clustered eigenvalues of H+ of C(n,k;r) over the dim(shape) rows of a
+    block.  H+ commutes with Sym(1..r): it is dim(mu) copies of
+    hplus_matrix(shape, k, mu) for each hook mu |- r inside shape, and 0 on
+    every other row.  Every element of H is a k-cycle, so sum dim(mu) trace
+    must be |H| chi(k-cycle) by Murnaghan-Nakayama, relative to |H|."""
+    shape = validate_diagram(shape)
+    n = sum(shape)
+    _check_set(n, k, r)
+    # The hooks (r - a, 1^a) inside shape, of dim C(r-1, a); mu = () for r = 0.
+    fit = range(max(0, r - shape[0]), min(r, len(shape)))
+    hooks = [((r - a,) + (1,) * a, comb(r - 1, a)) for a in fit] if r else [((), 1)]
+    pairs: list[tuple[float, int]] = []
+    trace, rows = 0.0, 0
+    for mu, copies in hooks:
+        block = hplus_matrix(shape, k, mu)
+        trace += copies * float(np.trace(block))
+        rows += copies * len(block)
+        pairs += [(v, copies) for v in np.linalg.eigvalsh(block).tolist()]
+    if rows < dimension(shape):
+        pairs.append((0.0, dimension(shape) - rows))
+    size = factorial(k - 1) * comb(n - r, k - r)
+    exact = size * characters.character_column((k,) + (1,) * (n - k)).get(shape, 0)
+    if not abs(trace - exact) <= TRACE_TOL * size:
+        raise ArithmeticError(f"H+ block for {shape} has trace {trace:.6g}, not {exact}")
+    return cluster_eigenvalues(pairs)
 
 
 def _group_report(
@@ -230,8 +260,8 @@ def full_spectrum_via_irreps(
     """
     shapes = block_shapes(spec.n)
     check_group(group_kind, spec.k % 2 == 1)  # a k-cycle is even iff k is odd
-    # r = 0 for C(n,k); at k = n the conjugations, and so r, play no part.
-    k, r = spec.k, spec.r or 0
+    # r = 0 for C(n,k); every n-cycle moves 1..n-1, so C(n,n) = C(n,n;n-1).
+    k, r = spec.k, spec.n - 1 if spec.k == spec.n else spec.r or 0
     pairs = [
         (value, mult * dimension(shape))
         for shape in shapes

@@ -6,12 +6,13 @@ as objects, with their product, cycle notation and the sorted connecting
 set; the image array of a list of permutations, the Cayley graph and the H+
 blocks of any inverse-closed set, standard tableaux as row tuples, with
 their content vectors and the class-sum diagonal by Murnaghan-Nakayama,
-Young's generators built from tableau positions and the matrix of any
+Young's generators built from tableau positions, the whole H+ block put
+together from its skew blocks, and the matrix of any
 permutation in Young's orthogonal form, each
 class eigenvalue as a fraction of a character value and the class-sum
 spectrum from every diagram of n, the per-vertex equitability check with
-orbit and point-image partitions, the branching rule, and the sign of a cycle
-type.
+orbit and point-image partitions, the branching rule, hooks, and the sign of
+a cycle type.
 
 They compare the package against classical facts; no command or ``verify``
 row reaches them, so they live beside the tests and not in the package.
@@ -508,11 +509,39 @@ def mn_class_diagonal(shape: tuple[int, ...], k: int) -> list[int]:
     the shape, by Murnaghan-Nakayama: the class eigenvalue of the shape that
     1..k fill in T."""
     eigenvalues = class_eigenvalues((k,))
-    diag = []
-    for tab in standard_tableaux(shape):
-        nu = tuple(c for c in (sum(v <= k for v in row) for row in tab) if c)
-        diag.append(eigenvalues.get(nu, 0))
-    return diag
+    return [eigenvalues.get(restricted_shape(tab, k), 0) for tab in standard_tableaux(shape)]
+
+
+def fits(inner: tuple[int, ...], shape: tuple[int, ...]) -> bool:
+    """True when the diagram inner lies inside shape."""
+    return len(inner) <= len(shape) and all(a <= b for a, b in zip(inner, shape))
+
+
+def restricted_shape(tableau: Tableau, r: int) -> tuple[int, ...]:
+    """The shape that the entries 1..r fill in the tableau."""
+    return tuple(c for c in (sum(v <= r for v in row) for row in tableau) if c)
+
+
+def skew_assembled_block(shape: tuple[int, ...], k: int, r: int) -> np.ndarray:
+    """H+ of C(n,k;r) on the whole block of shape, put together from the skew
+    blocks yor.hplus_matrix(shape, k, mu) of every mu |- r inside shape, hook
+    or not: each filling h of mu by 1..r gets one copy, on the tableaux whose
+    content vectors are h followed by a key of the skew index.  Every row of
+    the whole block must be reached exactly once."""
+    whole = yor._content_index(shape)
+    block = np.zeros((len(whole), len(whole)))
+    reached: list[int] = []
+    for mu in partitions_of(r):
+        if not fits(mu, shape):
+            continue
+        skew = yor.hplus_matrix(shape, k, mu)
+        heads = [tableau_contents(t) for t in standard_tableaux(mu)] if mu else [()]
+        for head in heads:
+            at = [whole[head + tail] for tail in yor._content_index(shape, mu)]
+            block[np.ix_(at, at)] = skew
+            reached += at
+    assert sorted(reached) == list(range(len(whole))), (shape, r)
+    return block
 
 
 def yor_generator(shape: Sequence[int], i: int) -> np.ndarray:
@@ -765,6 +794,11 @@ def branch_restrict(rows: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
             child = rows[:i] + ((part - 1,) if part > 1 else ()) + rows[i + 1:]
             children.append(child)
     return tuple(children)
+
+
+def is_hook(rows: tuple[int, ...]) -> bool:
+    """True for shapes [n-m, 1^m] (including [n] and [1^n])."""
+    return len(rows) == 1 or rows[1] == 1
 
 
 def class_sign(ctype: Sequence[int]) -> int:

@@ -1,9 +1,9 @@
-from math import factorial, prod
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
 
-from snspectra.characters import class_eigenvalue, mn_character
+from snspectra.characters import class_eigenvalues, mn_character
 from snspectra.diagrams import dimension, partition_count, partitions_of
 from snspectra.graphs import dense_spectrum
 from snspectra.permutations import (
@@ -28,11 +28,14 @@ from reference_checks import (
     cycle_type,
     diagram_scan_char_spectrum,
     enumerate_connecting_set,
+    fits,
     from_explicit_set,
     mn_class_diagonal,
     parse_cycles,
     position_generator,
     relation_residual,
+    restricted_shape,
+    skew_assembled_block,
     split_by_last_point,
     standard_tableaux,
     tableau_contents,
@@ -83,6 +86,31 @@ class TestContentIndex:
             index = yor._content_index(shape)
             assert list(index) == [tableau_contents(t) for t in standard_tableaux(shape)]
             assert list(index.values()) == list(range(len(index)))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_skew_keys_are_the_reference_tails_in_order(self, n):
+        # For every mu inside shape, each filling of mu by 1..r is followed,
+        # in the reference order, by the skew index's keys; so the f^shape
+        # rows split into dim(mu) copies of f^(shape/mu) rows over mu |- r.
+        for shape in partitions_of(n):
+            for r in range(n + 1):
+                rows = 0
+                for mu in filter(lambda mu: fits(mu, shape), partitions_of(r)):
+                    keys = list(yor._content_index(shape, mu))
+                    tails: dict[tuple[int, ...], list] = {}
+                    for t in standard_tableaux(shape):
+                        if restricted_shape(t, r) == mu:
+                            c = tableau_contents(t)
+                            tails.setdefault(c[:r], []).append(c[r:])
+                    assert len(tails) == (dimension(mu) if mu else 1), (shape, mu)
+                    assert all(tail == keys for tail in tails.values()), (shape, mu)
+                    rows += len(tails) * len(keys)
+                assert rows == dimension(shape), (shape, r)
+
+    @pytest.mark.parametrize("inner", [(2, 2), (1, 1, 1), (4,), (2, 3)])
+    def test_inner_not_inside_shape_is_refused(self, inner):
+        with pytest.raises(ValueError):
+            yor._content_index((3, 1), inner)
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_jucys_product_is_the_murnaghan_nakayama_diagonal(self, n):
@@ -175,9 +203,10 @@ class TestImages:
 class TestBlockSums:
     def test_class_block_is_scalar(self):
         # A full conjugacy class acts as the scalar |H| chi(h) / chi(1).
+        eigenvalues = class_eigenvalues((6,))
         for shape in partitions_of(6):
-            mat = hplus_matrix(shape, 6, 6)
-            expected = float(class_eigenvalue(shape, (6,)))
+            mat = hplus_matrix(shape, 6, ())
+            expected = float(eigenvalues.get(shape, 0))
             assert np.abs(mat - expected * np.eye(dimension(shape))).max() < 1e-8
 
     def test_scalar_block_example(self):
@@ -196,28 +225,29 @@ class TestBlockSums:
     @pytest.mark.parametrize("k, r", [(1, 0), (5, 0), (3, 4), (3, -1)])
     def test_rejects_parameters_of_no_set(self, k, r):
         with pytest.raises(ValueError, match=rf"^no connecting set C\(4,{k};{r}\)$"):
-            hplus_matrix((3, 1), k, r)
+            hplus_block_spectrum((3, 1), k, r)
 
     def test_trivial_block_counts_set(self):
         connecting = enumerate_connecting_set(prefix_moving_cycles(7, 4, 2))
-        assert hplus_matrix((7,), 4, 2)[0, 0] == pytest.approx(len(connecting))
+        # (7)/(2) has one box.
+        assert hplus_matrix((7,), 4, (2,)).tolist() == [[pytest.approx(len(connecting))]]
 
     def test_corrupted_generator_is_refused(self, monkeypatch):
         # A finite change to a coefficient keeps the generator symmetric, and
         # so the block; a NaN compares false with any tolerance.
         real = yor._generator
 
-        def corrupted(shape, i):
-            g = real(shape, i)
-            if i == 3:
+        def corrupted(shape, i, inner=()):
+            g = real(shape, i, inner)
+            if i + sum(inner) == 3:  # s_3
                 g = g._replace(coeff=g.coeff.copy())
                 g.coeff[0] = np.nan
             return g
 
         monkeypatch.setattr(yor, "_generator", corrupted)
-        message = r"^H\+ block for \(4, 3, 2, 1\) asymmetric by nan$"
+        message = r"^H\+ block for \(4, 3, 2, 1\)/\(2,\) asymmetric by nan$"
         with pytest.raises(ArithmeticError, match=message):
-            hplus_matrix((4, 3, 2, 1), 3, 2)
+            hplus_block_spectrum((4, 3, 2, 1), 3, 2)
 
     @pytest.mark.parametrize("shape, k", [((3, 1), 3), ((5, 1, 1), 5), ((6, 1), 6)])
     def test_block_that_cancels_to_zero_passes_the_trace_check(self, shape, k):
@@ -225,7 +255,8 @@ class TestBlockSums:
         # largest entry (-8.9e-14 against 3.2e-14 for (6, 1)), so the
         # tolerance is scaled by |H|, which bounds every entry.
         assert mn_character(shape, (k,) + (1,) * (sum(shape) - k)) == 0
-        assert np.abs(hplus_matrix(shape, k, 0)).max() < 1e-12
+        assert np.abs(hplus_matrix(shape, k, ())).max() < 1e-12
+        assert hplus_block_spectrum(shape, k, 0) == [(0, dimension(shape))]
 
     def test_wrong_character_is_refused_by_the_trace(self, monkeypatch):
         # The diagonal is read from contents, the trace from characters, so a
@@ -239,34 +270,39 @@ class TestBlockSums:
         )
         message = r"^H\+ block for \(6, 1\) has trace -720, not 720$"
         with pytest.raises(ArithmeticError, match=message):
-            hplus_matrix((6, 1), 7, 7)
+            hplus_block_spectrum((6, 1), 7, 6)
 
     def test_wrong_coefficient_is_refused_by_the_trace(self, monkeypatch):
         # Scaling one generator's couplings keeps the block symmetric, but
         # moves its trace off |H| chi(3-cycle) = 16 * -48 = -768.
         real = yor._generator
 
-        def scaled(shape, i):
-            g = real(shape, i)
-            return g._replace(coeff=g.coeff * 1.1) if i == 3 else g
+        def scaled(shape, i, inner=()):
+            g = real(shape, i, inner)
+            return g._replace(coeff=g.coeff * 1.1) if i + sum(inner) == 3 else g  # s_3
 
         monkeypatch.setattr(yor, "_generator", scaled)
         message = r"^H\+ block for \(4, 3, 2, 1\) has trace -633\.16\d*, not -768$"
         with pytest.raises(ArithmeticError, match=message):
-            hplus_matrix((4, 3, 2, 1), 3, 2)
+            hplus_block_spectrum((4, 3, 2, 1), 3, 2)
 
 
 class TestBlockWorkingSet:
     """hplus_matrix conjugates in place: the running conjugate, one
     accumulator and a few pair rows at a time."""
 
+    # One block for each r, of 768, 1071 and 630 rows: large enough that the
+    # pair rows, a few times 2^16 entries, stay below one block.
+    BLOCKS = {0: ((4, 3, 2, 1), ()), 2: ((4, 3, 2, 1, 1), (2,)), 8: ((9, 4, 3, 1), (8,))}
+
     @pytest.mark.parametrize("k, r", [(3, 2), (9, 8), (5, 0)])
     def test_peak_within_three_blocks(self, traced_peak, k, r):
-        shape = (4, 3, 2, 1)
-        for i in range(1, 10):
-            yor._generator(shape, i)  # cached content index and generators
-        block = dimension(shape) ** 2 * 8
-        assert traced_peak(lambda: hplus_matrix(shape, k, r)) <= 3 * block
+        shape, inner = self.BLOCKS[r]
+        rows = len(yor._content_index(shape, inner))
+        for i in range(1, sum(shape) - r):
+            yor._generator(shape, i, inner)  # cached content index and generators
+        block = rows**2 * 8
+        assert traced_peak(lambda: hplus_matrix(shape, k, inner)) <= 3 * block
 
 
 class TestFullSpectra:
@@ -279,6 +315,35 @@ class TestFullSpectra:
         report = full_spectrum_via_irreps(full_cycles(5, 5))
         assert report.eigenvalues == [(24.0, 2), (4.0, 36), (0.0, 50), (-6.0, 32)]
         assert report.lambda2 == 4.0
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_full_cycles_from_one_box_blocks(self, monkeypatch, n):
+        # The n-cycles act on the hook (n-a, 1^a) as (-1)^a a! (n-1-a)!, of
+        # multiplicity dim^2 = C(n-1,a)^2, and as 0 on every other diagram.
+        expected: dict[int, int] = {}
+        for a in range(n):
+            value = (-1) ** a * factorial(a) * factorial(n - 1 - a)
+            expected[value] = expected.get(value, 0) + comb(n - 1, a) ** 2
+        expected[0] = factorial(n) - sum(expected.values())
+        rows = set()
+        real = yor.hplus_matrix
+        monkeypatch.setattr(
+            yor, "hplus_matrix", lambda *args: rows.add(len(block := real(*args))) or block
+        )
+        report = full_spectrum_via_irreps(full_cycles(n, n))
+        assert report.eigenvalues == sorted(expected.items(), reverse=True)
+        assert all(type(v) is int for v, _ in report.eigenvalues)
+        assert rows == {1}
+
+    def test_theorem_13_builds_skew_blocks_of_r_boxes_only(self, monkeypatch):
+        # At (12, 10) most diagrams hold no hook of 10 and get only zero rows.
+        inners = []
+        real = yor.hplus_matrix
+        monkeypatch.setattr(
+            yor, "hplus_matrix", lambda shape, k, inner: inners.append(inner) or real(shape, k, inner)
+        )
+        assert verify.verify_T13(12, 10, "irrep").outcome == "match"
+        assert inners and {sum(inner) for inner in inners} == {10}
 
     def test_agrees_with_char_spectrum(self, monkeypatch):
         # Every C(n,k) with n <= 8, on Alt too where H is even. The irrep
@@ -469,13 +534,16 @@ def union_of_two_classes():
 
 class TestClassSumAssembly:
     def test_matches_word_walk_on_every_small_spec(self):
+        # Each whole block is put together from its skew blocks, with the
+        # route's r: n - 1 for C(n,n), 0 for any other C(n,k).
         blocks = 0
         for spec in every_spec(7):
             connecting = enumerate_connecting_set(spec)
-            r = spec.r or 0
+            r = spec.n - 1 if spec.k == spec.n else spec.r or 0
             for shape in partitions_of(spec.n):
                 walked = word_walk_matrix(shape, connecting)
-                assert np.abs(hplus_matrix(shape, spec.k, r) - walked).max() < 1e-10, (spec, shape)
+                built = skew_assembled_block(shape, spec.k, r)
+                assert np.abs(built - walked).max() < 1e-10, (spec, shape)
                 blocks += 1
         assert blocks == 591
 
@@ -502,7 +570,7 @@ class TestClassSumAssembly:
         fixing, moving = split_by_last_point(connecting)
         for shape in partitions_of(7):
             parts = word_walk_matrix(shape, fixing) + word_walk_matrix(shape, moving)
-            assert np.abs(parts - hplus_matrix(shape, 3, 2)).max() < 1e-10
+            assert np.abs(parts - skew_assembled_block(shape, 3, 2)).max() < 1e-10
 
 
 class TestPartitionScans:
