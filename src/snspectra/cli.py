@@ -64,10 +64,12 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _cmd_quotient(args: argparse.Namespace) -> int:
+    # The set cap on |H| bounds the work: the roots cost grows with the bits of
+    # |H|, and the matrix holds (k-1)!, so it is checked before the build.
+    equitable.check_quotient_parameters(args.n, args.k, args.r)
+    permutations.check_set_cap(permutations.prefix_moving_cycles(args.n, args.k, args.r))
     fn = equitable.quotient_B1 if args.which == "B1" else equitable.quotient_B2
     matrix = fn(args.n, args.k, args.r)
-    # The set cap on |H| bounds the work: the roots cost grows with the bits of |H|.
-    permutations.check_set_cap(permutations.prefix_moving_cycles(args.n, args.k, args.r))
     values = equitable.quotient_eigenvalues(matrix)
     payload = {"which": args.which, "matrix": matrix, "eigenvalues": values}
     if args.csv:

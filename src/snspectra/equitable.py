@@ -18,10 +18,15 @@ from .graphs import natural_module_matrix
 from .permutations import prefix_moving_cycles
 
 
-def quotient_B1(n: int, k: int, r: int) -> list[list[int]]:
-    """Quotient matrix of the last-point partition for C(n, k; r)."""
+def check_quotient_parameters(n: int, k: int, r: int) -> None:
+    """Refuse, with ValueError, an (n, k, r) that B1 and B2 are not defined at."""
     if not 2 <= r < k < n:
         raise ValueError(f"need 2 <= r < k < n, got n={n}, k={k}, r={r}")
+
+
+def quotient_B1(n: int, k: int, r: int) -> list[list[int]]:
+    """Quotient matrix of the last-point partition for C(n, k; r)."""
+    check_quotient_parameters(n, k, r)
     f1, f2 = factorial(k - 1), factorial(k - 2)
     return [
         [
@@ -44,8 +49,7 @@ def quotient_B1(n: int, k: int, r: int) -> list[list[int]]:
 
 def quotient_B2(n: int, k: int, r: int) -> list[list[int]]:
     """Quotient matrix of the first-point partition for C(n, k; r)."""
-    if not 2 <= r < k < n:
-        raise ValueError(f"need 2 <= r < k < n, got n={n}, k={k}, r={r}")
+    check_quotient_parameters(n, k, r)
     f1, f2 = factorial(k - 1), factorial(k - 2)
     whole = binom(n - r, k - r)
     return [

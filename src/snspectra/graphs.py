@@ -32,10 +32,15 @@ from .permutations import (
     check_group,
     connecting_cycles,
     connecting_images,
+    count_text,
     group_images,
 )
 
 DENSE_CAP = 5040
+# charpoly_int takes O(n^4) big-int steps on the n x n natural operator. At
+# the cap the slowest case under the set cap, Lemma 52 at (n, k, r) =
+# (60, 5, 2) with |H| = 740736, takes 1.8 s, and Lemma 61 at (60, 7) 1.3 s.
+NATURAL_CAP = 60
 
 
 class CayleyGraph:
@@ -135,7 +140,7 @@ def build(group_kind: str, spec: ConnectingSetSpec) -> CayleyGraph:
 def check_dense_cap(size: int) -> None:
     """Refuse a dense spectrum of ``size`` vertices above DENSE_CAP."""
     if size > DENSE_CAP:
-        raise CapExceededError(f"{size} vertices exceeds dense cap {DENSE_CAP}")
+        raise CapExceededError(f"{count_text(size)} vertices exceeds dense cap {DENSE_CAP}")
 
 
 def translation_subgroup(group_kind: str, n: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -273,6 +278,10 @@ def natural_module_matrix(spec: ConnectingSetSpec) -> list[list[int]]:
 
 
 def natural_module_spectrum(spec: ConnectingSetSpec) -> SpectrumReport:
-    """Exact integer spectrum of the connecting-set sum on the natural module."""
+    """Exact integer spectrum of the connecting-set sum on the natural module;
+    a degree above NATURAL_CAP is refused, with CapExceededError, before the
+    operator is built."""
+    if spec.n > NATURAL_CAP:
+        raise CapExceededError(f"degree {spec.n} exceeds natural cap {NATURAL_CAP}")
     return SpectrumReport(exact_integer_eigenvalues(natural_module_matrix(spec)), "natural")
 

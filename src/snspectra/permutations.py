@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from math import comb, factorial
+from math import comb, factorial, log10
 from typing import Iterator, Sequence
 
 from ._numpy import np
@@ -146,10 +146,17 @@ def parse_spec(text: str) -> ConnectingSetSpec:
     return prefix_moving_cycles(n, k, int(r))
 
 
+def count_text(count: int) -> str:
+    """A positive count in decimal, or past 13000 bits as 10^x, x to one
+    place: Python refuses to convert an int of more than 4300 digits."""
+    return str(count) if count.bit_length() <= 13000 else f"10^{log10(count):.1f}"
+
+
 def check_set_cap(spec: ConnectingSetSpec) -> None:
     """Refuse, with CapExceededError, a set of more than SET_CAP elements."""
-    if spec.cardinality() > SET_CAP:
-        raise CapExceededError(f"|{spec}| = {spec.cardinality()} exceeds set cap {SET_CAP}")
+    size = spec.cardinality()
+    if size > SET_CAP:
+        raise CapExceededError(f"|{spec}| = {count_text(size)} exceeds set cap {SET_CAP}")
 
 
 def connecting_cycles(spec: ConnectingSetSpec) -> Iterator[tuple[int, ...]]:

@@ -17,13 +17,12 @@ column and builds no block.
 
 from __future__ import annotations
 
-from functools import cache
 from math import comb, factorial, prod
 from typing import NamedTuple, Sequence
 
-from . import characters
+from . import characters, diagrams
 from ._numpy import np
-from .diagrams import dimension, partitions_of, validate_diagram
+from .diagrams import validate_diagram
 from .eigen import SpectrumReport, check_cayley_invariants, cluster_eigenvalues
 from .permutations import (
     CapExceededError, ConnectingSetSpec, check_group, group_order, validate_cycle_type,
@@ -40,7 +39,6 @@ TRACE_TOL = 1e-9
 BLOCK_CAP = 7700
 
 
-@cache
 def _content_index(
     shape: tuple[int, ...], inner: tuple[int, ...] = ()
 ) -> dict[tuple[int, ...], int]:
@@ -78,6 +76,7 @@ def _content_index(
             contents.pop()
 
     place()
+    del place  # it calls itself: drop that cycle, or index waits for the collector
     return index
 
 
@@ -113,14 +112,12 @@ class _Generator(NamedTuple):
                 side[q] = at_q
 
 
-@cache
-def _generator(shape: tuple[int, ...], i: int, inner: tuple[int, ...] = ()) -> _Generator:
+def _generator(index: dict[tuple[int, ...], int], i: int) -> _Generator:
     """s_i of the skew shape shape/inner, acting on entries |inner| + i and
-    |inner| + i + 1."""
-    size = sum(shape) - sum(inner)
+    |inner| + i + 1, read from index = _content_index(shape, inner)."""
+    size = len(next(iter(index)))
     if not 1 <= i <= size - 1:
         raise ValueError(f"generator index {i} outside 1..{size - 1}")
-    index = _content_index(shape, inner)
     diag = np.empty(len(index))
     pairs_p, pairs_q, coeffs = [], [], []
     for c, t_idx in index.items():
@@ -169,11 +166,12 @@ def hplus_matrix(shape: Sequence[int], k: int, inner: Sequence[int]) -> np.ndarr
     head = [j - i for i, row in enumerate(inner) for j in range(row)]
     index = _content_index(shape, inner)
     y = np.diag(np.array([prod((*head, *c)[1:k]) for c in index], dtype=float))
+    generators = [_generator(index, i) for i in range(1, n - r)]
     for i in range(k + 1, n + 1):
         # y itself walks the chain of conjugates; one accumulator sums them.
         acc = y.copy()
-        for j in range(i - 1, r, -1):
-            _generator(shape, j - r, inner).conjugate(y)
+        for g in reversed(generators[: i - 1 - r]):
+            g.conjugate(y)
             acc += y
         acc /= i - k
         y = acc
@@ -203,8 +201,9 @@ def hplus_block_spectrum(shape: Sequence[int], k: int, r: int) -> list[tuple[flo
         trace += copies * float(np.trace(block))
         rows += copies * len(block)
         pairs += [(v, copies) for v in np.linalg.eigvalsh(block).tolist()]
-    if rows < dimension(shape):
-        pairs.append((0.0, dimension(shape) - rows))
+        del block  # free it before the next hook's block is built
+    if rows < diagrams.dimension(shape):
+        pairs.append((0.0, diagrams.dimension(shape) - rows))
     size = factorial(k - 1) * comb(n - r, k - r)
     exact = size * characters.character_column((k,) + (1,) * (n - k)).get(shape, 0)
     if not abs(trace - exact) <= TRACE_TOL * size:
@@ -236,13 +235,13 @@ def block_shapes(n: int) -> tuple[tuple[int, ...], ...]:
     Adding a box never shrinks a block (branching), so the scan stops at the
     first S_m, m <= n, past the cap, without listing the diagrams of n."""
     for m in range(1, n + 1):
-        rows, largest = max((dimension(shape), shape) for shape in partitions_of(m))
+        rows, largest = max((diagrams.dimension(s), s) for s in diagrams.partitions_of(m))
         if rows > BLOCK_CAP:
             beyond = f", so S{n} has one at least as large" if m < n else ""
             raise CapExceededError(
                 f"{rows}-row block {largest} of S{m} exceeds block cap {BLOCK_CAP}{beyond}"
             )
-    return partitions_of(n)
+    return diagrams.partitions_of(n)
 
 
 def full_spectrum_via_irreps(
@@ -263,7 +262,7 @@ def full_spectrum_via_irreps(
     # r = 0 for C(n,k); every n-cycle moves 1..n-1, so C(n,n) = C(n,n;n-1).
     k, r = spec.k, spec.n - 1 if spec.k == spec.n else spec.r or 0
     pairs = [
-        (value, mult * dimension(shape))
+        (value, mult * diagrams.dimension(shape))
         for shape in shapes
         for value, mult in hplus_block_spectrum(shape, k, r)
     ]
@@ -285,7 +284,7 @@ def char_spectrum(
     # A permutation is even iff n minus its number of cycles is even.
     check_group(group_kind, (n - len(ctype)) % 2 == 0)
     eigenvalues = characters.class_eigenvalues(ctype)
-    pairs = [(value, dimension(shape) ** 2) for shape, value in eigenvalues.items()]
+    pairs = [(value, diagrams.dimension(shape) ** 2) for shape, value in eigenvalues.items()]
     rest = factorial(n) - sum(m for _, m in pairs)
     if rest < 0:
         raise ArithmeticError(f"the support of the {ctype} column has sum dim^2 above {n}!")

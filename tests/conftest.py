@@ -55,7 +55,7 @@ def refuse_partitions_of(monkeypatch, refused):
             raise AssertionError(f"the partitions of {n} were listed")
         return partitions_of(n)
 
-    for module in (diagrams, characters, yor):
+    for module in (diagrams, characters):
         monkeypatch.setattr(module, "partitions_of", guarded)
 
 

@@ -286,7 +286,7 @@ def word_walk_matrix(shape: tuple[int, ...], connecting_set: Sequence[Permutatio
             common += 1
         del stack[common + 1:]
         for a in word[common:]:
-            stack.append(apply_right(yor._generator(shape, a), stack[-1]))
+            stack.append(apply_right(whole_generator(shape, a), stack[-1]))
         prev = word
         mat = stack[len(word)]
         total += mat + mat.T if paired else mat
@@ -544,9 +544,17 @@ def skew_assembled_block(shape: tuple[int, ...], k: int, r: int) -> np.ndarray:
     return block
 
 
+@cache
+def whole_generator(shape: tuple[int, ...], i: int) -> _Generator:
+    """yor._generator of s_i on the whole shape.  yor builds its generators
+    per block and keeps none; this memo keeps the word walks from building
+    one again for every word."""
+    return yor._generator(yor._content_index(shape), i)
+
+
 def yor_generator(shape: Sequence[int], i: int) -> np.ndarray:
     """Orthogonal matrix of the adjacent transposition (i, i+1)."""
-    g = yor._generator(validate_diagram(shape), i)
+    g = whole_generator(validate_diagram(shape), i)
     mat = np.diag(g.diag)
     mat[g.p, g.q] = mat[g.q, g.p] = g.coeff
     return mat
@@ -635,7 +643,7 @@ def yor_image(shape: Sequence[int], g: Permutation) -> np.ndarray:
         raise ValueError(f"degree {g.degree} != |{shape}|")
     mat = np.eye(dimension(shape))
     for a in adjacent_word(g):
-        mat = apply_right(yor._generator(shape, a), mat)
+        mat = apply_right(whole_generator(shape, a), mat)
     return mat
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from snspectra import formulas, verify
+from snspectra import equitable, formulas, graphs, verify
 from snspectra.cli import main
 from snspectra.permutations import parse_spec
 
@@ -295,6 +295,76 @@ class TestQuotientCommand:
         assert captured.err == (
             "snspectra quotient: error: |C(18,9;2)| = 461260800 exceeds set cap 1000000\n"
         )
+
+    @pytest.mark.parametrize("which", ["B1", "B2"])
+    def test_set_above_the_cap_refused_before_the_matrix(self, capsys, monkeypatch, which):
+        # B1 and B2 hold (k-1)!, which has a million digits at k = 200000.
+        def refuse(m):
+            raise AssertionError(f"factorial({m}) taken for the matrix")
+
+        monkeypatch.setattr(equitable, "factorial", refuse)
+        code = main(["quotient", "--n", "18", "--k", "9", "--r", "2", "--which", which])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.endswith("exceeds set cap 1000000\n")
+
+    def test_parameters_checked_before_the_set_cap(self, capsys):
+        code = main(["quotient", "--n", "6", "--k", "6", "--r", "2", "--which", "B1"])
+        assert (code, capsys.readouterr().err) == (
+            2, "snspectra quotient: error: need 2 <= r < k < n, got n=6, k=6, r=2\n"
+        )
+
+
+class TestCountsPastPrinting:
+    """A count of more than 4300 digits, which Python will not print in
+    decimal, is named by its power of ten in a cap's refusal."""
+
+    def test_enumerate_names_the_set_cap(self, capsys):
+        code = main(["enumerate", "--set", "C(5000,2500)"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            "snspectra enumerate: error: |C(5000,2500)| = 10^8911.0 exceeds set cap 1000000\n"
+        )
+
+    def test_dense_verify_reports_skipped(self, capsys):
+        code, out = run_cli(
+            capsys, "verify", "--theorem", "13", "--n", "2000", "--r", "2",
+            "--method", "dense", "--format", "json",
+        )
+        assert code == 0
+        [outcome] = json.loads(out)
+        assert (outcome["outcome"], outcome["detail"]) == (
+            "skipped", "10^5735.2 vertices exceeds dense cap 5040"
+        )
+
+
+class TestNaturalCap:
+    """Lemmas 52 and 61 refuse a degree above graphs.NATURAL_CAP before the
+    n x n operator is built."""
+
+    @pytest.mark.parametrize(
+        "argv", [("61", "--n", "3000", "--r", "2"), ("52", "--n", "61", "--r", "2")]
+    )
+    def test_verify_reports_skipped(self, capsys, monkeypatch, argv):
+        def refuse(spec):
+            raise AssertionError("the natural operator was built")
+
+        monkeypatch.setattr(graphs, "natural_module_matrix", refuse)
+        code, out = run_cli(capsys, "verify", "--theorem", *argv, "--format", "json")
+        assert code == 0
+        outcomes = json.loads(out)
+        assert {o["outcome"] for o in outcomes} == {"skipped"}
+        n = argv[2]
+        assert {o["detail"] for o in outcomes} == {f"degree {n} exceeds natural cap 60"}
+
+    def test_cap_is_the_largest_degree_admitted(self, capsys, monkeypatch):
+        monkeypatch.setattr(graphs, "NATURAL_CAP", 7)
+        code, out = run_cli(capsys, "verify", "--theorem", "61", "--n", "7-8", "--r", "2",
+                            "--format", "json")
+        assert code == 0
+        outcomes = [o["outcome"] for o in json.loads(out)]
+        assert outcomes == ["match", "documented-discrepancy", "skipped"]
 
 
 class TestUnwritableCsv:

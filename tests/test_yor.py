@@ -1,4 +1,10 @@
+import gc
+import os
+import subprocess
+import sys
+import tracemalloc
 from math import comb, factorial, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +18,7 @@ from snspectra.permutations import (
     group_images,
     prefix_moving_cycles,
 )
-from snspectra import characters, permutations, verify, yor
+from snspectra import characters, diagrams, permutations, verify, yor
 from snspectra.yor import (
     full_spectrum_via_irreps,
     char_spectrum,
@@ -159,7 +165,8 @@ class TestGenerators:
         # sees a reordered pair or a coefficient rounded another way.
         for shape in partitions_of(n):
             for i in range(1, n):
-                got, want = yor._generator(shape, i), position_generator(shape, i)
+                got = yor._generator(yor._content_index(shape), i)
+                want = position_generator(shape, i)
                 for field, a, b in zip(yor._Generator._fields, got, want):
                     assert a.dtype == b.dtype and np.array_equal(a, b), (shape, i, field)
 
@@ -237,9 +244,9 @@ class TestBlockSums:
         # so the block; a NaN compares false with any tolerance.
         real = yor._generator
 
-        def corrupted(shape, i, inner=()):
-            g = real(shape, i, inner)
-            if i + sum(inner) == 3:  # s_3
+        def corrupted(index, i):
+            g = real(index, i)
+            if i == 1:  # s_3 for r = 2
                 g = g._replace(coeff=g.coeff.copy())
                 g.coeff[0] = np.nan
             return g
@@ -277,9 +284,9 @@ class TestBlockSums:
         # moves its trace off |H| chi(3-cycle) = 16 * -48 = -768.
         real = yor._generator
 
-        def scaled(shape, i, inner=()):
-            g = real(shape, i, inner)
-            return g._replace(coeff=g.coeff * 1.1) if i + sum(inner) == 3 else g  # s_3
+        def scaled(index, i):
+            g = real(index, i)
+            return g._replace(coeff=g.coeff * 1.1) if i == 1 else g  # s_3 for r = 2
 
         monkeypatch.setattr(yor, "_generator", scaled)
         message = r"^H\+ block for \(4, 3, 2, 1\) has trace -633\.16\d*, not -768$"
@@ -289,7 +296,8 @@ class TestBlockSums:
 
 class TestBlockWorkingSet:
     """hplus_matrix conjugates in place: the running conjugate, one
-    accumulator and a few pair rows at a time."""
+    accumulator and a few pair rows at a time, beside the block's own
+    content index and generators."""
 
     # One block for each r, of 768, 1071 and 630 rows: large enough that the
     # pair rows, a few times 2^16 entries, stay below one block.
@@ -299,10 +307,15 @@ class TestBlockWorkingSet:
     def test_peak_within_three_blocks(self, traced_peak, k, r):
         shape, inner = self.BLOCKS[r]
         rows = len(yor._content_index(shape, inner))
-        for i in range(1, sum(shape) - r):
-            yor._generator(shape, i, inner)  # cached content index and generators
         block = rows**2 * 8
         assert traced_peak(lambda: hplus_matrix(shape, k, inner)) <= 3 * block
+
+    def test_spectrum_holds_one_block_at_a_time(self, traced_peak):
+        # (4,3,2,1,1)/(2) has 1071 rows and /(1,1) 1239: the spectrum peaks
+        # where its larger block does, not with the other one still held.
+        shape = (4, 3, 2, 1, 1)
+        larger = traced_peak(lambda: hplus_matrix(shape, 3, (1, 1)))
+        assert traced_peak(lambda: hplus_block_spectrum(shape, 3, 2)) <= larger + 1071**2 * 4
 
 
 class TestFullSpectra:
@@ -408,6 +421,48 @@ class TestFullSpectra:
             char_spectrum(5, (5,), "cyclic")
 
 
+class TestNothingKeptBetweenCalls:
+    """hplus_matrix builds its block's content index and generators as
+    locals; yor keeps nothing from one block, or one spectrum, to the next."""
+
+    def test_no_attribute_is_memoized(self):
+        assert [name for name in dir(yor) if hasattr(getattr(yor, name), "cache_info")] == []
+
+    def test_pairs_do_not_depend_on_an_earlier_spec(self):
+        # C(8,3;2) and C(8,4;2) have the same skew blocks shape/mu, mu |- 2.
+        code = (
+            "from snspectra.permutations import parse_spec; "
+            "from snspectra.yor import full_spectrum_via_irreps; "
+            "print(repr(full_spectrum_via_irreps(parse_spec('C(8,4;2)')).eigenvalues))"
+        )
+        src = str(Path(yor.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0, proc.stderr
+        full_spectrum_via_irreps(prefix_moving_cycles(8, 3, 2))
+        after = full_spectrum_via_irreps(prefix_moving_cycles(8, 4, 2)).eigenvalues
+        assert proc.stdout == repr(after) + "\n"
+
+    def test_a_spectrum_leaves_no_memory_behind(self):
+        # C(8,3;2) reads the character column and diagrams that C(8,3) reads,
+        # but builds other skew blocks.  The full collection also empties the
+        # interpreter's free lists; numpy's own cache of small freed buffers
+        # keeps under 2 KB.  A memo of the blocks' indexes would keep 280 KB.
+        full_spectrum_via_irreps(prefix_moving_cycles(8, 3, 2))
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            full_spectrum_via_irreps(full_cycles(8, 3))
+            assert gc.collect() == 0  # nothing waited for the collector
+            assert tracemalloc.get_traced_memory()[0] < 4096
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+
+
 class TestNoSetCap:
     """The irrep route and Lemma 65 make no element of H, so the set cap
     refuses only the routes that make its cycles."""
@@ -491,7 +546,7 @@ class TestCharSpectrum:
         assert report.lambda1 == size((3,) + (1,) * 6) == 168
 
     def test_support_past_n_factorial_is_refused(self, monkeypatch):
-        monkeypatch.setattr(yor, "dimension", lambda shape: 100)
+        monkeypatch.setattr(diagrams, "dimension", lambda shape: 100)
         with pytest.raises(ArithmeticError, match=r"sum dim\^2 above 7!$"):
             char_spectrum(7, (7,))
 
