@@ -3,20 +3,18 @@ Exact irreducible character values of Sym(1..n) by the Murnaghan-Nakayama
 rule, one whole class column at a time.
 
 All values are exact integers.  ``character_column``, the one reader of a
-class column, builds its nonzero values bottom up and caches them in process,
-after COLUMN_CAP prices the read from the cycle type.  ``class_eigenvalues``
-turns one column into the class sum's eigenvalues in one pass; the char route
-reads that dict.  The irrep route in ``yor`` reads only ``character_column``,
-to check the trace of each H+ block against its diagonal of contents.
+class column, builds its nonzero values bottom up in one loop, after
+COLUMN_CAP prices the read from the cycle type; nothing is kept between
+calls.  ``class_eigenvalues`` turns one column into each block's eigenvalue
+and dimension in one pass; the char route reads that dict.  The irrep route
+in ``yor`` reads one column per spectrum, to check each H+ block's trace.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from functools import cache
 from math import factorial
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .diagrams import (
@@ -28,14 +26,14 @@ from .diagrams import (
 )
 from .permutations import CapExceededError, validate_cycle_type
 
-# The S18 table, 385^2 values: 0.8 s, 35 MB resident; the S20 table: 2.1 s, 66 MB.
+# The S18 table, 385^2 values: 0.8 s, 35 MB resident; the S20 table: 2.2 s, 66 MB.
 TABLE_CAP = 18
 # Reading one class column costs about n^3 p(n - largest part): each of the
 # p(n - k) shapes below gains up to n rim hooks, each new shape and its
 # dimension taking O(n) big-int steps. The cap is that work at C(40,2), so
 # every k-cycle class of S40 passes. At the edge, in process, the column, then
-# the char spectrum from it, and the peak: C(40,2) 3.8 s, 0.6 s, 71 MB;
-# C(100,80) 0.7 s, 2.0 s, 75 MB; the n-cycles of S1183 0.3 s, 1.0 s, 23 MB.
+# the char spectrum from it, and the peak: C(40,2) 3.5 s, 0.6 s, 39 MB;
+# C(100,80) 0.8 s, 1.9 s, 68 MB; the n-cycles of S1183 0.2 s, 0.9 s, 23 MB.
 COLUMN_CAP = 40**3 * 26015  # 40^3 p(38)
 
 
@@ -72,25 +70,15 @@ def check_column_cap(ctype: tuple[int, ...]) -> None:
         )
 
 
-@cache
-def character_column(ctype: tuple[int, ...]) -> Mapping[tuple[int, ...], int]:
-    """{shape: chi^shape(ctype)} over the shapes where the value is nonzero;
-    refused by check_column_cap before anything is built.
-
-    Murnaghan-Nakayama bottom up: the column of the smaller parts ctype[1:]
-    gets one rim hook of length ctype[0] added to each of its shapes.  On
-    the beta set of a shape (row i + number of rows below it, padded with
-    enough zero rows), adding a rim hook moves one bead b to an empty b + p;
-    its sign is (-1)**(beads strictly between).  Values that cancel to zero
-    are dropped, so the column holds only the support.
-    """
-    ctype = validate_cycle_type(ctype, sum(ctype))
-    check_column_cap(ctype)
-    if not ctype:
-        return MappingProxyType({(): 1})
-    p, rest = ctype[0], ctype[1:]
-    column: dict[tuple[int, ...], int] = {}
-    for shape, value in character_column(rest).items():
+def _add_rim_hooks(column: dict[tuple[int, ...], int], p: int) -> dict[tuple[int, ...], int]:
+    """The column of the cycle type (p,) + rest from the column of rest, by
+    Murnaghan-Nakayama: each shape gains one rim hook of length p.  On the
+    beta set of a shape (row i + number of rows below it, padded with enough
+    zero rows), adding a rim hook moves one bead b to an empty b + p; its sign
+    is (-1)**(beads strictly between).  Values that cancel to zero are
+    dropped, so the column holds only the support."""
+    bigger_column: dict[tuple[int, ...], int] = {}
+    for shape, value in column.items():
         beads = len(shape) + p
         beta = [part + beads - 1 - i for i, part in enumerate(shape + (0,) * p)]
         occupied = set(beta)
@@ -99,8 +87,20 @@ def character_column(ctype: tuple[int, ...]) -> Mapping[tuple[int, ...], int]:
                 continue
             height = sum(1 for x in beta[:i] if x < b + p)
             bigger = _shape_from_beta(beta[:i] + [b + p] + beta[i + 1:])
-            column[bigger] = column.get(bigger, 0) + (-1) ** height * value
-    return MappingProxyType({shape: v for shape, v in column.items() if v})
+            bigger_column[bigger] = bigger_column.get(bigger, 0) + (-1) ** height * value
+    return {shape: v for shape, v in bigger_column.items() if v}
+
+
+def character_column(ctype: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """{shape: chi^shape(ctype)} over the shapes where the value is nonzero;
+    refused by check_column_cap before anything is built.  Bottom up, last
+    part first, each column dropped once the next is built from it."""
+    ctype = validate_cycle_type(ctype, sum(ctype))
+    check_column_cap(ctype)
+    column = {(): 1}
+    for p in reversed(ctype):
+        column = _add_rim_hooks(column, p)
+    return column
 
 
 def mn_character(shape: Sequence[int], ctype: Sequence[int]) -> int:
@@ -112,18 +112,19 @@ def mn_character(shape: Sequence[int], ctype: Sequence[int]) -> int:
     return character_column(ctype).get(shape, 0)
 
 
-def class_eigenvalues(ctype: Sequence[int]) -> dict[tuple[int, ...], int]:
-    """{shape: |class| chi^shape(ctype) / chi^shape(1)} over the support of
-    character_column(ctype): the class sum's eigenvalue on each block, zero
-    off the support; raises ArithmeticError if one is not an integer."""
+def class_eigenvalues(ctype: Sequence[int]) -> dict[tuple[int, ...], tuple[int, int]]:
+    """{shape: (|class| chi^shape(ctype) / chi^shape(1), chi^shape(1))} over
+    the support of character_column(ctype): the class sum's eigenvalue on
+    each block, zero off the support, and the block's dimension; raises
+    ArithmeticError if an eigenvalue is not an integer."""
     column = character_column(tuple(ctype))  # validates ctype and checks the cap
     size = class_size(ctype)
     eigenvalues = {}
     for shape, chi in column.items():
-        value, rest = divmod(size * chi, dimension(shape))
+        value, rest = divmod(size * chi, dim := dimension(shape))
         if rest:
             raise ArithmeticError(f"class eigenvalue for {shape} on {ctype} is not integral")
-        eigenvalues[shape] = value
+        eigenvalues[shape] = value, dim
     return eigenvalues
 
 
@@ -173,10 +174,14 @@ def character_table_csv(n: int) -> str:
     if n > TABLE_CAP:
         raise CapExceededError(f"degree {n} exceeds table cap {TABLE_CAP}")
     classes = partitions_of(n)
-    columns = [character_column(c) for c in classes]
+    # Each suffix of a class is a class of smaller degree, built once, shortest
+    # first, from its own suffix, and shared by every class that ends with it.
+    columns = {(): {(): 1}}
+    for c in sorted({c[i:] for c in classes for i in range(len(c))}, key=len):
+        columns[c] = _add_rim_hooks(columns[c[1:]], c[0])
     lines = ["diagram," + ",".join(map(diagram_string, classes))]
     lines += [
-        diagram_string(shape) + "," + ",".join(str(column.get(shape, 0)) for column in columns)
+        diagram_string(shape) + "," + ",".join(str(columns[c].get(shape, 0)) for c in classes)
         for shape in classes
     ]
     return "\n".join(lines) + "\n"

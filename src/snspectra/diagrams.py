@@ -8,9 +8,8 @@ the parts.  Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 import re
-from functools import cache
-from math import factorial
-from typing import Iterator, Sequence
+from math import factorial, prod
+from typing import Sequence
 
 
 def validate_diagram(rows: Sequence[int]) -> tuple[int, ...]:
@@ -34,19 +33,18 @@ def diagram_string(rows: Sequence[int]) -> str:
     return "[" + ",".join(map(str, rows)) + "]"
 
 
-@cache
 def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n in reverse lexicographic order ([n] first)."""
-
-    def gen(remaining: int, largest: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            yield ()
-            return
-        for first in range(min(remaining, largest), 0, -1):
-            for rest in gen(remaining - first, first):
-                yield (first,) + rest
-
-    return tuple(gen(n, n))
+    """All partitions of n in reverse lexicographic order ([n] first): each
+    next one takes a box from the last part above 1 and refills after it."""
+    parts = [n] if n > 0 else []
+    found = [tuple(parts)] if n >= 0 else []
+    while parts and parts[0] > 1:
+        i = len(parts) - parts.count(1) - 1  # the 1s come last
+        largest = parts[i] - 1
+        whole, rest = divmod(len(parts) - i, largest)  # the 1s after it, and its box
+        parts[i:] = [largest] * (whole + 1) + ([rest] if rest else [])
+        found.append(tuple(parts))
+    return tuple(found)
 
 
 def partition_count(m: int) -> int:
@@ -72,23 +70,11 @@ def transpose(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def hook_lengths(rows: tuple[int, ...]) -> list[list[int]]:
-    cols = transpose(rows)
-    return [
-        [(rows[i] - j) + (cols[j] - i) - 1 for j in range(rows[i])]
-        for i in range(len(rows))
-    ]
-
-
-@cache
 def dimension(rows: tuple[int, ...]) -> int:
     """Number of standard tableaux of the shape, by the hook length formula."""
     rows = validate_diagram(rows)
-    n = sum(rows)
-    product = 1
-    for row in hook_lengths(rows):
-        for h in row:
-            product *= h
-    d, rem = divmod(factorial(n), product)
+    cols = transpose(rows)
+    hooks = prod(rows[i] - j + cols[j] - i - 1 for i in range(len(rows)) for j in range(rows[i]))
+    d, rem = divmod(factorial(sum(rows)), hooks)
     assert rem == 0
     return d

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from math import comb, factorial, log10
+from math import comb, factorial, lgamma, log, log10
 from typing import Iterator, Sequence
 
 from ._numpy import np
@@ -153,7 +153,12 @@ def count_text(count: int) -> str:
 
 
 def check_set_cap(spec: ConnectingSetSpec) -> None:
-    """Refuse, with CapExceededError, a set of more than SET_CAP elements."""
+    """Refuse, with CapExceededError, a set of more than SET_CAP elements; one
+    past 13000 bits, printed as 10^x, from log10 |H| before its count is made."""
+    n, k, r = spec.n, spec.k, spec.r or 0  # |H| = (n-r)! (k-1)! / ((k-r)! (n-k)!)
+    log_size = (lgamma(n - r + 1) + lgamma(k) - lgamma(k - r + 1) - lgamma(n - k + 1)) / log(10)
+    if log_size > max(13001 * log10(2), log10(SET_CAP) + 1):
+        raise CapExceededError(f"|{spec}| = 10^{log_size:.1f} exceeds set cap {SET_CAP}")
     size = spec.cardinality()
     if size > SET_CAP:
         raise CapExceededError(f"|{spec}| = {count_text(size)} exceeds set cap {SET_CAP}")

@@ -17,8 +17,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import formulas, graphs
-from .characters import max_ratio_diagram
-from .diagrams import dimension
+from .characters import character_column, max_ratio_diagram
 from .eigen import CLUSTER_TOL, SpectrumReport
 from .equitable import counted_quotient, quotient_B1, quotient_B2, quotient_eigenvalues
 from .graphs import build, check_dense_cap, dense_spectrum
@@ -295,11 +294,12 @@ def theorem_65_max_block_eigenvalues(
     Raises CapExceededError as verify.spectrum's irrep route does."""
     from . import yor
 
-    shapes = [shape for shape in yor.block_shapes(n) if dimension(shape) > n - 1]
+    dims = yor.block_shapes(n)
     spec = prefix_moving_cycles(n, r + 1, r)  # refuses r outside 1..n-2
+    column = character_column((spec.k,) + (1,) * (n - spec.k))
     return [
-        (shape, dimension(shape), yor.hplus_block_spectrum(shape, spec.k, spec.r)[0][0])
-        for shape in shapes
+        (shape, dim, yor.hplus_block_spectrum(shape, spec.k, r, column.get(shape, 0))[0][0])
+        for shape, dim in dims.items() if dim > n - 1
     ]
 
 

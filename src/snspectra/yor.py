@@ -182,12 +182,13 @@ def hplus_matrix(shape: Sequence[int], k: int, inner: Sequence[int]) -> np.ndarr
     return y
 
 
-def hplus_block_spectrum(shape: Sequence[int], k: int, r: int) -> list[tuple[float, int]]:
+def hplus_block_spectrum(shape: Sequence[int], k: int, r: int, chi: int) -> list[tuple[float, int]]:
     """Clustered eigenvalues of H+ of C(n,k;r) over the dim(shape) rows of a
     block.  H+ commutes with Sym(1..r): it is dim(mu) copies of
     hplus_matrix(shape, k, mu) for each hook mu |- r inside shape, and 0 on
     every other row.  Every element of H is a k-cycle, so sum dim(mu) trace
-    must be |H| chi(k-cycle) by Murnaghan-Nakayama, relative to |H|."""
+    must be |H| chi, relative to |H|, chi = chi^shape(k-cycle) by
+    Murnaghan-Nakayama, read once per spectrum by the caller."""
     shape = validate_diagram(shape)
     n = sum(shape)
     _check_set(n, k, r)
@@ -195,19 +196,18 @@ def hplus_block_spectrum(shape: Sequence[int], k: int, r: int) -> list[tuple[flo
     fit = range(max(0, r - shape[0]), min(r, len(shape)))
     hooks = [((r - a,) + (1,) * a, comb(r - 1, a)) for a in fit] if r else [((), 1)]
     pairs: list[tuple[float, int]] = []
-    trace, rows = 0.0, 0
+    trace, zero_rows = 0.0, diagrams.dimension(shape)
     for mu, copies in hooks:
         block = hplus_matrix(shape, k, mu)
         trace += copies * float(np.trace(block))
-        rows += copies * len(block)
+        zero_rows -= copies * len(block)
         pairs += [(v, copies) for v in np.linalg.eigvalsh(block).tolist()]
         del block  # free it before the next hook's block is built
-    if rows < diagrams.dimension(shape):
-        pairs.append((0.0, diagrams.dimension(shape) - rows))
+    if zero_rows > 0:
+        pairs.append((0.0, zero_rows))
     size = factorial(k - 1) * comb(n - r, k - r)
-    exact = size * characters.character_column((k,) + (1,) * (n - k)).get(shape, 0)
-    if not abs(trace - exact) <= TRACE_TOL * size:
-        raise ArithmeticError(f"H+ block for {shape} has trace {trace:.6g}, not {exact}")
+    if not abs(trace - size * chi) <= TRACE_TOL * size:
+        raise ArithmeticError(f"H+ block for {shape} has trace {trace:.6g}, not {size * chi}")
     return cluster_eigenvalues(pairs)
 
 
@@ -229,19 +229,21 @@ def _group_report(
     return SpectrumReport(clustered, method)
 
 
-def block_shapes(n: int) -> tuple[tuple[int, ...], ...]:
-    """The diagrams of n, one block each; refused with CapExceededError,
-    before any block is built, when the largest has more than BLOCK_CAP rows.
-    Adding a box never shrinks a block (branching), so the scan stops at the
-    first S_m, m <= n, past the cap, without listing the diagrams of n."""
+def block_shapes(n: int) -> dict[tuple[int, ...], int]:
+    """{diagram: dimension} over the diagrams of n, one block each; refused
+    with CapExceededError, before any block is built, when the largest has
+    more than BLOCK_CAP rows.  Adding a box never shrinks a block (branching),
+    so the scan stops at the first S_m, m <= n, past the cap."""
+    dims: dict[tuple[int, ...], int] = {}
     for m in range(1, n + 1):
-        rows, largest = max((diagrams.dimension(s), s) for s in diagrams.partitions_of(m))
+        dims = {s: diagrams.dimension(s) for s in diagrams.partitions_of(m)}
+        rows, largest = max((d, s) for s, d in dims.items())
         if rows > BLOCK_CAP:
             beyond = f", so S{n} has one at least as large" if m < n else ""
             raise CapExceededError(
                 f"{rows}-row block {largest} of S{m} exceeds block cap {BLOCK_CAP}{beyond}"
             )
-    return diagrams.partitions_of(n)
+    return dims
 
 
 def full_spectrum_via_irreps(
@@ -249,7 +251,7 @@ def full_spectrum_via_irreps(
 ) -> SpectrumReport:
     """Cayley spectrum of H = spec, C(n,k) or C(n,k;r), as the union of block
     spectra over all diagrams of n, each block built from (k, r) with no
-    element of H made.
+    element of H made and checked against one character column.
 
     Each block value counts dim(shape) times, matching the regular
     representation of Sym(1..n); for ``group_kind`` "alternating" the
@@ -257,16 +259,17 @@ def full_spectrum_via_irreps(
     block is built: an n with a block above BLOCK_CAP rows, by block_shapes,
     then a set of odd k-cycles on Alt.
     """
-    shapes = block_shapes(spec.n)
+    dims = block_shapes(spec.n)
     check_group(group_kind, spec.k % 2 == 1)  # a k-cycle is even iff k is odd
     # r = 0 for C(n,k); every n-cycle moves 1..n-1, so C(n,n) = C(n,n;n-1).
-    k, r = spec.k, spec.n - 1 if spec.k == spec.n else spec.r or 0
+    n, k, r = spec.n, spec.k, spec.n - 1 if spec.k == spec.n else spec.r or 0
+    column = characters.character_column((k,) + (1,) * (n - k))
     pairs = [
-        (value, mult * diagrams.dimension(shape))
-        for shape in shapes
-        for value, mult in hplus_block_spectrum(shape, k, r)
+        (value, mult * dim)
+        for shape, dim in dims.items()
+        for value, mult in hplus_block_spectrum(shape, k, r, column.get(shape, 0))
     ]
-    return _group_report(pairs, "irrep", group_kind, spec.n, spec.cardinality())
+    return _group_report(pairs, "irrep", group_kind, n, spec.cardinality())
 
 
 def char_spectrum(
@@ -284,11 +287,11 @@ def char_spectrum(
     # A permutation is even iff n minus its number of cycles is even.
     check_group(group_kind, (n - len(ctype)) % 2 == 0)
     eigenvalues = characters.class_eigenvalues(ctype)
-    pairs = [(value, diagrams.dimension(shape) ** 2) for shape, value in eigenvalues.items()]
+    pairs = [(value, dim**2) for value, dim in eigenvalues.values()]
     rest = factorial(n) - sum(m for _, m in pairs)
     if rest < 0:
         raise ArithmeticError(f"the support of the {ctype} column has sum dim^2 above {n}!")
     if rest:
         pairs.append((0, rest))
     # The trivial diagram (n) has chi = 1 = dim, so its eigenvalue is |H|.
-    return _group_report(pairs, "char", group_kind, n, eigenvalues[(n,)])
+    return _group_report(pairs, "char", group_kind, n, eigenvalues[(n,)][0])

@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from snspectra import yor
-from snspectra.characters import class_eigenvalues, class_size, mn_character
+from snspectra.characters import character_column, class_eigenvalues, class_size
 from snspectra.diagrams import dimension, partitions_of, validate_diagram
 from snspectra.eigen import CLUSTER_TOL, SpectrumReport, cluster_eigenvalues
 from snspectra.graphs import CayleyGraph, dense_spectrum
@@ -304,10 +304,15 @@ def word_walk_spectrum(n: int, connecting_set: Sequence[Permutation]) -> list[tu
     return cluster_eigenvalues(pairs)
 
 
-def reference_class_eigenvalue(shape: Sequence[int], ctype: Sequence[int]) -> Fraction:
-    """|class| chi(h) / chi(1), the class sum's eigenvalue on the block of
-    ``shape``, as an exact fraction of one character value."""
-    return Fraction(class_size(ctype) * mn_character(shape, ctype), dimension(tuple(shape)))
+def reference_class_eigenvalues(ctype: Sequence[int]) -> dict[tuple[int, ...], Fraction]:
+    """{shape: |class| chi(h) / chi(1)} over every diagram of n, on the
+    character's support and off it: the class sum's eigenvalue on each block,
+    as an exact fraction of one character value, the column read once."""
+    column, size = character_column(tuple(ctype)), class_size(ctype)
+    return {
+        shape: Fraction(size * column.get(shape, 0), dimension(shape))
+        for shape in partitions_of(sum(ctype))
+    }
 
 
 def diagram_scan_char_spectrum(
@@ -317,8 +322,7 @@ def diagram_scan_char_spectrum(
     character's support as well as on it: each block is the int
     |H| chi(h)/chi(1), with multiplicity dim^2."""
     pairs = []
-    for shape in partitions_of(n):
-        value = reference_class_eigenvalue(shape, ctype)
+    for shape, value in reference_class_eigenvalues(ctype).items():
         assert value.denominator == 1, f"{shape} on {ctype}: {value}"
         pairs.append((value.numerator, dimension(shape) ** 2))
     return yor._group_report(pairs, "char", group_kind, n, class_size(ctype))
@@ -509,7 +513,7 @@ def mn_class_diagonal(shape: tuple[int, ...], k: int) -> list[int]:
     the shape, by Murnaghan-Nakayama: the class eigenvalue of the shape that
     1..k fill in T."""
     eigenvalues = class_eigenvalues((k,))
-    return [eigenvalues.get(restricted_shape(tab, k), 0) for tab in standard_tableaux(shape)]
+    return [eigenvalues.get(restricted_shape(tab, k), (0,))[0] for tab in standard_tableaux(shape)]
 
 
 def fits(inner: tuple[int, ...], shape: tuple[int, ...]) -> bool:

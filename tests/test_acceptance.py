@@ -185,12 +185,10 @@ def test_criterion_07_property_suites(capfd):
         # character orthogonality
         for n in range(2, 9):
             shapes = partitions_of(n)
+            chi = {(a, c): mn_character(a, c) for a in shapes for c in shapes}
             for a in shapes:
                 for b in shapes:
-                    total = sum(
-                        class_size(c) * mn_character(a, c) * mn_character(b, c)
-                        for c in shapes
-                    )
+                    total = sum(class_size(c) * chi[a, c] * chi[b, c] for c in shapes)
                     assert total == (factorial(n) if a == b else 0)
         # representation relation residuals
         for n in range(2, 7):

@@ -24,7 +24,7 @@ from snspectra.diagrams import (
     validate_diagram,
 )
 
-from reference_checks import branch_restrict, class_sign, is_hook, reference_class_eigenvalue
+from reference_checks import branch_restrict, class_sign, is_hook, reference_class_eigenvalues
 
 
 def count_standard_fillings(shape):
@@ -182,26 +182,25 @@ class TestCharacters:
 
 class TestClassEigenvalue:
     def test_full_cycle_examples(self):
-        assert class_eigenvalues((6,)).get((2, 1, 1, 1, 1), 0) == 24  # (n-2)!
-        assert class_eigenvalues((5,)).get((3, 1, 1), 0) == 4  # 2(n-3)!
+        assert class_eigenvalues((6,))[(2, 1, 1, 1, 1)] == (24, 5)  # (n-2)!
+        assert class_eigenvalues((5,))[(3, 1, 1)] == (4, 6)  # 2(n-3)!
 
     def test_almost_full_cycle_example(self):
-        assert class_eigenvalues((4, 1)).get((2, 2, 1), 0) == 6  # 2(n-2)(n-4)! at n=5
+        assert class_eigenvalues((4, 1))[(2, 2, 1)] == (6, 5)  # 2(n-2)(n-4)! at n=5
 
     def test_trivial_block_gets_class_size(self):
-        assert class_eigenvalues((6,)).get((6,), 0) == class_size((6,)) == 120
+        assert class_eigenvalues((6,))[(6,)] == (class_size((6,)), 1) == (120, 1)
 
     @staticmethod
     def assert_equals_the_fraction_reference(ctype):
-        n = sum(ctype)
-        expected = {}
-        for shape in partitions_of(n):
-            value = reference_class_eigenvalue(shape, ctype)
-            if value:
-                expected[shape] = value
+        expected = {
+            shape: (value, dimension(shape))
+            for shape, value in reference_class_eigenvalues(ctype).items()
+            if value
+        }
         got = class_eigenvalues(ctype)
         assert got == expected
-        assert all(type(v) is int for v in got.values())
+        assert all(type(v) is int and type(d) is int for v, d in got.values())
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_every_class_to_10_equals_the_fraction_reference(self, n):
@@ -228,7 +227,11 @@ class TestContentPolynomials:
 
     @pytest.mark.parametrize("n", range(3, 21))
     def test_class_eigenvalues_are_content_polynomials(self, n):
-        columns = {k: class_eigenvalues((k,) + (1,) * (n - k)) for k in (2, 3, 4) if k <= n}
+        columns = {
+            k: {shape: value for shape, (value, _) in class_eigenvalues((k,) + (1,) * (n - k)).items()}
+            for k in (2, 3, 4)
+            if k <= n
+        }
         for shape in partitions_of(n):
             contents = [column - row for row, length in enumerate(shape) for column in range(length)]
             p1, p2, p3 = (sum(c**e for c in contents) for e in (1, 2, 3))
@@ -266,15 +269,20 @@ class TestCharacterColumn:
             assert 0 not in column.values()
             assert set(column) <= set(partitions_of(n))
 
-    def test_is_read_only(self):
-        with pytest.raises(TypeError):
-            character_column((3,))[(3,)] = 2
+    def test_mutating_a_column_leaves_the_next_one_exact(self):
+        first = character_column((3, 1, 1))
+        exact = dict(first)
+        first[(5,)] = 2
+        first.clear()
+        assert character_column((3, 1, 1)) == exact
+        assert mn_character((5,), (3, 1, 1)) == 1
 
 
 def full_scan_max_ratio(n, ctype):
     """Reference: the largest ratio over every diagram of n with dim > 1."""
+    column = character_column(ctype)
     ratios = {
-        shape: Fraction(mn_character(shape, ctype), dimension(shape))
+        shape: Fraction(column.get(shape, 0), dimension(shape))
         for shape in partitions_of(n)
         if dimension(shape) > 1
     }

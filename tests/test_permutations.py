@@ -18,6 +18,7 @@ from snspectra.permutations import (
     check_group,
     connecting_cycles,
     connecting_images,
+    count_text,
     full_cycles,
     generated_subgroup_kind,
     group_images,
@@ -240,6 +241,35 @@ class TestSpecs:
             enumerate_connecting_set(full_cycles(13, 13))
         assert permutations.SET_CAP == 10**6
         assert graphs.CapExceededError is CapExceededError
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (full_cycles(5000, 2500), "|C(5000,2500)| = 10^8911.0 exceeds set cap 1000000"),
+            (
+                prefix_moving_cycles(400000, 200000, 2),
+                "|C(400000,200000;2)| = 10^1093753.3 exceeds set cap 1000000",
+            ),
+        ],
+    )
+    def test_set_past_13000_bits_is_refused_without_its_count(self, monkeypatch, spec, message):
+        def refuse(self):
+            raise AssertionError(f"|{self}| was counted")
+
+        monkeypatch.setattr(permutations.ConnectingSetSpec, "cardinality", refuse)
+        with pytest.raises(CapExceededError) as refused:
+            permutations.check_set_cap(spec)
+        assert str(refused.value) == message
+
+    def test_power_of_ten_from_the_logarithm_equals_the_one_from_the_count(self):
+        specs = [full_cycles(n, k) for n in range(2500, 6001, 500) for k in (n // 2, n - 1, n)]
+        specs += [prefix_moving_cycles(n, n // 2, 2) for n in range(3000, 6001, 500)]
+        for spec in specs:
+            size = spec.cardinality()
+            assert size.bit_length() > 13000
+            with pytest.raises(CapExceededError) as refused:
+                permutations.check_set_cap(spec)
+            assert str(refused.value) == f"|{spec}| = {count_text(size)} exceeds set cap 1000000"
 
     def test_set_cap_admits_a_set_of_its_size(self, monkeypatch):
         monkeypatch.setattr(permutations, "SET_CAP", 24)

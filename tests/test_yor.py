@@ -1,5 +1,7 @@
 import gc
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -18,6 +20,7 @@ from snspectra.permutations import (
     group_images,
     prefix_moving_cycles,
 )
+import snspectra
 from snspectra import characters, diagrams, permutations, verify, yor
 from snspectra.yor import (
     full_spectrum_via_irreps,
@@ -54,6 +57,12 @@ from reference_checks import (
 
 def refuse_class_eigenvalues(ctype):
     raise AssertionError(f"class_eigenvalues({ctype}) read")
+
+
+def k_cycle_character(shape, k):
+    """chi^shape on the k-cycles, the value hplus_block_spectrum checks its
+    trace against."""
+    return mn_character(shape, (k,) + (1,) * (sum(shape) - k))
 
 
 def word_oracle(g):
@@ -213,15 +222,15 @@ class TestBlockSums:
         eigenvalues = class_eigenvalues((6,))
         for shape in partitions_of(6):
             mat = hplus_matrix(shape, 6, ())
-            expected = float(eigenvalues.get(shape, 0))
+            expected = float(eigenvalues.get(shape, (0,))[0])
             assert np.abs(mat - expected * np.eye(dimension(shape))).max() < 1e-8
 
     def test_scalar_block_example(self):
-        spectrum = hplus_block_spectrum((2, 1, 1, 1, 1), 6, 6)
+        spectrum = hplus_block_spectrum((2, 1, 1, 1, 1), 6, 6, 1)
         assert spectrum == [(24.0, 5)]
 
     def test_prefix_block_example(self):
-        spectrum = hplus_block_spectrum((5, 1), 3, 2)
+        spectrum = hplus_block_spectrum((5, 1), 3, 2, 2)
         assert spectrum == [(6.0, 3), (2.0, 1), (-4.0, 1)]
 
     def test_rejects_non_inverse_closed(self):
@@ -232,7 +241,7 @@ class TestBlockSums:
     @pytest.mark.parametrize("k, r", [(1, 0), (5, 0), (3, 4), (3, -1)])
     def test_rejects_parameters_of_no_set(self, k, r):
         with pytest.raises(ValueError, match=rf"^no connecting set C\(4,{k};{r}\)$"):
-            hplus_block_spectrum((3, 1), k, r)
+            hplus_block_spectrum((3, 1), k, r, 0)
 
     def test_trivial_block_counts_set(self):
         connecting = enumerate_connecting_set(prefix_moving_cycles(7, 4, 2))
@@ -254,7 +263,7 @@ class TestBlockSums:
         monkeypatch.setattr(yor, "_generator", corrupted)
         message = r"^H\+ block for \(4, 3, 2, 1\)/\(2,\) asymmetric by nan$"
         with pytest.raises(ArithmeticError, match=message):
-            hplus_block_spectrum((4, 3, 2, 1), 3, 2)
+            hplus_block_spectrum((4, 3, 2, 1), 3, 2, k_cycle_character((4, 3, 2, 1), 3))
 
     @pytest.mark.parametrize("shape, k", [((3, 1), 3), ((5, 1, 1), 5), ((6, 1), 6)])
     def test_block_that_cancels_to_zero_passes_the_trace_check(self, shape, k):
@@ -263,21 +272,24 @@ class TestBlockSums:
         # tolerance is scaled by |H|, which bounds every entry.
         assert mn_character(shape, (k,) + (1,) * (sum(shape) - k)) == 0
         assert np.abs(hplus_matrix(shape, k, ())).max() < 1e-12
-        assert hplus_block_spectrum(shape, k, 0) == [(0, dimension(shape))]
+        assert hplus_block_spectrum(shape, k, 0, 0) == [(0, dimension(shape))]
 
-    def test_wrong_character_is_refused_by_the_trace(self, monkeypatch):
+    def test_wrong_character_is_refused_by_the_trace(self):
         # The diagonal is read from contents, the trace from characters, so a
-        # doctored column no longer agrees with the block: the hook (6,1) has
+        # wrong character no longer agrees with the block: the hook (6,1) has
         # value -1 on the 7-cycles, and |H| = 6! = 720.
-        column = dict(characters.character_column((7,)))
-        column[(6, 1)] = 1
-        real = characters.character_column
-        monkeypatch.setattr(
-            characters, "character_column", lambda ctype: column if ctype == (7,) else real(ctype)
-        )
+        assert k_cycle_character((6, 1), 7) == -1
         message = r"^H\+ block for \(6, 1\) has trace -720, not 720$"
         with pytest.raises(ArithmeticError, match=message):
-            hplus_block_spectrum((6, 1), 7, 6)
+            hplus_block_spectrum((6, 1), 7, 6, 1)
+
+    def test_spectrum_checks_each_block_against_the_column_it_reads(self, monkeypatch):
+        column = dict(characters.character_column((7,)))
+        column[(6, 1)] = 1
+        monkeypatch.setattr(characters, "character_column", lambda ctype: column)
+        message = r"^H\+ block for \(6, 1\) has trace -720, not 720$"
+        with pytest.raises(ArithmeticError, match=message):
+            full_spectrum_via_irreps(full_cycles(7, 7))
 
     def test_wrong_coefficient_is_refused_by_the_trace(self, monkeypatch):
         # Scaling one generator's couplings keeps the block symmetric, but
@@ -291,7 +303,7 @@ class TestBlockSums:
         monkeypatch.setattr(yor, "_generator", scaled)
         message = r"^H\+ block for \(4, 3, 2, 1\) has trace -633\.16\d*, not -768$"
         with pytest.raises(ArithmeticError, match=message):
-            hplus_block_spectrum((4, 3, 2, 1), 3, 2)
+            hplus_block_spectrum((4, 3, 2, 1), 3, 2, k_cycle_character((4, 3, 2, 1), 3))
 
 
 class TestBlockWorkingSet:
@@ -315,7 +327,8 @@ class TestBlockWorkingSet:
         # where its larger block does, not with the other one still held.
         shape = (4, 3, 2, 1, 1)
         larger = traced_peak(lambda: hplus_matrix(shape, 3, (1, 1)))
-        assert traced_peak(lambda: hplus_block_spectrum(shape, 3, 2)) <= larger + 1071**2 * 4
+        chi = k_cycle_character(shape, 3)
+        assert traced_peak(lambda: hplus_block_spectrum(shape, 3, 2, chi)) <= larger + 1071**2 * 4
 
 
 class TestFullSpectra:
@@ -422,11 +435,34 @@ class TestFullSpectra:
 
 
 class TestNothingKeptBetweenCalls:
-    """hplus_matrix builds its block's content index and generators as
-    locals; yor keeps nothing from one block, or one spectrum, to the next."""
+    """No module of the package keeps a memo: hplus_matrix builds its block's
+    content index and generators as locals, and each spectrum reads its
+    character column, dimensions and diagram list in the call that uses
+    them, so nothing is kept from one block, or one spectrum, to the next."""
 
     def test_no_attribute_is_memoized(self):
-        assert [name for name in dir(yor) if hasattr(getattr(yor, name), "cache_info")] == []
+        modules = [snspectra] + [
+            importlib.import_module(f"snspectra.{info.name}")
+            for info in pkgutil.iter_modules(snspectra.__path__)
+        ]
+        memoized = [
+            f"{module.__name__}.{name}"
+            for module in modules
+            for name in dir(module)
+            if hasattr(getattr(module, name), "cache_info")
+        ]
+        names = {module.__name__ for module in modules}
+        assert {"snspectra.characters", "snspectra.diagrams", "snspectra.yor"} <= names
+        assert memoized == []
+
+    def test_listing_diagrams_leaves_no_cycle(self):
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(diagrams.partitions_of(12)) == 77
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_pairs_do_not_depend_on_an_earlier_spec(self):
         # C(8,3;2) and C(8,4;2) have the same skew blocks shape/mu, mu |- 2.
@@ -445,22 +481,32 @@ class TestNothingKeptBetweenCalls:
         after = full_spectrum_via_irreps(prefix_moving_cycles(8, 4, 2)).eigenvalues
         assert proc.stdout == repr(after) + "\n"
 
-    def test_a_spectrum_leaves_no_memory_behind(self):
+    @staticmethod
+    def assert_leaves_nothing(spectrum):
         # C(8,3;2) reads the character column and diagrams that C(8,3) reads,
-        # but builds other skew blocks.  The full collection also empties the
-        # interpreter's free lists; numpy's own cache of small freed buffers
-        # keeps under 2 KB.  A memo of the blocks' indexes would keep 280 KB.
+        # but builds other skew blocks; it loads what numpy loads on first use.
+        # The full collection also empties the interpreter's free lists;
+        # numpy's own cache of small freed buffers keeps under 2 KB.
         full_spectrum_via_irreps(prefix_moving_cycles(8, 3, 2))
         gc.collect()
         gc.disable()
         tracemalloc.start()
         try:
-            full_spectrum_via_irreps(full_cycles(8, 3))
+            spectrum()
             assert gc.collect() == 0  # nothing waited for the collector
             assert tracemalloc.get_traced_memory()[0] < 4096
         finally:
             tracemalloc.stop()
             gc.enable()
+
+    def test_a_spectrum_leaves_no_memory_behind(self):
+        # A memo of the blocks' indexes would keep 280 KB.
+        self.assert_leaves_nothing(lambda: full_spectrum_via_irreps(full_cycles(8, 3)))
+
+    def test_a_char_spectrum_leaves_no_memory_behind(self):
+        # Memos of the column, its suffixes (1^m), m <= 9, and its dimensions
+        # would keep 30 KB.
+        self.assert_leaves_nothing(lambda: char_spectrum(12, (3,) + (1,) * 9))
 
 
 class TestNoSetCap:
@@ -479,8 +525,10 @@ class TestNoSetCap:
 
 class TestBlockCap:
     def test_largest_block_of_S12_is_admitted(self):
-        assert max(map(dimension, yor.block_shapes(12))) == yor.BLOCK_CAP == 7700
-        assert yor.block_shapes(12) == partitions_of(12)
+        dims = yor.block_shapes(12)
+        assert max(dims.values()) == yor.BLOCK_CAP == 7700
+        assert tuple(dims) == partitions_of(12)
+        assert dims == {shape: dimension(shape) for shape in partitions_of(12)}
 
     @pytest.mark.parametrize(
         "refused",
@@ -546,7 +594,8 @@ class TestCharSpectrum:
         assert report.lambda1 == size((3,) + (1,) * 6) == 168
 
     def test_support_past_n_factorial_is_refused(self, monkeypatch):
-        monkeypatch.setattr(diagrams, "dimension", lambda shape: 100)
+        support = {(7,): (720, 1), (6, 1): (0, 100)}
+        monkeypatch.setattr(characters, "class_eigenvalues", lambda ctype: support)
         with pytest.raises(ArithmeticError, match=r"sum dim\^2 above 7!$"):
             char_spectrum(7, (7,))
 
