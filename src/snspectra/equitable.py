@@ -13,15 +13,9 @@ from math import factorial
 from typing import Sequence
 
 from .eigen import exact_integer_eigenvalues
-from .formulas import binom
+from .formulas import binom, check_quotient_parameters
 from .graphs import natural_module_matrix
 from .permutations import prefix_moving_cycles
-
-
-def check_quotient_parameters(n: int, k: int, r: int) -> None:
-    """Refuse, with ValueError, an (n, k, r) that B1 and B2 are not defined at."""
-    if not 2 <= r < k < n:
-        raise ValueError(f"need 2 <= r < k < n, got n={n}, k={k}, r={r}")
 
 
 def quotient_B1(n: int, k: int, r: int) -> list[list[int]]:

@@ -24,6 +24,13 @@ def _as_int(value: Fraction) -> int:
     return int(value)
 
 
+def check_quotient_parameters(n: int, k: int, r: int) -> None:
+    """Refuse, with ValueError, an (n, k, r) outside 2 <= r < k < n, the domain
+    of mu_values and of the quotient matrices B1 and B2."""
+    if not 2 <= r < k < n:
+        raise ValueError(f"need 2 <= r < k < n, got n={n}, k={k}, r={r}")
+
+
 def mu_values(n: int, k: int, r: int) -> tuple[int, int, int, int]:
     """The four natural-module eigenvalues for the prefix-moving set
     C(n, k; r), 2 <= r < k < n.  All four are exact integers.
@@ -34,8 +41,7 @@ def mu_values(n: int, k: int, r: int) -> tuple[int, int, int, int]:
     printed_mu2_variant for the published scalar expression, which
     disagrees with this (and with the operator itself) once k - r >= 2.
     """
-    if not 2 <= r < k < n:
-        raise ValueError(f"need 2 <= r < k < n, got n={n}, k={k}, r={r}")
+    check_quotient_parameters(n, k, r)
     base = factorial(k - 2) * binom(n - r, k - r)
     mu1 = factorial(k - 1) * binom(n - r, k - r)
     mu2 = factorial(k - 1) * binom(n - r - 1, k - r) - factorial(k - 2) * binom(

@@ -14,7 +14,7 @@ eigenvalues count twice.
 from __future__ import annotations
 
 from itertools import product
-from math import lcm
+from math import lcm, lgamma, log, log10
 from typing import Iterator, Sequence
 
 from ._numpy import np
@@ -34,6 +34,7 @@ from .permutations import (
     connecting_images,
     count_text,
     group_images,
+    group_order,
 )
 
 DENSE_CAP = 5040
@@ -137,8 +138,13 @@ def build(group_kind: str, spec: ConnectingSetSpec) -> CayleyGraph:
     )
 
 
-def check_dense_cap(size: int) -> None:
-    """Refuse a dense spectrum of ``size`` vertices above DENSE_CAP."""
+def check_dense_cap(group_kind: str, n: int) -> None:
+    """Refuse the group of this kind on n points above DENSE_CAP vertices; one
+    past 13000 bits, printed as 10^x, from log10 |G| before its order is made."""
+    log_size = (lgamma(n + 1) - (group_kind != "symmetric") * log(2)) / log(10)
+    if log_size > 13001 * log10(2):
+        raise CapExceededError(f"10^{log_size:.1f} vertices exceeds dense cap {DENSE_CAP}")
+    size = group_order(group_kind, n)
     if size > DENSE_CAP:
         raise CapExceededError(f"{count_text(size)} vertices exceeds dense cap {DENSE_CAP}")
 
@@ -243,7 +249,6 @@ def dense_spectrum(graph: CayleyGraph) -> SpectrumReport:
     oracle), in the character bases of the right cosets of K: the union of
     the spectra of the blocks of sign_blocks, each diagonalized on its own,
     with the values of a complex block counted twice (for chi and conj(chi))."""
-    check_dense_cap(graph.size)
     pairs: list[tuple[float, int]] = []
     for block in sign_blocks(graph):
         count = 2 if np.iscomplexobj(block) else 1

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import formulas, graphs
-from .characters import character_column, max_ratio_diagram
+from .characters import max_ratio_diagram
 from .eigen import CLUSTER_TOL, SpectrumReport
 from .equitable import counted_quotient, quotient_B1, quotient_B2, quotient_eigenvalues
 from .graphs import build, check_dense_cap, dense_spectrum
@@ -26,7 +26,6 @@ from .permutations import (
     ConnectingSetSpec,
     full_cycles,
     generated_subgroup_kind,
-    group_order,
     prefix_moving_cycles,
 )
 
@@ -47,7 +46,7 @@ THEOREMS = {
     "43": (("auto", "char"), 5, "", lambda m, n: [verify_L43(n)]),
 }
 METHODS = tuple(dict.fromkeys(m for methods, *_ in THEOREMS.values() for m in methods))
-DENSE_AUTO_LIMIT = 720
+DENSE_AUTO_N = 6  # |Sym(6)| = 720 vertices, |Alt(7)| = 2520
 
 
 class Outcome:
@@ -92,7 +91,7 @@ def _timed(run: Callable[[], list[Outcome]]) -> list[Outcome]:
 def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
     """Spectrum of Cay(G, H) for the group of this kind and H = spec, by the
     dense oracle, the irrep blocks or the characters; "auto" takes char for a
-    conjugacy class, else dense up to DENSE_AUTO_LIMIT vertices, else irrep.
+    conjugacy class, else dense up to DENSE_AUTO_N points, else irrep.
     Only the irrep and char routes import yor, and only dense makes H, as an
     image array from its cycles.  Raises CapExceededError before the large
     allocation: above graphs.DENSE_CAP vertices (dense), yor.BLOCK_CAP rows in
@@ -101,9 +100,9 @@ def spectrum(spec: ConnectingSetSpec, kind: str, method: str) -> SpectrumReport:
         if spec.family == "full":
             method = "char"
         else:
-            method = "dense" if group_order(kind, spec.n) <= DENSE_AUTO_LIMIT else "irrep"
+            method = "dense" if spec.n <= DENSE_AUTO_N else "irrep"
     if method == "dense":
-        check_dense_cap(group_order(kind, spec.n))
+        check_dense_cap(kind, spec.n)
         return dense_spectrum(build(kind, spec))
     if method == "irrep":
         from . import yor
@@ -286,21 +285,14 @@ def verify_quotients(n: int, k: int, r: int) -> list[Outcome]:
     return _timed(lambda: _quotient_outcomes(n, k, r, ("53", "54")))
 
 
-def theorem_65_max_block_eigenvalues(
-    n: int, r: int
-) -> list[tuple[tuple[int, ...], int, float]]:
+def theorem_65_max_block_eigenvalues(n: int, r: int) -> list[tuple[tuple[int, ...], int, float]]:
     """(shape, dim, max eigenvalue) for every block of dimension > n-1 of H+
-    of C(n, r+1; r), built from (k, r) = (r+1, r) with no element of H made.
-    Raises CapExceededError as verify.spectrum's irrep route does."""
+    of C(n, r+1; r), read from the irrep route's yor.block_spectra, so it is
+    refused as verify.spectrum's irrep route is."""
     from . import yor
 
-    dims = yor.block_shapes(n)
-    spec = prefix_moving_cycles(n, r + 1, r)  # refuses r outside 1..n-2
-    column = character_column((spec.k,) + (1,) * (n - spec.k))
-    return [
-        (shape, dim, yor.hplus_block_spectrum(shape, spec.k, r, column.get(shape, 0))[0][0])
-        for shape, dim in dims.items() if dim > n - 1
-    ]
+    blocks = yor.block_spectra(prefix_moving_cycles(n, r + 1, r))  # refuses r outside 1..n-2
+    return [(shape, dim, spectrum[0][0]) for shape, dim, spectrum in blocks if dim > n - 1]
 
 
 def verify_T65(n: int, r: int) -> Outcome:

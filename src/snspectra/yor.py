@@ -18,7 +18,7 @@ column and builds no block.
 from __future__ import annotations
 
 from math import comb, factorial, prod
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import characters, diagrams
 from ._numpy import np
@@ -246,30 +246,32 @@ def block_shapes(n: int) -> dict[tuple[int, ...], int]:
     return dims
 
 
-def full_spectrum_via_irreps(
-    spec: ConnectingSetSpec, group_kind: str = "symmetric"
-) -> SpectrumReport:
-    """Cayley spectrum of H = spec, C(n,k) or C(n,k;r), as the union of block
-    spectra over all diagrams of n, each block built from (k, r) with no
-    element of H made and checked against one character column.
-
-    Each block value counts dim(shape) times, matching the regular
-    representation of Sym(1..n); for ``group_kind`` "alternating" the
-    multiplicities are halved to those of Cay(Alt, H).  Refused before any
-    block is built: an n with a block above BLOCK_CAP rows, by block_shapes,
-    then a set of odd k-cycles on Alt.
-    """
+def block_spectra(spec: ConnectingSetSpec) -> Iterator[tuple[tuple[int, ...], int, list]]:
+    """(diagram, dim, hplus_block_spectrum) for each diagram of n, one block
+    at a time, for H = spec, C(n,k) or C(n,k;r): each block built from (k, r)
+    with no element of H made and checked against one character column.
+    Refused on the call, before any block is built, by block_shapes."""
     dims = block_shapes(spec.n)
-    check_group(group_kind, spec.k % 2 == 1)  # a k-cycle is even iff k is odd
     # r = 0 for C(n,k); every n-cycle moves 1..n-1, so C(n,n) = C(n,n;n-1).
     n, k, r = spec.n, spec.k, spec.n - 1 if spec.k == spec.n else spec.r or 0
     column = characters.character_column((k,) + (1,) * (n - k))
-    pairs = [
-        (value, mult * dim)
+    return (
+        (shape, dim, hplus_block_spectrum(shape, k, r, column.get(shape, 0)))
         for shape, dim in dims.items()
-        for value, mult in hplus_block_spectrum(shape, k, r, column.get(shape, 0))
-    ]
-    return _group_report(pairs, "irrep", group_kind, n, spec.cardinality())
+    )
+
+
+def full_spectrum_via_irreps(
+    spec: ConnectingSetSpec, group_kind: str = "symmetric"
+) -> SpectrumReport:
+    """Cayley spectrum of H = spec: each value of block_spectra counts dim
+    times, as in the regular representation of Sym(1..n), halved to those of
+    Cay(Alt, H) for ``group_kind`` "alternating".  Refused before any block
+    is built: by block_shapes, then for a set of odd k-cycles on Alt."""
+    blocks = block_spectra(spec)
+    check_group(group_kind, spec.k % 2 == 1)  # a k-cycle is even iff k is odd
+    pairs = [(value, mult * dim) for _, dim, spectrum in blocks for value, mult in spectrum]
+    return _group_report(pairs, "irrep", group_kind, spec.n, spec.cardinality())
 
 
 def char_spectrum(

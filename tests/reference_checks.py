@@ -7,9 +7,9 @@ set; the image array of a list of permutations, the Cayley graph and the H+
 blocks of any inverse-closed set, standard tableaux as row tuples, with
 their content vectors and the class-sum diagonal by Murnaghan-Nakayama,
 Young's generators built from tableau positions, the whole H+ block put
-together from its skew blocks, and the matrix of any
-permutation in Young's orthogonal form, each
-class eigenvalue as a fraction of a character value and the class-sum
+together from its skew blocks, Lemma 65's rows by its own block loop, and
+the matrix of any permutation in Young's orthogonal form, each class
+eigenvalue as a fraction of a character value and the class-sum
 spectrum from every diagram of n, the per-vertex equitability check with
 orbit and point-image partitions, the branching rule, hooks, and the sign of
 a cycle type.
@@ -546,6 +546,18 @@ def skew_assembled_block(shape: tuple[int, ...], k: int, r: int) -> np.ndarray:
             reached += at
     assert sorted(reached) == list(range(len(whole))), (shape, r)
     return block
+
+
+def theorem_65_rows(n: int, r: int) -> list[tuple[tuple[int, ...], int, float]]:
+    """verify.theorem_65_max_block_eigenvalues by Lemma 65's own loop, as it
+    ran before it read yor.block_spectra: the block cap, the (r+1, 1^{n-r-1})
+    column, and hplus_block_spectrum on the blocks of dimension > n-1 only."""
+    dims = yor.block_shapes(n)
+    column = character_column((r + 1,) + (1,) * (n - r - 1))
+    return [
+        (shape, dim, yor.hplus_block_spectrum(shape, r + 1, r, column.get(shape, 0))[0][0])
+        for shape, dim in dims.items() if dim > n - 1
+    ]
 
 
 @cache

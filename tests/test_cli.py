@@ -1,10 +1,11 @@
 import json
+import math
 import time
 from pathlib import Path
 
 import pytest
 
-from snspectra import equitable, formulas, graphs, verify
+from snspectra import characters, diagrams, equitable, formulas, graphs, permutations, verify, yor
 from snspectra.cli import main
 from snspectra.permutations import parse_spec
 
@@ -337,6 +338,34 @@ class TestCountsPastPrinting:
         assert (outcome["outcome"], outcome["detail"]) == (
             "skipped", "10^5735.2 vertices exceeds dense cap 5040"
         )
+
+    @pytest.mark.parametrize(
+        "group, method, refusal",
+        [
+            ("S", "dense", "10^1512851.2 vertices exceeds dense cap 5040"),
+            ("A", "dense", "10^1512850.9 vertices exceeds dense cap 5040"),
+            ("S", "auto", "21450-row block (5, 4, 2, 1, 1) of S13 exceeds block cap 7700, "
+             "so S300000 has one at least as large"),
+        ],
+        ids=["S-dense", "A-dense", "S-auto"],
+    )
+    def test_group_order_is_not_made(self, capsys, monkeypatch, group, method, refusal):
+        # 300000! has 1.5 million digits: the dense cap reads its logarithm,
+        # and auto decides from n alone.
+        def small(m):
+            if m > 20:
+                raise AssertionError(f"factorial({m}) taken")
+            return math.factorial(m)
+
+        for module in (characters, diagrams, equitable, formulas, permutations, yor):
+            monkeypatch.setattr(module, "factorial", small)
+        code = main([
+            "spectrum", "--group", group, "--n", "300000", "--set", "C(300000,3;2)",
+            "--method", method,
+        ])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"snspectra spectrum: error: {refusal}\n"
 
 
 class TestNaturalCap:

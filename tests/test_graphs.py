@@ -292,9 +292,11 @@ class TestDenseSpectrum:
         assert values == sorted([(-v, m) for v, m in values], reverse=True)
 
     def test_cap(self):
-        check_dense_cap(5040)
-        with pytest.raises(CapExceededError, match="40320 vertices exceeds dense cap 5040"):
-            check_dense_cap(40320)
+        check_dense_cap("symmetric", 7)
+        with pytest.raises(CapExceededError, match="^40320 vertices exceeds dense cap 5040$"):
+            check_dense_cap("symmetric", 8)
+        with pytest.raises(CapExceededError, match="^20160 vertices exceeds dense cap 5040$"):
+            check_dense_cap("alternating", 8)
         with pytest.raises(CapExceededError, match="40320 vertices exceeds dense cap 5040"):
             verify.spectrum(full_cycles(8, 8), "symmetric", "dense")
 

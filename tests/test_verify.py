@@ -17,7 +17,9 @@ from snspectra.formulas import (
     printed_mu2_variant,
     printed_third_eigenvalue_variant,
 )
-from snspectra.permutations import full_cycles, parse_spec, prefix_moving_cycles
+from snspectra.permutations import full_cycles, group_order, parse_spec, prefix_moving_cycles
+
+from reference_checks import theorem_65_rows
 
 
 class TestFormulas:
@@ -140,6 +142,15 @@ class TestTheoremRunners:
         assert verify.verify_T1A(8).method == "char"
         assert verify.verify_T1B(7).method == "char"
         assert verify.verify_T13(6, 2).method == "dense"
+
+    def test_auto_goes_dense_up_to_720_vertices(self, monkeypatch):
+        monkeypatch.setattr(verify, "build", lambda kind, spec: None)
+        monkeypatch.setattr(verify, "dense_spectrum", lambda graph: "dense")
+        monkeypatch.setattr(yor, "full_spectrum_via_irreps", lambda spec, kind: "irrep")
+        for n in range(4, 21):
+            for kind in ("symmetric", "alternating"):
+                expected = "dense" if group_order(kind, n) <= 720 else "irrep"
+                assert verify.spectrum(prefix_moving_cycles(n, 3, 2), kind, "auto") == expected
 
     def test_T1A_skips_tiny(self):
         # n <= 4 is outside Theorem 1A: run_cases builds no case there, and
@@ -296,6 +307,13 @@ class TestTheoremRunners:
             n, r = map(int, key.split(","))
             got = verify.theorem_65_max_block_eigenvalues(n, r)
             assert [[list(shape), dim, top] for shape, dim, top in got] == rows, key
+
+    @pytest.mark.parametrize(
+        "n, r",
+        [(n, r) for n in range(5, 10) for r in range(2, n - 1)] + [(12, r) for r in range(6, 11)],
+    )
+    def test_theorem_65_rows_are_its_own_loop_over_the_irrep_walk(self, n, r):
+        assert verify.theorem_65_max_block_eigenvalues(n, r) == theorem_65_rows(n, r)
 
     def test_theorem_65_bound(self):
         for n, r in [(6, 2), (6, 3), (7, 2), (8, 5)]:

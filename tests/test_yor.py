@@ -535,15 +535,24 @@ class TestBlockCap:
         [
             lambda: yor.block_shapes(13),
             lambda: full_spectrum_via_irreps(prefix_moving_cycles(13, 3, 2)),
+            lambda: yor.block_spectra(prefix_moving_cycles(13, 3, 2)),  # called, not iterated
             lambda: verify.theorem_65_max_block_eigenvalues(13, 2),
         ],
-        ids=["shapes", "full_spectrum", "theorem_65"],
+        ids=["shapes", "full_spectrum", "block_spectra", "theorem_65"],
     )
     def test_S13_refused_before_any_block(self, no_block_assembled, refused):
         with pytest.raises(
             CapExceededError, match=r"^21450-row block \(5, 4, 2, 1, 1\) of S13 exceeds block cap 7700$"
         ):
             refused()
+
+    @pytest.mark.usefixtures("no_block_assembled")
+    def test_block_cap_refuses_before_alt_membership(self):
+        # Every 4-cycle is odd, so Alt refuses C(n,4); past the block cap, the cap speaks first.
+        with pytest.raises(CapExceededError, match=r"^21450-row block .* of S13 exceeds"):
+            full_spectrum_via_irreps(full_cycles(13, 4), "alternating")
+        with pytest.raises(ValueError, match="^connecting set contains odd permutations"):
+            full_spectrum_via_irreps(full_cycles(12, 4), "alternating")
 
 
 class TestCharSpectrum:
